@@ -4,7 +4,9 @@ Each suite returns CheckReport records.  Exactness-class identities
 (algebraic relations, spectral relabelings, series cross-checks) are
 compared against the caller-supplied tolerance; quadrature-limited
 identities keep their intrinsic tolerances, which are part of the
-numerical contract and documented per check.
+numerical contract and documented per check.  The combinatorics suite
+visits every sign word of length <= 14 through the prefix-sum normal
+forms of `combinatorics.normal_forms`, one vectorised pass per length.
 """
 
 from __future__ import annotations
@@ -21,28 +23,39 @@ _QUAD_TOL_PV = 1e-6
 
 
 def combinatorics_suite(k_max: int = 14, tol: float = 1e-8) -> list[CheckReport]:
+    """Counting formula and raising counts against every word of length k <= k_max.
+
+    One `normal_forms(k)` pass per length supplies all three enumeration
+    criteria: its (m_plus, m_minus) histogram must equal `theta_count` in
+    every reachable cell and 0 elsewhere, the reachable classes must hold
+    all 2^k words, and every word's directly counted raisings must equal
+    p + m_plus for its class.
+    """
     del tol  # exact integer checks
     worst_formula = 0
     worst_union = 0
     worst_nu = 0
     for k in range(k_max + 1):
-        hist = oracle.sign_word_distribution(k)
-        total = sum(hist.values())
-        worst_union = max(worst_union, abs(total - 2**k))
-        for (m_plus, m_minus), count in hist.items():
-            p = (k - m_plus - m_minus) // 2
-            worst_formula = max(
-                worst_formula, abs(count - comb_mod.theta_count(m_plus, m_minus, p))
-            )
-    for k in range(0, min(k_max, 12) + 1):
+        forms = comb_mod.normal_forms(k)
+        cells = forms.m_plus.astype(np.intp) * (k + 1) + forms.m_minus
+        hist = np.bincount(cells, minlength=(k + 1) ** 2)
+        # cells outside the reachable set expect no words; a word landing
+        # there also fails the raising-count criterion through its 0 entry
+        reachable = np.zeros(hist.size, dtype=bool)
+        want_count = np.zeros(hist.size, dtype=np.int64)
+        want_nu = np.zeros(hist.size, dtype=np.int64)
         for m_plus in range(k + 1):
             for m_minus in range(k + 1 - m_plus):
                 if (k - m_plus - m_minus) % 2:
                     continue
                 p = (k - m_plus - m_minus) // 2
-                expect = comb_mod.nu_plus_on_theta(m_plus, m_minus, p)
-                for word in comb_mod.enumerate_theta_class(k, m_plus, m_minus):
-                    worst_nu = max(worst_nu, abs(comb_mod.nu_plus(word) - expect))
+                cell = m_plus * (k + 1) + m_minus
+                reachable[cell] = True
+                want_count[cell] = comb_mod.theta_count(m_plus, m_minus, p)
+                want_nu[cell] = comb_mod.nu_plus_on_theta(m_plus, m_minus, p)
+        worst_formula = max(worst_formula, int(np.max(np.abs(hist - want_count))))
+        worst_union = max(worst_union, abs(int(hist[reachable].sum()) - 2**k))
+        worst_nu = max(worst_nu, int(np.max(np.abs(forms.nu_plus - want_nu[cells]))))
     catalan_defect = max(
         abs(comb_mod.theta_count(0, 0, p) - comb_mod.catalan(p)) for p in range(11)
     )

@@ -2,7 +2,8 @@
 
 Six subcommands: `coeffs` emits normally-ordered coefficient tables with
 the two-route agreement per entry; `evolve` emits amplitudes of one
-group element applied to a basis level plus the norm defect; `char`
+group element applied to a basis level plus the norm defect, and fails
+the process when that defect exceeds `--tol`; `char`
 emits characteristic-function values; `heisenberg` emits
 raising-operator correction blocks; `verify` runs every module's
 invariant suite and fails the process on any violated identity; `table`
@@ -150,7 +151,11 @@ def _run_evolve(config: RunConfig) -> int:
     else:
         state = evolution.evolve_H1(config.k, t, config.omega, config.l_max)
     rows = [[l, amp.real, amp.imag] for l, amp in enumerate(state.amplitudes)]
-    _emit(config, ["l", "re", "im"], rows, {"norm_defect": state.norm_defect()})
+    norm = CheckReport("norm_defect", state.norm_defect(), config.tol)
+    _emit(config, ["l", "re", "im"], rows, {"norm_defect": norm.residual})
+    if not norm.passed:
+        print(f"FAILED: {norm}", file=sys.stderr)
+        return 1
     return 0
 
 

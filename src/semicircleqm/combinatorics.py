@@ -20,6 +20,8 @@ from itertools import product
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .exceptions import EnumerationLimitError
 
 PLUS = 1
@@ -28,6 +30,8 @@ MINUS = -1
 _INT64_MAX = 2**63 - 1
 _CATALAN_MAX_P = 30
 _ENUMERATION_MAX_K = 22
+# Words per block of the vectorised enumeration; bounds its working memory.
+_BLOCK_WORDS = 2**14
 
 SignWord = tuple[int, ...]
 
@@ -37,6 +41,14 @@ class NormalForm(NamedTuple):
 
     m_plus: int
     m_minus: int
+
+
+class NormalFormArrays(NamedTuple):
+    """Normal forms and raising counts of all 2^k words, in `all_sign_words(k)` order."""
+
+    m_plus: np.ndarray
+    m_minus: np.ndarray
+    nu_plus: np.ndarray
 
 
 def as_sign_word(word: Iterable[int] | str) -> SignWord:
@@ -56,11 +68,6 @@ def as_sign_word(word: Iterable[int] | str) -> SignWord:
 def nu_plus(word: Iterable[int] | str) -> int:
     """Number of raising steps in the word."""
     return sum(1 for s in as_sign_word(word) if s == PLUS)
-
-
-def nu_minus(word: Iterable[int] | str) -> int:
-    """Number of lowering steps in the word."""
-    return sum(1 for s in as_sign_word(word) if s == MINUS)
 
 
 def catalan(p: int) -> int:
@@ -121,15 +128,53 @@ def normal_order(word: Iterable[int] | str) -> NormalForm:
     return NormalForm(m_plus=m_plus, m_minus=len(stack) - m_plus)
 
 
-def all_sign_words(k: int) -> Iterator[SignWord]:
-    """All 2^k words of length k, refused above k = 22."""
+def _check_enumerable(k: int) -> None:
     if k < 0:
         raise ValueError("word length must be >= 0")
     if k > _ENUMERATION_MAX_K:
         raise EnumerationLimitError(
             f"refusing exhaustive enumeration for k={k} > {_ENUMERATION_MAX_K}"
         )
+
+
+def all_sign_words(k: int) -> Iterator[SignWord]:
+    """All 2^k words of length k, refused above k = 22."""
+    _check_enumerable(k)
     return product((PLUS, MINUS), repeat=k)
+
+
+def normal_forms(k: int) -> NormalFormArrays:
+    """Normal forms and raising counts of all 2^k words of length k, refused above k = 22.
+
+    Entry i belongs to the i-th word of `all_sign_words(k)`, whose j-th
+    letter is a lowering step when bit k-1-j of i is set.  The words are
+    scanned letter by letter in blocks of at most 2^14, carrying each
+    word's running score (+1 per raising, -1 per lowering) and its
+    largest prefix sum so far; then
+        m_plus = max(0, largest prefix sum),  m_minus = m_plus - total,
+    while nu_plus counts the raising letters directly, independently of
+    the normal form.  All values fit in int8 for k <= 22.
+    """
+    _check_enumerable(k)
+    n_words = 2**k
+    m_plus = np.empty(n_words, dtype=np.int8)
+    m_minus = np.empty(n_words, dtype=np.int8)
+    nu = np.empty(n_words, dtype=np.int8)
+    block = min(n_words, _BLOCK_WORDS)
+    for start in range(0, n_words, block):
+        index = np.arange(start, start + block, dtype=np.int32)
+        total = np.zeros(block, dtype=np.int8)
+        top = np.zeros(block, dtype=np.int8)
+        raised = np.zeros(block, dtype=np.int8)
+        for bit in range(k - 1, -1, -1):
+            raising = ((index >> bit) & 1) == 0
+            total += np.where(raising, np.int8(PLUS), np.int8(MINUS))
+            np.maximum(top, total, out=top)
+            raised += raising
+        m_plus[start : start + block] = top
+        m_minus[start : start + block] = top - total
+        nu[start : start + block] = raised
+    return NormalFormArrays(m_plus=m_plus, m_minus=m_minus, nu_plus=nu)
 
 
 def enumerate_theta_class(k: int, m_plus: int, m_minus: int) -> Iterator[SignWord]:
@@ -145,16 +190,14 @@ def brute_force_theta(k: int, m_plus: int, m_minus: int) -> int:
     = 2p >= 0, brute_force_theta(k, m_plus, m_minus) equals
     theta_count(m_plus, m_minus, p); it is 0 for unreachable targets.
     """
-    return sum(1 for _ in enumerate_theta_class(k, m_plus, m_minus))
+    return sign_word_distribution(k).get(NormalForm(m_plus, m_minus), 0)
 
 
 def sign_word_distribution(k: int) -> dict[NormalForm, int]:
     """Histogram of normal forms over all 2^k words of length k."""
-    hist: dict[NormalForm, int] = {}
-    for w in all_sign_words(k):
-        nf = normal_order(w)
-        hist[nf] = hist.get(nf, 0) + 1
-    return hist
+    forms = normal_forms(k)
+    counts = np.bincount(forms.m_plus.astype(np.intp) * (k + 1) + forms.m_minus)
+    return {NormalForm(*divmod(int(c), k + 1)): int(counts[c]) for c in np.flatnonzero(counts)}
 
 
 def nu_plus_on_theta(m_plus: int, m_minus: int, p: int) -> int:

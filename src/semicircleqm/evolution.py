@@ -588,8 +588,3 @@ def build_coeff_table(
             entries[(m, n)] = closed
             agreements[(m, n)] = abs(closed - series)
     return CoeffTable(t=float(t), kind=kind, entries=entries, tail_tol=tail_tol, agreements=agreements)
-
-
-def unitarity_defect(state: EvolvedState) -> float:
-    """|sum_l |amplitude_l|^2 - 1| for a truncated evolved state."""
-    return state.norm_defect()

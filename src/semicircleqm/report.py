@@ -24,10 +24,3 @@ class CheckReport:
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.name}  residual={self.residual:.3e}  tol={self.tolerance:.1e}"
-
-
-def first_failure(reports: list[CheckReport]) -> CheckReport | None:
-    for r in reports:
-        if not r.passed:
-            return r
-    return None

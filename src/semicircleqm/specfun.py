@@ -11,7 +11,7 @@ evaluated by dedicated series, never by dividing small numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial
+from math import exp
 
 from .exceptions import ConvergenceError, DomainError, PoleError
 
@@ -171,8 +171,3 @@ def bessel_tail_index(t: float, tol: float) -> int:
         lead *= at / (n + 1)
         if n > 100_000:
             raise ConvergenceError("tail index search did not terminate")
-
-
-def factorial_exact(n: int) -> int:
-    """Exact n! (convenience re-export for coefficient series)."""
-    return factorial(n)

@@ -1,0 +1,41 @@
+from semicircleqm import checks, combinatorics
+
+FORMULA = "counting formula vs enumeration (k <= 14)"
+RAISING = "raising count is p + m_plus on every class"
+
+
+def residuals(reports):
+    return {r.name: r.residual for r in reports}
+
+
+def test_combinatorics_suite_passes_exactly():
+    reports = checks.combinatorics_suite()
+    assert len(reports) == 4
+    assert all(r.tolerance == 0.0 and r.residual == 0.0 for r in reports)
+
+
+def test_counting_oracle_catches_formula_off_by_one(monkeypatch):
+    true_count = combinatorics.theta_count
+
+    def off_by_one(m_plus, m_minus, p):
+        return true_count(m_plus, m_minus, p) + (1 if (m_plus, m_minus, p) == (2, 1, 3) else 0)
+
+    monkeypatch.setattr(combinatorics, "theta_count", off_by_one)
+    got = residuals(checks.combinatorics_suite())
+    assert got[FORMULA] == 1.0
+    assert got[RAISING] == 0.0
+
+
+def test_raising_count_catches_one_wrong_word(monkeypatch):
+    true_forms = combinatorics.normal_forms
+
+    def one_word_off(k):
+        forms = true_forms(k)
+        if k == 14:
+            forms.nu_plus[12345] += 1
+        return forms
+
+    monkeypatch.setattr(combinatorics, "normal_forms", one_word_off)
+    got = residuals(checks.combinatorics_suite())
+    assert got[RAISING] == 1.0
+    assert got[FORMULA] == 0.0

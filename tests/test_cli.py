@@ -56,6 +56,24 @@ class TestEvolve:
         assert payload["residuals"]["norm_defect"] <= 1e-8
         assert payload["rows"][1]["re"] == 0.0  # odd level empty
 
+    def test_norm_defect_within_tol_exits_zero(self, capsys):
+        status, out, err = run_capture(capsys, command="evolve", generator="P", t_values=[1.0], tol=1e-10)
+        assert status == 0
+        assert out.startswith("l,re,im")
+        assert "FAILED" not in err
+
+    def test_norm_defect_above_tol_exits_one(self, capsys):
+        # the amplitude series loses about 1.8e-7 of norm at the domain edge t = 16
+        status, out, err = run_capture(
+            capsys, command="evolve", generator="P", t_values=[16.0], tol=1e-10,
+            output_format=OutputFormat.JSON,
+        )
+        assert status == 1
+        payload = json.loads(out)
+        assert payload["residuals"]["norm_defect"] > 1e-10
+        assert len(payload["rows"]) > 16
+        assert "FAILED: FAIL  norm_defect" in err
+
 
 class TestJsonSchema:
     def test_top_level_keys(self, capsys):

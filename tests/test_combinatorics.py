@@ -1,3 +1,6 @@
+from itertools import islice
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from semicircleqm.combinatorics import (
     brute_force_theta,
     catalan,
     enumerate_theta_class,
+    normal_forms,
     normal_order,
     nu_plus,
     nu_plus_on_theta,
@@ -160,3 +164,44 @@ class TestClassStructure:
 
     def test_all_sign_words_count(self):
         assert sum(1 for _ in all_sign_words(5)) == 32
+
+
+class TestNormalForms:
+    @pytest.mark.parametrize("k", range(0, 13))
+    def test_matches_stack_pass_on_every_word(self, k):
+        forms = normal_forms(k)
+        assert forms.m_plus.size == forms.m_minus.size == forms.nu_plus.size == 2**k
+        for i, word in enumerate(all_sign_words(k)):
+            nf = normal_order(word)
+            assert (forms.m_plus[i], forms.m_minus[i]) == nf, (k, word)
+            assert forms.nu_plus[i] == nu_plus(word), (k, word)
+
+    def test_matches_stack_pass_across_block_boundary(self):
+        # blocks hold 2^14 words, so word 16384 of length 15 opens the second
+        forms = normal_forms(15)
+        start = 2**14 - 8
+        for i, word in enumerate(islice(all_sign_words(15), start, start + 16), start):
+            assert (forms.m_plus[i], forms.m_minus[i]) == normal_order(word)
+            assert forms.nu_plus[i] == nu_plus(word)
+
+    @pytest.mark.parametrize("k", [15, 16])
+    def test_histogram_spanning_blocks_equals_formula(self, k):
+        hist = sign_word_distribution(k)
+        assert sum(hist.values()) == 2**k
+        for m_plus in range(k + 1):
+            for m_minus in range(k + 1 - m_plus):
+                got = hist.get(NormalForm(m_plus, m_minus), 0)
+                if (k - m_plus - m_minus) % 2:
+                    assert got == 0
+                else:
+                    assert got == theta_count(m_plus, m_minus, (k - m_plus - m_minus) // 2)
+
+    def test_compact_dtypes(self):
+        forms = normal_forms(6)
+        assert all(a.dtype == np.int8 for a in forms)
+
+    def test_limits(self):
+        with pytest.raises(EnumerationLimitError):
+            normal_forms(23)
+        with pytest.raises(ValueError):
+            normal_forms(-1)
