@@ -258,6 +258,7 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
         u12 = evolution.element_table(gen, t1 + t2, l_big)
         group = max(group, float(np.max(np.abs((u1 @ u2 - u12)[:8, :8]))))
     orc = 0.0
+    reassembly = 0.0
     for t in (0.5, 1.5):
         dim = oracle.truncation_level(t, 4, 1e-10)
         for k in (0, 4):
@@ -267,6 +268,9 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
             state = evolution.evolve_P(k, t, tol=1e-11)
             top = min(ref.size, state.amplitudes.size)
             orc = max(orc, float(np.max(np.abs(ref[:top] - state.amplitudes[:top]))))
+            # evolve_P does not read the coefficients; this ties them to the group
+            reassembled = np.array([evolution.matrix_element_P(l, k, t) for l in range(top)])
+            reassembly = max(reassembly, float(np.max(np.abs(ref[:top] - reassembled))))
     heis = 0.0
     t_h = 0.4
     dim = oracle.truncation_level(t_h, 8, 1e-10)
@@ -281,6 +285,7 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
         CheckReport("evolved states are unit norm", unit, 1e-8),
         CheckReport("group law U(t)U(s) = U(t+s) on the 8x8 block", group, 1e-8),
         CheckReport("amplitudes match the matrix exponential", orc, 1e-8),
+        CheckReport("coefficients reassemble the matrix exponential", reassembly, 1e-8),
         CheckReport("raising-operator correction matches conjugation", heis, 1e-6),
     ]
 

@@ -12,9 +12,10 @@ human-checkable tables.
 
 Output is CSV (default) or JSON; floats are printed with 17 significant
 digits so values round-trip exactly.  Exit codes: 0 success, 1
-verification failure, 2 configuration error.  For CSV output the
-per-run residuals (e.g. the norm defect) go to stderr as `#`-prefixed
-comments so stdout stays a clean table; JSON carries them inline.
+verification failure, 2 configuration error (|t| beyond its cap too).
+For CSV output the per-run residuals (e.g. the norm defect) go to
+stderr as `#`-prefixed comments so stdout stays a clean table; JSON
+carries them inline.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import checks, evolution, fock, hilbert, oracle
 from .combinatorics import catalan
+from .exceptions import DomainError
 from .report import CheckReport
 
 
@@ -137,19 +139,10 @@ def _run_coeffs(config: RunConfig) -> int:
 
 def _run_evolve(config: RunConfig) -> int:
     t = config.t_values[0]
-    if config.generator == "P":
-        state = evolution.evolve_P(config.k, t, config.l_max, config.tol)
-    elif config.generator == "X":
-        state = evolution.evolve_X(config.k, t, config.l_max, config.tol)
-    elif config.generator == "P2":
-        if config.k == 0:
-            state = evolution.evolve_P2_vacuum(t, config.l_max, config.tol)
-        elif config.k == 1:
-            state = evolution.evolve_P2_level1(t, config.l_max, config.tol)
-        else:
-            raise ConfigError("closed-form kinetic evolution is available from levels 0 and 1")
-    else:
+    if config.generator == "H1":
         state = evolution.evolve_H1(config.k, t, config.omega, config.l_max)
+    else:
+        state = evolution.evolve(config.generator, config.k, t, config.l_max, config.tol)
     rows = [[l, amp.real, amp.imag] for l, amp in enumerate(state.amplitudes)]
     norm = CheckReport("norm_defect", state.norm_defect(), config.tol)
     _emit(config, ["l", "re", "im"], rows, {"norm_defect": norm.residual})
@@ -243,7 +236,7 @@ def run(config: RunConfig) -> int:
     try:
         config.validate()
         return _RUNNERS[config.command](config)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

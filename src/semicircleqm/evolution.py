@@ -8,11 +8,13 @@ normally ordered products with numerical coefficients
 where N(m, n, p) is the exact inverse-normal-order count from
 `combinatorics.theta_count`.  The same coefficients collapse to the
 Bessel closed form I[m, n](t) = (-1)^m (m+n+1) J_{m+n+1}(2t) / t, and
-every public entry point evaluates BOTH routes and cross-checks them.
-Analogous tables cover the position group (same Bessel profile with an
-i^(m+n) phase) and the kinetic group e^{i t P^2}, whose closed form is
-a confluent hypergeometric function.  Heisenberg-picture corrections of
+every coefficient entry point cross-checks both routes.  Analogous
+tables cover the position group (same Bessel profile with an i^(m+n)
+phase) and the kinetic group e^{i t P^2}, whose closed form is a
+confluent hypergeometric function.  Heisenberg-picture corrections of
 the raising operator are rank-one integrals of these amplitudes.
+Evolutions and element tables come from one sine-transform engine
+with its own truncation check.
 """
 
 from __future__ import annotations
@@ -185,42 +187,89 @@ def matrix_element_P(l: int, k: int, t: float, tol: float | None = None) -> comp
     return sum(coeff_I(l - m, k - m, t, tol) for m in range(min(l, k) + 1))
 
 
-def _matrix_element_X(l: int, k: int, t: float) -> complex:
-    """Position-group analogue; same Bessel profile with an i^(m+n) phase."""
-    return sum(
-        (1j) ** (l + k - 2 * m) * _i0_bessel(l + k - 2 * m, t) for m in range(min(l, k) + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Schroedinger evolutions level by level
 
-def _resolve_l_max(needed: int, l_max: int | None) -> int:
-    if l_max is None:
-        return needed
-    if l_max < needed:
-        raise TruncationError(f"l_max={l_max} below the required tail level {needed}")
-    return l_max
+_DIM_CAP = 4095
+_MAX_T = {Generator.P: _MAX_T_MOMENTUM, Generator.X: _MAX_T_MOMENTUM, Generator.P2: _MAX_T_KINETIC}
+
+
+def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, tol: float):
+    """(<level l | e^{itG} | level k> for l <= l_max, k in cols; tail index; top), G in {X, P, P2}.
+
+    top is max(cols) plus the tail level (`bessel_tail_index`, or twice
+    `_p2_level_tail_index` for P2); l_max defaults to it.  The DST-I
+    diagonalises X on m levels: eigenvalues 2 cos(j pi/(m+1)), the
+    `orthopoly.quadrature_rule` nodes, and eigenvectors
+    sqrt(2/(m+1)) sin((l+1) j pi/(m+1)); P = D X D* with D = diag(i^l).
+    m starts past l_max plus the tail level and grows to 2m+1, which
+    keeps every node, until two truncations agree within tol/10.
+    """
+    if gen not in _MAX_T:
+        raise DomainError(f"sine-transform evolutions cover generators P, X, P2, got {gen.value}")
+    if abs(t) > _MAX_T[gen]:
+        raise DomainError(f"|t| <= {_MAX_T[gen]} required for generator {gen.value}, got {t}")
+    tail = _p2_level_tail_index(t, tol) if gen is Generator.P2 else bessel_tail_index(t, tol)
+    span = 2 * tail if gen is Generator.P2 else tail
+    top = int(cols.max()) + span
+    rows = (top if l_max is None else l_max) + 1
+    d = np.arange(rows)[:, None] - cols
+    if t == 0.0:
+        return (d == 0).astype(complex), tail, top
+    m = rows + span
+    prev = None
+    while m <= _DIM_CAP:
+        theta = np.arange(1, m + 1) * (np.pi / (m + 1))
+        x = 2.0 * np.cos(theta)
+        phase = np.exp(1j * t * (x * x if gen is Generator.P2 else x))
+        c = (2.0 / (m + 1)) * np.sin(np.outer(theta, cols + 1)) * phase[:, None]
+        zero = np.zeros((1, cols.size))
+        # DST-I of each column as the FFT of its odd extension (0, c, 0, -reversed c)
+        block = 0.5j * np.fft.fft(np.concatenate([zero, c, zero, -c[::-1]]), axis=0)[1 : rows + 1]
+        if prev is not None and float(np.max(np.abs(block - prev))) <= tol / 10.0:
+            break
+        prev, m = block, 2 * m + 1
+    else:
+        raise TruncationError(f"no agreement within {tol / 10.0:.1e} below dimension {_DIM_CAP}")
+    i_d = np.array([1, 1j, -1, -1j])[d % 4]
+    if gen is Generator.P2:  # P^2 keeps parity
+        return np.where(d % 2 == 1, 0.0, block * i_d), tail, top
+    if gen is Generator.P:  # e^{itX} is real at even d and imaginary at odd d
+        return (block * i_d).real.astype(complex), tail, top
+    return np.where(d % 2 == 1, 1j * block.imag, block.real), tail, top
+
+
+def evolve(
+    generator: Generator | str, k: int, t: float, l_max: int | None = None, tol: float = 1e-10
+) -> EvolvedState:
+    """Amplitudes <level l | e^{itG} | level k>, G in {P, X, P2}, up to l_max or k plus the tail level."""
+    gen = Generator(generator)
+    if k < 0:
+        raise DomainError("source level must be >= 0")
+    block, tail, top = _group_block(gen, t, np.array([k]), l_max, tol)
+    if l_max is not None and l_max < top:
+        raise TruncationError(f"l_max={l_max} below the required tail level {top}")
+    return EvolvedState(t=t, k=k, amplitudes=block[:, 0], generator=gen, tail_index=tail)
 
 
 def evolve_P(k: int, t: float, l_max: int | None = None, tol: float = 1e-10) -> EvolvedState:
     """Amplitudes of the translation group from source level k."""
-    if k < 0:
-        raise DomainError("source level must be >= 0")
-    tail = bessel_tail_index(t, tol)
-    top = _resolve_l_max(k + tail, l_max)
-    amps = np.array([matrix_element_P(l, k, t) for l in range(top + 1)], dtype=complex)
-    return EvolvedState(t=t, k=k, amplitudes=amps, generator=Generator.P, tail_index=tail)
+    return evolve(Generator.P, k, t, l_max, tol)
 
 
 def evolve_X(k: int, t: float, l_max: int | None = None, tol: float = 1e-10) -> EvolvedState:
     """Amplitudes of the position group from source level k."""
-    if k < 0:
-        raise DomainError("source level must be >= 0")
-    tail = bessel_tail_index(t, tol)
-    top = _resolve_l_max(k + tail, l_max)
-    amps = np.array([_matrix_element_X(l, k, t) for l in range(top + 1)], dtype=complex)
-    return EvolvedState(t=t, k=k, amplitudes=amps, generator=Generator.X, tail_index=tail)
+    return evolve(Generator.X, k, t, l_max, tol)
+
+
+def evolve_P2_vacuum(t: float, l_max: int | None = None, tol: float = 1e-10) -> EvolvedState:
+    """Kinetic group on the vacuum: amplitudes on even levels only."""
+    return evolve(Generator.P2, 0, t, l_max, tol)
+
+
+def evolve_P2_level1(t: float, l_max: int | None = None, tol: float = 1e-10) -> EvolvedState:
+    """Kinetic group on the first excited level: odd-level amplitudes (P^2 keeps parity)."""
+    return evolve(Generator.P2, 1, t, l_max, tol)
 
 
 def evolve_H1(k: int, t: float, omega1: float = 1.0, l_max: int | None = None) -> EvolvedState:
@@ -435,30 +484,6 @@ def _p2_level_tail_index(t: float, tol: float) -> int:
             raise ConvergenceError("kinetic tail index search did not terminate")
 
 
-def evolve_P2_vacuum(t: float, l_max: int | None = None, tol: float = 1e-10) -> EvolvedState:
-    """Kinetic group on the vacuum: amplitudes on even levels only."""
-    m_tail = _p2_level_tail_index(t, tol)
-    top = _resolve_l_max(2 * m_tail, l_max)
-    amps = np.zeros(top + 1, dtype=complex)
-    for m in range(0, top // 2 + 1):
-        amps[2 * m] = coeff_I2(0, 2 * m, t)
-    return EvolvedState(t=t, k=0, amplitudes=amps, generator=Generator.P2, tail_index=m_tail)
-
-
-def evolve_P2_level1(t: float, l_max: int | None = None, tol: float = 1e-10) -> EvolvedState:
-    """Kinetic group on the first excited level: odd-level amplitudes.
-
-    Amplitude at level 2j+1 is I2[0, 2j](t) - I2[0, 2j+2](t); parity is
-    conserved by the squared generator.
-    """
-    m_tail = _p2_level_tail_index(t, tol)
-    top = _resolve_l_max(2 * m_tail + 1, l_max)
-    amps = np.zeros(top + 1, dtype=complex)
-    for j in range(0, (top - 1) // 2 + 1):
-        amps[2 * j + 1] = _i2_closed(2 * j, t) - _i2_closed(2 * j + 2, t)
-    return EvolvedState(t=t, k=1, amplitudes=amps, generator=Generator.P2, tail_index=m_tail)
-
-
 # ---------------------------------------------------------------------------
 # Heisenberg-picture corrections of the raising operator
 
@@ -539,26 +564,9 @@ def heisenberg_aplus_P2(
 # ---------------------------------------------------------------------------
 # element tables
 
-def element_table(
-    generator: Generator | str, t: float, l_max: int, tol: float | None = None
-) -> np.ndarray:
-    """Matrix of group elements <level l | U(t) | level k> for l, k <= l_max."""
-    gen = Generator(generator) if not isinstance(generator, Generator) else generator
-    size = l_max + 1
-    out = np.zeros((size, size), dtype=complex)
-    for l in range(size):
-        for k in range(size):
-            if gen is Generator.P:
-                out[l, k] = matrix_element_P(l, k, t, tol)
-            elif gen is Generator.X:
-                out[l, k] = _matrix_element_X(l, k, float(t))
-            elif gen is Generator.P2:
-                out[l, k] = sum(coeff_I2(l - m, k - m, t, tol) for m in range(min(l, k) + 1))
-            else:
-                out[l, k] = (
-                    cmath.exp(1j * t * (1.0 if k == 0 else 2.0)) if l == k else 0.0
-                )
-    return out
+def element_table(generator: Generator | str, t: float, l_max: int, tol: float = 1e-10) -> np.ndarray:
+    """Matrix of group elements <level l | e^{itG} | level k> for l, k <= l_max, G in {P, X, P2}."""
+    return _group_block(Generator(generator), t, np.arange(l_max + 1), l_max, tol)[0]
 
 
 def build_coeff_table(
@@ -570,6 +578,8 @@ def build_coeff_table(
     discrepancy between the two evaluation routes (method agreement).
     """
     kind = CoeffKind(kind) if not isinstance(kind, CoeffKind) else kind
+    if abs(t) > _MAX_T_MOMENTUM:  # kinetic entries call coeff_I2, which caps |t| at 8
+        raise DomainError(f"|t| <= {_MAX_T_MOMENTUM} required, got {t}")
     entries: dict[tuple[int, int], complex] = {}
     agreements: dict[tuple[int, int], float] = {}
     for m in range(max_order + 1):

@@ -1,7 +1,9 @@
-from semicircleqm import checks, combinatorics
+from semicircleqm import checks, combinatorics, evolution
 
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
+REASSEMBLY = "coefficients reassemble the matrix exponential"
+EXPM = "amplitudes match the matrix exponential"
 
 
 def residuals(reports):
@@ -39,3 +41,17 @@ def test_raising_count_catches_one_wrong_word(monkeypatch):
     got = residuals(checks.combinatorics_suite())
     assert got[RAISING] == 1.0
     assert got[FORMULA] == 0.0
+
+
+def test_reassembly_catches_one_flipped_coefficient(monkeypatch):
+    true_coeff = evolution.coeff_I
+
+    def one_sign_flipped(m, n, t, tol=None):
+        value = true_coeff(m, n, t, tol)
+        return -value if (m, n) == (1, 0) else value
+
+    monkeypatch.setattr(evolution, "coeff_I", one_sign_flipped)
+    reports = {r.name: r for r in checks.evolution_suite()}
+    assert not reports[REASSEMBLY].passed
+    # the evolutions themselves do not read the coefficients
+    assert reports[EXPM].passed

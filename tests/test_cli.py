@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from semicircleqm import evolution, oracle
 from semicircleqm.cli import OutputFormat, RunConfig, main, run
+from semicircleqm.fock import build_momentum
 
 
 def run_capture(capsys, **kwargs):
@@ -62,17 +65,46 @@ class TestEvolve:
         assert out.startswith("l,re,im")
         assert "FAILED" not in err
 
-    def test_norm_defect_above_tol_exits_one(self, capsys):
-        # the amplitude series loses about 1.8e-7 of norm at the domain edge t = 16
+    def test_norm_defect_above_tol_exits_one(self, capsys, monkeypatch):
+        def defective(generator, k, t, l_max=None, tol=1e-10):
+            amps = np.array([0.6, 0.0, 0.7j])  # norm 0.85
+            return evolution.EvolvedState(t, k, amps, evolution.Generator(generator), 2)
+
+        monkeypatch.setattr(evolution, "evolve", defective)
         status, out, err = run_capture(
-            capsys, command="evolve", generator="P", t_values=[16.0], tol=1e-10,
+            capsys, command="evolve", generator="P", t_values=[1.0], tol=1e-10,
             output_format=OutputFormat.JSON,
         )
         assert status == 1
         payload = json.loads(out)
         assert payload["residuals"]["norm_defect"] > 1e-10
-        assert len(payload["rows"]) > 16
+        assert len(payload["rows"]) == 3
         assert "FAILED: FAIL  norm_defect" in err
+
+    def test_domain_edge_keeps_norm(self, capsys):
+        status, out, err = run_capture(
+            capsys, command="evolve", generator="P", t_values=[16.0], tol=1e-10,
+            output_format=OutputFormat.JSON,
+        )
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["residuals"]["norm_defect"] <= 1e-10
+        assert len(payload["rows"]) > 16
+        assert "FAILED" not in err
+
+    def test_kinetic_from_level_two_matches_oracle(self, capsys):
+        t = 0.3
+        status, out, _ = run_capture(
+            capsys, command="evolve", generator="P2", t_values=[t], k=2,
+            output_format=OutputFormat.JSON,
+        )
+        assert status == 0
+        rows = json.loads(out)["rows"]
+        got = np.array([row["re"] + 1j * row["im"] for row in rows])
+        dim = oracle.truncation_level(t, got.size, 1e-10, generator="P2")
+        p = build_momentum(dim)
+        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
+        assert np.max(np.abs(got - mat[: got.size, 2])) <= 1e-9
 
 
 class TestJsonSchema:
@@ -157,6 +189,17 @@ class TestConfigValidation:
     def test_position_state_char_rejected(self, capsys):
         status, _, _ = run_capture(capsys, command="char", generator="X", t_values=[1.0], k=2)
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "command, generator, t",
+        [("evolve", "P", 17.0), ("evolve", "X", -16.5), ("evolve", "P2", 8.5),
+         ("coeffs", "P", 17.0), ("coeffs", "P2", 9.0)],
+    )
+    def test_t_beyond_domain_exits_two(self, capsys, command, generator, t):
+        status, out, err = run_capture(capsys, command=command, generator=generator, t_values=[t])
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error: |t| <=")
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from semicircleqm.evolution import (
     coeff_I2_series,
     coeff_I_series,
     element_table,
+    evolve,
     evolve_H1,
     evolve_P,
     evolve_P2_level1,
@@ -375,3 +377,94 @@ class TestTablesAndGroupLaw:
         state2 = evolve_H1(2, 1.2, omega1=1.5)
         assert abs(state2.amplitudes[2] - np.exp(2j * 1.2 * 1.5)) <= 1e-15
         assert state2.norm_defect() <= 1e-15
+
+
+def closed_form_column(generator, k, t, size):
+    """<l | e^{itG} | k> for l < size from the Bessel and 1F1 closed forms, at 30 digits."""
+    with mp.workdps(30):
+        t = mp.mpf(t)
+
+        def bessel(l):
+            return (l + 1) * mp.besselj(l + 1, 2 * t) / t
+
+        def kinetic(n):  # I2[0, n](t) for even n
+            h = n // 2
+            return (-1j * t) ** h / mp.factorial(h) * mp.hyp1f1(mp.mpf(n + 1) / 2, n + 2, 4j * t)
+
+        out = np.zeros(size, dtype=complex)
+        for l in range(size):
+            if generator == "P":
+                out[l] = complex((-1) ** l * bessel(l))
+            elif generator == "X":
+                out[l] = complex(mp.mpc(0, 1) ** l * bessel(l))
+            elif l % 2 == k:
+                out[l] = complex(kinetic(l) if k == 0 else kinetic(l - 1) - kinetic(l + 1))
+        return out
+
+
+class TestSineTransformEngine:
+    @pytest.mark.parametrize(
+        "generator, k, t",
+        [("P", 0, t) for t in (16.0, -16.0, 12.7)]
+        + [("X", 0, t) for t in (16.0, -16.0, 12.7)]
+        + [("P2", k, t) for k in (0, 1) for t in (8.0, -8.0)],
+    )
+    def test_domain_edges_against_mpmath(self, generator, k, t):
+        named = {
+            ("P", 0): lambda: evolve_P(0, t),
+            ("X", 0): lambda: evolve_X(0, t),
+            ("P2", 0): lambda: evolve_P2_vacuum(t),
+            ("P2", 1): lambda: evolve_P2_level1(t),
+        }
+        state = named[(generator, k)]()
+        want = closed_form_column(generator, k, t, state.amplitudes.size)
+        assert np.max(np.abs(state.amplitudes - want)) <= 1e-12
+        assert state.norm_defect() <= 1e-10
+
+    def test_truncation_grows_past_a_short_start(self, monkeypatch):
+        # a tail level of 1 starts the truncation far too small; the
+        # agreement check must keep growing it
+        monkeypatch.setattr(evolution, "bessel_tail_index", lambda t, tol: 1)
+        state = evolve_P(0, 8.0, l_max=40)
+        assert np.max(np.abs(state.amplitudes - closed_form_column("P", 0, 8.0, 41))) <= 1e-12
+
+    def test_unreachable_agreement_raises(self):
+        # rounding alone separates two truncations by more than 1e-21
+        with pytest.raises(TruncationError):
+            evolve_X(0, 1.0, tol=1e-20)
+
+    def test_kinetic_from_any_level(self):
+        t, k = 0.3, 2
+        state = evolve("P2", k, t)
+        dim = oracle.truncation_level(t, state.amplitudes.size, 1e-10, generator="P2")
+        p = build_momentum(dim)
+        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
+        assert np.max(np.abs(state.amplitudes - mat[: state.amplitudes.size, k])) <= 1e-9
+        assert np.all(state.amplitudes[1::2] == 0)
+
+    def test_table_matches_columns(self):
+        for gen in ("P", "X", "P2"):
+            table = element_table(gen, 0.9, 6)
+            for k in range(7):
+                column = evolve(gen, k, 0.9).amplitudes[:7]
+                assert np.max(np.abs(table[:, k] - column)) <= 1e-14
+
+    def test_table_identity_at_time_zero(self):
+        for gen in ("P", "X", "P2"):
+            assert np.array_equal(element_table(gen, 0.0, 5), np.eye(6))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: evolve_X(0, 20.0),
+            lambda: evolve_P(0, -16.5),
+            lambda: evolve_P2_level1(9.0),
+            lambda: element_table("X", 17.0, 3),
+            lambda: build_coeff_table(CoeffKind.POSITION_I, 17.0, 4),
+            lambda: build_coeff_table(CoeffKind.KINETIC_I2, -8.5, 4),
+            lambda: evolve("H1", 0, 1.0),
+        ],
+    )
+    def test_out_of_domain_is_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
