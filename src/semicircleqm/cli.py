@@ -12,7 +12,8 @@ human-checkable tables.
 
 Output is CSV (default) or JSON; floats are printed with 17 significant
 digits so values round-trip exactly.  Exit codes: 0 success, 1
-verification failure, 2 configuration error (|t| beyond its cap too).
+verification failure, 2 configuration error (also |t| beyond its cap,
+`--l-max` below the tail level, or a `--tol` below rounding).
 For CSV output the per-run residuals (e.g. the norm defect) go to
 stderr as `#`-prefixed comments so stdout stays a clean table; JSON
 carries them inline.
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import checks, evolution, fock, hilbert, oracle
 from .combinatorics import catalan
-from .exceptions import DomainError
+from .exceptions import DomainError, TruncationError
 from .report import CheckReport
 
 
@@ -236,7 +237,7 @@ def run(config: RunConfig) -> int:
     try:
         config.validate()
         return _RUNNERS[config.command](config)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, TruncationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,7 +66,6 @@ class CoeffTable:
     t: float
     kind: CoeffKind
     entries: dict[tuple[int, int], complex]
-    tail_tol: float
     agreements: dict[tuple[int, int], float]
 
     def validate(self) -> list[CheckReport]:
@@ -119,9 +118,8 @@ class EvolvedState:
 # translation-group coefficients: defining series and Bessel closed form
 
 @lru_cache(maxsize=65536)
-def _coeff_series_cached(m: int, n: int, t: float) -> tuple[complex, float]:
-    """Defining series with exact counts; returns (value, sum of |terms|)."""
-    s = m + n
+def _coeff_series_cached(s: int, t: float) -> tuple[float, float]:
+    """Defining series of I[0, s] with exact counts; returns (value, sum of |terms|)."""
     # t^(s+2p)/(s+2p)! iterated as a float; counts stay exact integers
     weight = 1.0
     for j in range(1, s + 1):
@@ -130,19 +128,19 @@ def _coeff_series_cached(m: int, n: int, t: float) -> tuple[complex, float]:
     comp = 0.0
     abs_total = 0.0
     for p in range(_SERIES_TERM_CAP):
-        term = (-1.0) ** (p + m) * weight * float(theta_count_unbounded(m, n, p))
+        term = (-1.0) ** p * weight * float(theta_count_unbounded(0, s, p))
         y = term - comp
         acc = total + y
         comp = (acc - total) - y
         total = acc
         abs_total += abs(term)
         next_weight = weight * t * t / ((s + 2 * p + 1) * (s + 2 * p + 2))
-        next_scale = abs(next_weight) * float(theta_count_unbounded(m, n, p + 1))
+        next_scale = abs(next_weight) * float(theta_count_unbounded(0, s, p + 1))
         q = t * t / ((p + 2) * (p + s + 3))  # exact term ratio, decreasing
         if q < 1.0 and next_scale / (1.0 - q) <= _EPS * max(1.0, abs_total):
-            return complex(total), abs_total
+            return total, abs_total
         weight = next_weight
-    raise ConvergenceError(f"coefficient series ({m},{n},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
+    raise ConvergenceError(f"coefficient series (s={s},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
 
 
 @lru_cache(maxsize=65536)
@@ -151,9 +149,54 @@ def _i0_bessel(s: int, t: float) -> float:
     return bessel_j_ratio(s, t)
 
 
+def _checked_closed_form(
+    kind: CoeffKind, s: int, t: float, tol: float | None
+) -> tuple[float | complex, float]:
+    """Closed form of the [0, s] coefficient and its distance from the defining series.
+
+    Every (m, s-m) coefficient is this value times (-1)^m, or i^s for the
+    position group, so one check per (kind, s, t) covers them all.  The
+    routes must agree within tol (default 1e-11), widened by the
+    rounding scale of the series when its terms are large.
+    """
+    kinetic = kind is CoeffKind.KINETIC_I2
+    cap = _MAX_T_KINETIC if kinetic else _MAX_T_MOMENTUM
+    if abs(t) > cap:
+        raise DomainError(f"|t| <= {cap} required, got {t}")
+    t = float(t)
+    if kinetic and s % 2 == 1:
+        return 0j, 0.0  # P^2 keeps parity
+    closed = _i2_closed(s, t) if kinetic else _i0_bessel(s, t)
+    series, abs_total = (_i2_series_cached if kinetic else _coeff_series_cached)(s, t)
+    gap = abs(closed - series)
+    effective = max(tol if tol is not None else 1e-11, 64.0 * _EPS * abs_total)
+    if gap > effective:
+        raise CrossCheckError(
+            f"{kind.value}[0,{s}]({t}): series {series} vs closed form {closed} "
+            f"differ beyond {effective:.2e}"
+        )
+    return closed, gap
+
+
+def _entry(kind: CoeffKind, closed: float | complex, m: int, s: int) -> complex:
+    """Coefficient (m, s-m) from the closed form of the [0, s] coefficient."""
+    if kind is CoeffKind.POSITION_I:
+        return (1j) ** s * closed
+    # signs go on before complex() and never on a zero, so no -0.0 parts appear
+    if kind is CoeffKind.KINETIC_I2 and s % 2 == 1:
+        return 0j
+    return complex((-1.0) ** m * closed)
+
+
+def _coefficient(kind: CoeffKind, m: int, n: int, t: float, tol: float | None) -> complex:
+    if m < 0 or n < 0:
+        raise DomainError("orders must be non-negative")
+    return _entry(kind, _checked_closed_form(kind, m + n, t, tol)[0], m, m + n)
+
+
 def coeff_I_series(m: int, n: int, t: float) -> complex:
     """Defining-series route alone (exact inverse-normal-order counts)."""
-    return _coeff_series_cached(m, n, float(t))[0]
+    return complex((-1.0) ** m * _coeff_series_cached(m + n, float(t))[0])
 
 
 def coeff_I(m: int, n: int, t: float, tol: float | None = None) -> complex:
@@ -164,20 +207,7 @@ def coeff_I(m: int, n: int, t: float, tol: float | None = None) -> complex:
     (widened by the rounding scale of the series when its terms are
     large).  Returns the Bessel-path value.
     """
-    if m < 0 or n < 0:
-        raise DomainError("orders must be non-negative")
-    if abs(t) > _MAX_T_MOMENTUM:
-        raise DomainError(f"|t| <= {_MAX_T_MOMENTUM} required, got {t}")
-    t = float(t)
-    bessel_val = complex((-1.0) ** m * _i0_bessel(m + n, t))
-    series_val, abs_total = _coeff_series_cached(m, n, t)
-    effective = max(tol if tol is not None else 1e-11, 64.0 * _EPS * abs_total)
-    if abs(bessel_val - series_val) > effective:
-        raise CrossCheckError(
-            f"I[{m},{n}]({t}): series {series_val} vs Bessel {bessel_val} "
-            f"differ beyond {effective:.2e}"
-        )
-    return bessel_val
+    return _coefficient(CoeffKind.MOMENTUM_I, m, n, t, tol)
 
 
 def matrix_element_P(l: int, k: int, t: float, tol: float | None = None) -> complex:
@@ -340,7 +370,7 @@ def char_function(generator: Generator | str, t: float) -> complex:
     Both equal J_1(2t)/t: the vacuum distribution of either operator is
     the semicircle law.
     """
-    gen = Generator(generator) if not isinstance(generator, Generator) else generator
+    gen = Generator(generator)
     if gen not in (Generator.P, Generator.X):
         raise DomainError("characteristic function defined for generators P and X")
     return complex(_i0_bessel(0, float(t)))
@@ -382,25 +412,24 @@ def state_char_function(l: int, t: float) -> complex:
 # kinetic group e^{i t P^2}
 
 @lru_cache(maxsize=65536)
-def _i2_series_cached(m: int, n: int, t: float) -> tuple[complex, float]:
-    """Defining series of the kinetic coefficient with exact counts.
+def _i2_series_cached(s: int, t: float) -> tuple[complex, float]:
+    """Defining series of the kinetic coefficient I2[0, s] with exact counts.
 
-    The terms (it)^(h+p)/(h+p)! N(m,n,p) grow to ~1e5 before decaying
+    The terms (it)^(h+p)/(h+p)! N(0,s,p) grow to ~1e5 before decaying
     at |t| = 4 while the sum stays bounded by 1, so the partial sums are
     accumulated in exact rational arithmetic (t is a dyadic rational);
     only the final conversion to complex rounds.
     """
-    if (m + n) % 2 == 1:
+    if s % 2 == 1:
         return 0j, 0.0
-    h = (m + n) // 2
-    sign = (-1) ** ((3 * m + n) // 2)
+    h = s // 2
     t_exact = Fraction(t)
     weight = t_exact**h / factorial(h)
     re = Fraction(0)
     im = Fraction(0)
     abs_total = 0.0
     for p in range(_SERIES_TERM_CAP):
-        magnitude = weight * theta_count_unbounded(m, n, p)
+        magnitude = weight * theta_count_unbounded(0, s, p)
         phase = (h + p) % 4  # i^(h+p)
         if phase == 0:
             re += magnitude
@@ -411,24 +440,22 @@ def _i2_series_cached(m: int, n: int, t: float) -> tuple[complex, float]:
         else:
             im -= magnitude
         abs_total += abs(float(magnitude))
-        count_next = theta_count_unbounded(m, n, p + 1)
+        count_next = theta_count_unbounded(0, s, p + 1)
         next_weight = weight * t_exact / (h + p + 1)
         next_scale = abs(float(next_weight)) * float(count_next)
-        q = abs(t) * (float(theta_count_unbounded(m, n, p + 2)) / float(count_next)) / (h + p + 2)
+        q = abs(t) * (float(theta_count_unbounded(0, s, p + 2)) / float(count_next)) / (h + p + 2)
         # the accumulation is exact, so truncate relative to the value,
         # not to the (much larger) sum of term magnitudes
         value_scale = max(1.0, abs(float(re)) + abs(float(im)))
         if q < 0.5 and next_scale / (1.0 - q) <= _EPS * value_scale:
-            return sign * complex(float(re), float(im)), abs_total
+            return (-1) ** h * complex(float(re), float(im)), abs_total
         weight = next_weight
-    raise ConvergenceError(f"kinetic series ({m},{n},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
+    raise ConvergenceError(f"kinetic series (s={s},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
 
 
 @lru_cache(maxsize=65536)
 def _i2_closed(n: int, t: float) -> complex:
     """Closed form I2[0, n](t) for even n via the confluent hypergeometric series."""
-    if n % 2 == 1:
-        return 0j
     h = n // 2
     f = hyp1f1((n + 1) / 2.0, float(n + 2), 4j * t)
     return (-1j * t) ** h / factorial(h) * f.value
@@ -436,7 +463,7 @@ def _i2_closed(n: int, t: float) -> complex:
 
 def coeff_I2_series(m: int, n: int, t: float) -> complex:
     """Defining-series route for the kinetic coefficient."""
-    return _i2_series_cached(m, n, float(t))[0]
+    return (-1) ** m * _i2_series_cached(m + n, float(t))[0]
 
 
 def coeff_I2(m: int, n: int, t: float, tol: float | None = None) -> complex:
@@ -446,21 +473,7 @@ def coeff_I2(m: int, n: int, t: float, tol: float | None = None) -> complex:
         (-1)^m (-it)^((m+n)/2) / ((m+n)/2)! 1F1((m+n+1)/2; m+n+2; 4it),
     verified against the defining series with exact counts.
     """
-    if m < 0 or n < 0:
-        raise DomainError("orders must be non-negative")
-    if abs(t) > _MAX_T_KINETIC:
-        raise DomainError(f"|t| <= {_MAX_T_KINETIC} required, got {t}")
-    t = float(t)
-    if (m + n) % 2 == 1:
-        return 0j
-    closed = (-1.0) ** m * _i2_closed(m + n, t)
-    series, abs_total = _i2_series_cached(m, n, t)
-    effective = max(tol if tol is not None else 1e-11, 64.0 * _EPS * abs_total)
-    if abs(closed - series) > effective:
-        raise CrossCheckError(
-            f"I2[{m},{n}]({t}): series {series} vs closed {closed} differ beyond {effective:.2e}"
-        )
-    return closed
+    return _coefficient(CoeffKind.KINETIC_I2, m, n, t, tol)
 
 
 def _p2_level_tail_index(t: float, tol: float) -> int:
@@ -569,32 +582,20 @@ def element_table(generator: Generator | str, t: float, l_max: int, tol: float =
     return _group_block(Generator(generator), t, np.arange(l_max + 1), l_max, tol)[0]
 
 
-def build_coeff_table(
-    kind: CoeffKind | str, t: float, max_order: int, tail_tol: float = 1e-11
-) -> CoeffTable:
+def build_coeff_table(kind: CoeffKind | str, t: float, max_order: int) -> CoeffTable:
     """Coefficient table over all (m, n) with m + n <= max_order.
 
     Each entry records the closed-form value and the absolute
     discrepancy between the two evaluation routes (method agreement).
+    The routes are cross-checked once per s = m + n: the entries
+    (m, s-m) all follow from the [0, s] coefficient.
     """
-    kind = CoeffKind(kind) if not isinstance(kind, CoeffKind) else kind
-    if abs(t) > _MAX_T_MOMENTUM:  # kinetic entries call coeff_I2, which caps |t| at 8
-        raise DomainError(f"|t| <= {_MAX_T_MOMENTUM} required, got {t}")
+    kind = CoeffKind(kind)
     entries: dict[tuple[int, int], complex] = {}
     agreements: dict[tuple[int, int], float] = {}
-    for m in range(max_order + 1):
-        for n in range(max_order + 1 - m):
-            if kind is CoeffKind.MOMENTUM_I:
-                closed = complex((-1.0) ** m * _i0_bessel(m + n, float(t)))
-                series, _ = _coeff_series_cached(m, n, float(t))
-            elif kind is CoeffKind.POSITION_I:
-                closed = (1j) ** (m + n) * _i0_bessel(m + n, float(t))
-                series_i, _ = _coeff_series_cached(m, n, float(t))
-                # position series differs only by the phase i^(m+n) (-1)^(p+m) -> +1
-                series = (1j) ** (m + n) * (-1.0) ** m * series_i
-            else:
-                closed = coeff_I2(m, n, t, tol=None) if (m + n) % 2 == 0 else 0j
-                series, _ = _i2_series_cached(m, n, float(t))
-            entries[(m, n)] = closed
-            agreements[(m, n)] = abs(closed - series)
-    return CoeffTable(t=float(t), kind=kind, entries=entries, tail_tol=tail_tol, agreements=agreements)
+    for s in range(max_order + 1):
+        closed, gap = _checked_closed_form(kind, s, t, None)
+        for m in range(s + 1):
+            entries[(m, s - m)] = _entry(kind, closed, m, s)
+            agreements[(m, s - m)] = gap
+    return CoeffTable(t=float(t), kind=kind, entries=entries, agreements=agreements)

@@ -4,8 +4,7 @@ The matrix exponential here is a deliberately plain scaling-and-squaring
 Taylor evaluation with an explicit remainder bound
 ||B||^(k+1)/(k+1)! e^(||B||); it shares no code with the Bessel or
 hypergeometric coefficient paths it is used to check.  Also provides
-quadrature reference integrals against the semicircle measure and
-re-exports the exhaustive sign-word enumeration backend.
+quadrature reference integrals against the semicircle measure.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from math import ceil, exp, log2
 
 import numpy as np
 
-from .combinatorics import brute_force_theta, sign_word_distribution  # noqa: F401  (shared oracle backend)
 from .exceptions import ConvergenceError, DimensionError, DomainError
 from .fock import FockOperator, FockVector, build_momentum, build_position
 from .orthopoly import quadrature_rule

@@ -201,6 +201,14 @@ class TestConfigValidation:
         assert out == ""
         assert err.startswith("configuration error: |t| <=")
 
+    def test_l_max_below_tail_level_exits_two(self, capsys):
+        status, out, err = run_capture(
+            capsys, command="evolve", generator="P2", t_values=[0.3], k=2, l_max=6
+        )
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error: l_max=6 below the required tail level")
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, capsys):

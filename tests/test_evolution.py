@@ -73,6 +73,14 @@ class TestCoeffI:
         with pytest.raises(CrossCheckError):
             coeff_I(0, 0, 1.0)
 
+    @pytest.mark.parametrize("kind", [CoeffKind.MOMENTUM_I, CoeffKind.POSITION_I])
+    def test_tables_cross_check_the_bessel_route(self, monkeypatch, kind):
+        from semicircleqm.exceptions import CrossCheckError
+
+        monkeypatch.setattr(evolution, "_i0_bessel", lambda s, t: 0.123)
+        with pytest.raises(CrossCheckError):
+            build_coeff_table(kind, 1.0, 4)
+
 
 class TestMatrixElements:
     def test_column_from_vacuum(self):
@@ -365,6 +373,20 @@ class TestTablesAndGroupLaw:
             for report in table.validate():
                 assert report.passed, str(report)
             assert max(table.agreements.values()) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "kind, cache, size",
+        [
+            (CoeffKind.KINETIC_I2, "_i2_series_cached", 7),
+            (CoeffKind.MOMENTUM_I, "_coeff_series_cached", 13),
+        ],
+    )
+    def test_series_cached_once_per_order_sum(self, kind, cache, size):
+        # one defining series per s = m + n (per even s for the kinetic group)
+        series = getattr(evolution, cache)
+        series.cache_clear()
+        build_coeff_table(kind, 0.7, 12)
+        assert series.cache_info().currsize == size
 
     def test_coeff_table_at_time_zero(self):
         table = build_coeff_table(CoeffKind.MOMENTUM_I, 0.0, 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semicircleqm import oracle
-from semicircleqm.combinatorics import brute_force_theta, catalan
+from semicircleqm.combinatorics import catalan
 from semicircleqm.exceptions import DimensionError, DomainError
 from semicircleqm.fock import (
     FockVector,
@@ -121,6 +121,3 @@ class TestReferenceIntegrals:
 
     def test_char_function_at_zero(self):
         assert abs(oracle.char_function_quadrature(0.0) - 1.0) <= 1e-14
-
-    def test_shared_enumeration_backend(self):
-        assert oracle.brute_force_theta(6, 0, 0) == brute_force_theta(6, 0, 0) == 5
