@@ -13,7 +13,8 @@ human-checkable tables.
 Output is CSV (default) or JSON; floats are printed with 17 significant
 digits so values round-trip exactly.  Exit codes: 0 success, 1
 verification failure, 2 configuration error (also |t| beyond its cap,
-`--l-max` below the tail level, or a `--tol` below rounding).
+`--l-max` below the tail level, a `--tol` below rounding, or a
+Heisenberg quadrature that does not reach `--tol`).
 For CSV output the per-run residuals (e.g. the norm defect) go to
 stderr as `#`-prefixed comments so stdout stays a clean table; JSON
 carries them inline.
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks, evolution, fock, hilbert, oracle
-from .combinatorics import catalan
-from .exceptions import DomainError, TruncationError
+from .combinatorics import _CATALAN_MAX_P, catalan
+from .exceptions import DomainError, QuadratureError, TruncationError
 from .report import CheckReport
 
 
@@ -76,6 +77,12 @@ class RunConfig:
             raise ConfigError(f"{self.command} takes exactly one t value")
         if self.command == "heisenberg" and self.generator not in ("P", "P2"):
             raise ConfigError("heisenberg corrections are defined for generators P and P2")
+        if self.command == "heisenberg" and self.block < 1:
+            raise ConfigError("block must be >= 1")
+        if self.command in ("coeffs", "table") and self.max_order < 0:
+            raise ConfigError("max_order must be non-negative")
+        if self.command == "table" and self.max_order > _CATALAN_MAX_P:
+            raise ConfigError(f"table max_order must be <= {_CATALAN_MAX_P}, the exact Catalan range")
         if self.command == "char" and self.generator == "X" and self.k != 0:
             raise ConfigError("the position characteristic function is available for k = 0 only")
 
@@ -237,7 +244,7 @@ def run(config: RunConfig) -> int:
     try:
         config.validate()
         return _RUNNERS[config.command](config)
-    except (ConfigError, DomainError, TruncationError) as exc:
+    except (ConfigError, DomainError, QuadratureError, TruncationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from math import exp, factorial
 
 import numpy as np
 
+from . import orthopoly
 from .combinatorics import theta_count_unbounded
 from .exceptions import (
     ConvergenceError,
@@ -368,12 +369,19 @@ def char_function(generator: Generator | str, t: float) -> complex:
     """Vacuum characteristic function of the position or momentum group.
 
     Both equal J_1(2t)/t: the vacuum distribution of either operator is
-    the semicircle law.
+    the semicircle law.  Raises DomainError for |t| > 16.
     """
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.X):
         raise DomainError("characteristic function defined for generators P and X")
-    return complex(_i0_bessel(0, float(t)))
+    return complex(_i0_bessel(0, _char_t(t)))
+
+
+def _char_t(t: float) -> float:
+    """t as a float within the translation-group cap of the Bessel ratio route."""
+    if abs(t) > _MAX_T_MOMENTUM:
+        raise DomainError(f"|t| <= {_MAX_T_MOMENTUM} required, got {t}")
+    return float(t)
 
 
 def char_function_catalan_series(t: float) -> complex:
@@ -401,11 +409,13 @@ def char_function_catalan_series(t: float) -> complex:
 def state_char_function(l: int, t: float) -> complex:
     """Characteristic function of the momentum in the level-l basis state.
 
-    Partial diagonal sum sum_{m=0..l} I[m, m](t).
+    Partial diagonal sum sum_{m=0..l} I[m, m](t); raises DomainError for
+    |t| > 16.
     """
     if l < 0:
         raise DomainError("level must be >= 0")
-    return complex(sum((-1.0) ** m * _i0_bessel(2 * m, float(t)) for m in range(l + 1)))
+    t = _char_t(t)
+    return complex(sum((-1.0) ** m * _i0_bessel(2 * m, t) for m in range(l + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +515,7 @@ def _gauss_legendre_adaptive(f_block, t: float, tol: float, start_order: int = 2
     prev = None
     order = start_order
     while order <= 512:
-        xg, wg = np.polynomial.legendre.leggauss(order)
+        xg, wg = orthopoly.gauss_legendre(order)
         s_nodes = 0.5 * t * (xg + 1.0)
         s_weights = 0.5 * t * wg
         total = sum(w * f_block(s) for s, w in zip(s_nodes, s_weights))

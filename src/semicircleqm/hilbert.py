@@ -25,13 +25,12 @@ machine precision against the matrix-exponential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import acos, cos, pi, sin
 
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, SingularNodeError
-from .orthopoly import phi_all, quadrature_rule, t_cheb
+from .orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
 from .report import CheckReport
 from .specfun import bessel_j, bessel_tail_index
 
@@ -91,29 +90,36 @@ def t_to_phi(series: TChebSeries) -> ChebSeries:
     return ChebSeries(out)
 
 
-def hilbert_mu_pv(f, x: float, m: int = 2048) -> float:
-    """Principal-value quadrature of the transform at an interior point.
+def hilbert_mu_pv(f, x, m: int = 2048):
+    """Principal-value quadrature of the transform at interior points.
 
     Singularity subtraction: with the interior moment
     p.v. integral dmu(y)/(x - y) = x/2,
 
         (H f)(x) = 2 integral (f(y) - f(x))/(x - y) dmu(y) + f(x) x.
 
-    f must be evaluable on arrays over [-2, 2].
+    x is a scalar (returns a float) or an array (returns an array of its
+    shape); f is evaluated once on the nodes and once on all points, so
+    it must be evaluable on arrays over [-2, 2].
 
     Raises:
-        SingularNodeError: if x collides with a quadrature node
+        DomainError: if any point is not interior to [-2, 2].
+        SingularNodeError: if any point collides with a quadrature node
             (perturb the evaluation point or change m).
     """
-    if not -2.0 < x < 2.0:
-        raise DomainError(f"evaluation point must be interior, got {x}")
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    outside = ~((-2.0 < xs) & (xs < 2.0))
+    if np.any(outside):
+        raise DomainError(f"evaluation point must be interior, got {xs[outside][0]}")
     nodes, weights = quadrature_rule(m)
-    dist = x - nodes
-    if np.min(np.abs(dist)) < 1e-12:
-        raise SingularNodeError(f"x={x} coincides with a quadrature node for m={m}")
-    fx = np.asarray(f(np.array([x]))).ravel()[0]
+    dist = xs[:, None] - nodes
+    gap = np.min(np.abs(dist), axis=1)
+    if np.min(gap) < 1e-12:
+        raise SingularNodeError(f"x={xs[np.argmin(gap)]} coincides with a quadrature node for m={m}")
+    fx = np.asarray(f(xs)).ravel()
     vals = np.asarray(f(nodes))
-    return float(2.0 * np.sum(weights * (vals - fx) / dist) + fx * x)
+    out = 2.0 * np.sum(weights * (vals - fx[:, None]) / dist, axis=1) + fx * xs
+    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
 def momentum_apply(f: ChebSeries) -> ChebSeries:
@@ -155,47 +161,44 @@ def schrodinger_commutator_check(n: int, m: int = 2048, eval_points: int = 25) -
     """
     if n < 0:
         raise DomainError("level must be >= 0")
-    xs, _ = quadrature_rule(eval_points)
+    grid, _ = quadrature_rule(eval_points)
     nodes, _ = quadrature_rule(m)
-    resid = 0.0
-    for x in xs:
-        if np.min(np.abs(x - nodes)) < 1e-9:
-            x += 1e-7  # nudge off a shared node of the two cosine grids
-        hn = hilbert_mu_pv(lambda y: phi_all(n, y)[n], x, m)
-        hxn = hilbert_mu_pv(lambda y: np.asarray(y) * phi_all(n, y)[n], x, m)
-        got = rho_weight(x) * (x * hn - hxn)
-        want = 2.0 * rho_weight(x) if n == 0 else 0.0
-        resid = max(resid, abs(got - want))
+    # nudge off a shared node of the two cosine grids
+    shared = np.min(np.abs(grid[:, None] - nodes), axis=1) < 1e-9
+    xs = np.where(shared, grid + 1e-7, grid)
+    hn = hilbert_mu_pv(lambda y: phi_all(n, y)[n], xs, m)
+    hxn = hilbert_mu_pv(lambda y: np.asarray(y) * phi_all(n, y)[n], xs, m)
+    got = rho_weight(xs) * (xs * hn - hxn)
+    want = 2.0 * rho_weight(xs) if n == 0 else 0.0
+    resid = float(np.max(np.abs(got - want)))
     return CheckReport(f"[Q,P]/i on weighted level {n}", resid, 1e-8)
 
 
 # ---------------------------------------------------------------------------
 # principal-value integrals over the angle variable
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> float:
     """p.v. integral of g(phi) / (cos(theta) - cos(phi)) over [0, pi].
 
     Subtracts g(theta) (the subtracted kernel integrates to zero in the
     principal-value sense) and integrates the now-removable integrand by
-    composite Gauss-Legendre panels split at the singular angle.
+    composite Gauss-Legendre panels split at the singular angle.  All
+    panels are evaluated as one (panels x order) array; their sums are
+    added in panel order.
     """
     if not 0.0 < theta < pi:
         raise DomainError(f"theta must be interior to (0, pi), got {theta}")
-    xg, wg = _gl_nodes(order)
+    xg, wg = gauss_legendre(order)
     g_theta = g(np.array([theta]))[0]
     half = max(2, panels // 2)
     edges = np.concatenate([np.linspace(0.0, theta, half + 1)[:-1], np.linspace(theta, pi, half + 1)])
+    a, b = edges[:-1, None], edges[1:, None]
+    xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
+    ws = 0.5 * (b - a) * wg
+    panel_sums = np.sum(ws * (g(xs) - g_theta) / (cos(theta) - np.cos(xs)), axis=1)
     total = 0.0
-    cos_theta = cos(theta)
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
-        ws = 0.5 * (b - a) * wg
-        total += float(np.sum(ws * (g(xs) - g_theta) / (cos_theta - np.cos(xs))))
+    for panel in panel_sums:
+        total += float(panel)
     return total
 
 

@@ -1,4 +1,4 @@
-"""Monic Chebyshev polynomials on [-2, 2] and the associated Gauss rule.
+"""Monic Chebyshev polynomials on [-2, 2], their Gauss rule, and Gauss-Legendre rules.
 
 Phi_n denotes the monic second-kind polynomial (orthonormal for the
 semicircle weight sqrt(4-x^2)/(2 pi)), T_n the monic first-kind one.
@@ -13,6 +13,8 @@ interior test oracle.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,12 +83,14 @@ def t_cheb(n: int, x):
     return val if val.shape else float(val)
 
 
+@lru_cache(maxsize=16)
 def quadrature_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the semicircle probability measure on [-2, 2].
 
     Nodes x_k = 2 cos(k pi / (m+1)) and weights
     w_k = 2 sin^2(k pi/(m+1)) / (m+1), k = 1..m; exact for polynomials
-    of degree <= 2m - 1.
+    of degree <= 2m - 1.  Computed once per m; the arrays are read-only
+    because every caller shares them.
     """
     if m < 1:
         raise DomainError(f"node count must be >= 1, got {m}")
@@ -94,7 +98,19 @@ def quadrature_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     angles = k * np.pi / (m + 1)
     nodes = 2.0 * np.cos(angles)
     weights = (2.0 / (m + 1)) * np.sin(angles) ** 2
-    return nodes, weights
+    return _read_only(nodes), _read_only(weights)
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return _read_only(nodes), _read_only(weights)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def connection_checks(n_max: int, x_grid) -> list[CheckReport]:

@@ -1,9 +1,15 @@
-from semicircleqm import checks, combinatorics, evolution
+from semicircleqm import checks, combinatorics, evolution, hilbert
 
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
 REASSEMBLY = "coefficients reassemble the matrix exponential"
 EXPM = "amplitudes match the matrix exponential"
+PV = "PV transform sends Phi_n to T_{n+1} (n <= 12)"
+SPECTRAL = (
+    "momentum action matches the tridiagonal matrix",
+    "transform is skew-adjoint on series (50 pairs)",
+    "kinetic action matches half the squared matrix",
+)
 
 
 def residuals(reports):
@@ -55,3 +61,18 @@ def test_reassembly_catches_one_flipped_coefficient(monkeypatch):
     assert not reports[REASSEMBLY].passed
     # the evolutions themselves do not read the coefficients
     assert reports[EXPM].passed
+
+
+def test_pv_criteria_catch_a_shifted_quadrature(monkeypatch):
+    true_pv = hilbert.hilbert_mu_pv
+
+    def shifted(f, x, m=2048):
+        return true_pv(f, x, m) + 1e-5
+
+    monkeypatch.setattr(hilbert, "hilbert_mu_pv", shifted)
+    reports = {r.name: r for r in checks.hilbert_suite()}
+    assert not reports[PV].passed
+    for n in (0, 1, 3):
+        assert not reports[f"[Q,P]/i on weighted level {n}"].passed
+    # the spectral route never calls the quadrature
+    assert all(reports[name].passed for name in SPECTRAL)

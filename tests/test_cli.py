@@ -193,13 +193,31 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "command, generator, t",
         [("evolve", "P", 17.0), ("evolve", "X", -16.5), ("evolve", "P2", 8.5),
-         ("coeffs", "P", 17.0), ("coeffs", "P2", 9.0)],
+         ("coeffs", "P", 17.0), ("coeffs", "P2", 9.0), ("char", "P", 24.0), ("char", "X", -16.5)],
     )
     def test_t_beyond_domain_exits_two(self, capsys, command, generator, t):
         status, out, err = run_capture(capsys, command=command, generator=generator, t_values=[t])
         assert status == 2
         assert out == ""
         assert err.startswith("configuration error: |t| <=")
+
+    @pytest.mark.parametrize(
+        "command, size",
+        [("heisenberg", {"block": 0}), ("table", {"max_order": -1}),
+         ("coeffs", {"max_order": -1}), ("table", {"max_order": 300})],
+        ids=["heisenberg-block-0", "table-max-order-neg", "coeffs-max-order-neg", "table-max-order-300"],
+    )
+    def test_bad_size_exits_two(self, capsys, command, size):
+        status, out, err = run_capture(capsys, command=command, t_values=[1.0], **size)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error:")
+
+    def test_unconverged_heisenberg_quadrature_exits_two(self, capsys):
+        status, out, err = run_capture(capsys, command="heisenberg", generator="P", t_values=[30.0], block=1)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error: Heisenberg quadrature did not reach")
 
     def test_l_max_below_tail_level_exits_two(self, capsys):
         status, out, err = run_capture(

@@ -216,6 +216,21 @@ class TestCharFunctions:
         with pytest.raises(DomainError):
             char_function("P2", 1.0)
 
+    @pytest.mark.parametrize("t", [16.5, -20.0, 24.0])
+    def test_beyond_translation_cap_rejected(self, t):
+        # the Bessel ratio route returned -15.98 at t = 24 (mpmath: -4.7e-4)
+        with pytest.raises(DomainError):
+            char_function("P", t)
+        with pytest.raises(DomainError):
+            char_function("X", t)
+        with pytest.raises(DomainError):
+            state_char_function(2, t)
+
+    def test_translation_cap_itself_allowed(self):
+        for t in (16.0, -16.0):
+            assert abs(char_function("P", t)) <= 1.0
+            assert abs(state_char_function(2, t)) <= 1.0
+
 
 class TestKineticCoefficients:
     def test_vacuum_entry_is_hypergeometric(self):

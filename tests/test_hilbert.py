@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from semicircleqm.hilbert import (
     kapteyn_sum_sin,
     kinetic_apply,
     momentum_apply,
+    pv_integral_angle,
     rho_weight,
     schrodinger_commutator_check,
     t_to_phi,
 )
-from semicircleqm.orthopoly import phi_all, quadrature_rule, t_cheb
+from semicircleqm.orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
 
 
 def phi_series(n, size=None):
@@ -86,6 +89,40 @@ class TestPrincipalValue:
     def test_interior_only(self):
         with pytest.raises(DomainError):
             hilbert_mu_pv(lambda y: np.ones_like(np.asarray(y, dtype=float)), 2.0)
+
+    def test_array_points_equal_scalar_calls_bit_for_bit(self):
+        xs, _ = quadrature_rule(25)
+        for n in range(0, 13):
+            f = lambda y, n=n: phi_all(n, y)[n]  # noqa: E731
+            got = hilbert_mu_pv(f, xs, 2048)
+            assert got.shape == xs.shape
+            assert got.tolist() == [hilbert_mu_pv(f, float(x), 2048) for x in xs]
+
+    def test_one_node_collision_in_array_rejected(self):
+        nodes, _ = quadrature_rule(64)
+        xs = np.array([-1.1, 0.3, float(nodes[10]), 1.5])
+        with pytest.raises(SingularNodeError):
+            hilbert_mu_pv(lambda y: np.ones_like(np.asarray(y, dtype=float)), xs, 64)
+
+    def test_one_exterior_point_in_array_rejected(self):
+        with pytest.raises(DomainError):
+            hilbert_mu_pv(lambda y: np.ones_like(np.asarray(y, dtype=float)), np.array([0.5, 2.0]))
+
+
+class TestCachedRules:
+    @pytest.mark.parametrize("rule, size", [(quadrature_rule, 25), (gauss_legendre, 24)])
+    def test_read_only_and_shared(self, rule, size):
+        nodes, weights = rule(size)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        again = rule(size)
+        assert again[0] is nodes and again[1] is weights
+
+    def test_gauss_legendre_matches_numpy(self):
+        nodes, weights = gauss_legendre(48)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(48)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
 
 
 class TestMomentumRealization:
@@ -193,6 +230,21 @@ class TestKapteyn:
     def test_series_equals_integral(self, t, theta):
         assert abs(kapteyn_sum_sin(t, theta) - kapteyn_integral_sin(t, theta)) <= 1e-6
         assert abs(kapteyn_sum_cos(t, theta) - kapteyn_integral_cos(t, theta)) <= 1e-6
+
+    @pytest.mark.parametrize("t", [0.5, 4.0])
+    @pytest.mark.parametrize("theta", [0.2, np.pi / 3, 2.9])
+    def test_panel_array_equals_panel_loop(self, t, theta):
+        def g(p):
+            return np.sin(2.0 * t * np.sin(p)) * np.sin(p)
+
+        xg, wg = np.polynomial.legendre.leggauss(16)
+        edges = np.concatenate([np.linspace(0.0, theta, 13)[:-1], np.linspace(theta, np.pi, 13)])
+        want = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
+            ws = 0.5 * (b - a) * wg
+            want += float(np.sum(ws * (g(xs) - g(np.array([theta]))[0]) / (math.cos(theta) - np.cos(xs))))
+        assert pv_integral_angle(g, theta) == want
 
     def test_angle_validation(self):
         with pytest.raises(DomainError):
