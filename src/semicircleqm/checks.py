@@ -232,16 +232,9 @@ def hilbert_suite(tol: float = 1e-8, seed: int = 0) -> list[CheckReport]:
 def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
     cross = 0.0
     for t in (0.25, 0.7, 2.0, 4.0):
-        for m in range(0, 9):
-            for n in range(0, 9 - m):
-                bessel_val = evolution.coeff_I(m, n, t, tol=1e-11)
-                series_val = evolution.coeff_I_series(m, n, t)
-                cross = max(cross, abs(bessel_val - series_val))
-                if (m + n) % 2 == 0:
-                    cross = max(
-                        cross,
-                        abs(evolution.coeff_I2(m, n, t / 2, tol=1e-11) - evolution.coeff_I2_series(m, n, t / 2)),
-                    )
+        # agreements are the gaps between the engine column and the defining series
+        for kind, t_kind in ((evolution.CoeffKind.MOMENTUM_I, t), (evolution.CoeffKind.KINETIC_I2, t / 2)):
+            cross = max(cross, max(evolution.build_coeff_table(kind, t_kind, 8).agreements.values()))
     unit = 0.0
     for t in (0.5, 1.0, 2.0):
         for k in (0, 3):

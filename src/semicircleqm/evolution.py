@@ -6,15 +6,17 @@ normally ordered products with numerical coefficients
     I[m, n](t) = sum_p t^(m+n+2p)/(m+n+2p)! (-1)^(p+m) N(m, n, p)
 
 where N(m, n, p) is the exact inverse-normal-order count from
-`combinatorics.theta_count`.  The same coefficients collapse to the
-Bessel closed form I[m, n](t) = (-1)^m (m+n+1) J_{m+n+1}(2t) / t, and
-every coefficient entry point cross-checks both routes.  Analogous
-tables cover the position group (same Bessel profile with an i^(m+n)
-phase) and the kinetic group e^{i t P^2}, whose closed form is a
-confluent hypergeometric function.  Heisenberg-picture corrections of
-the raising operator are rank-one integrals of these amplitudes.
-Evolutions and element tables come from one sine-transform engine
-with its own truncation check.
+`combinatorics.theta_count`.  The same coefficients are matrix elements
+of the group, I[m, n](t) = (-1)^n <m+n|e^{itP}|0>, which equals the
+Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t) / t.  Analogous tables
+cover the position group (same profile with an i^(m+n) phase) and the
+kinetic group e^{i t P^2}, whose closed form is a confluent
+hypergeometric function.  Evolutions and element tables come from one
+sine-transform engine with its own truncation check.  Each coefficient
+is its defining series summed exactly in integers, checked within the
+caller's tol against the engine's vacuum column.  Heisenberg-picture
+corrections of the raising operator are rank-one integrals of these
+amplitudes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, factorial
+from math import exp, factorial, prod
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .exceptions import (
 )
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
-from .specfun import bessel_j, bessel_j_ratio, bessel_tail_index, hyp1f1
+from .specfun import bessel_j, bessel_j_ratio, bessel_tail_index
 
 _EPS = np.finfo(float).eps
 _SERIES_TERM_CAP = 500
@@ -116,97 +118,133 @@ class EvolvedState:
 
 
 # ---------------------------------------------------------------------------
-# translation-group coefficients: defining series and Bessel closed form
+# coefficients: the engine's vacuum column, checked by the defining series
+
+_COLUMN_TOL = 1e-13  # engine tolerance of every coefficient column
+
+
+@lru_cache(maxsize=1024)
+def _vacuum_column(gen: Generator, t: float, top: int) -> np.ndarray:
+    """Read-only <level l | e^{itG} | 0> for l <= top, from the engine at _COLUMN_TOL."""
+    column = _group_block(gen, t, np.array([0]), top, _COLUMN_TOL)[0][:, 0]
+    column.flags.writeable = False
+    return column
+
+
+def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
+    """Vacuum column behind the coefficients of kind at t, through level max(s, tail level).
+
+    Sized past the tail level, so one cache entry per t serves every s up to it.
+    """
+    gen = Generator.P2 if kind is CoeffKind.KINETIC_I2 else Generator.P
+    if abs(t) > _MAX_T[gen]:
+        raise DomainError(f"|t| <= {_MAX_T[gen]} required, got {t}")
+    return _vacuum_column(gen, float(t), max(s, _tail_span(gen, t, _COLUMN_TOL)[1]))
+
 
 @lru_cache(maxsize=65536)
-def _coeff_series_cached(s: int, t: float) -> tuple[float, float]:
-    """Defining series of I[0, s] with exact counts; returns (value, sum of |terms|)."""
-    # t^(s+2p)/(s+2p)! iterated as a float; counts stay exact integers
-    weight = 1.0
-    for j in range(1, s + 1):
-        weight *= t / j
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
+def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
+    """Defining series of I[0, s] (or I2[0, s]) with exact counts N(0, s, p), summed exactly.
+
+        I[0, s]  = sum_p (-1)^p t^(s+2p)/(s+2p)! N(0, s, p)
+        I2[0, s] = (-i)^h sum_p i^p t^(h+p)/(h+p)! N(0, s, p),   h = s/2
+
+    With t = a/b (b a power of two) every partial sum is an integer
+    numerator over the common denominator b^e e! of its last term, so
+    the alternating cancellation costs nothing; the final division is
+    the only rounding.  Terms stop once a geometric bound on the rest is
+    below eps, which is absolute since |I[0, s]| <= 1 (a unitary matrix
+    element).
+    """
+    if kinetic and s % 2 == 1:
+        return 0j  # P^2 keeps parity
+    step = 1 if kinetic else 2  # growth of the power of t per term; term p has phase i^(step p)
+    phase = 3 * (s // 2) % 4 if kinetic else 0  # the (-i)^h prefactor
+    e = s // 2 if kinetic else s
+    a, b = float(t).as_integer_ratio()
+    at = abs(t)
+    a_step, b_step, at_step = a**step, b**step, at**step
+    power = a**e
+    denom = b**e * factorial(e)
+    parts = [0, 0]  # numerators of the real and imaginary partial sums over denom
+    weight = 1.0  # |t|^e/e! as a float, for the stop rule only
+    for j in range(1, e + 1):
+        weight *= at / j
+    count = theta_count_unbounded(0, s, 0)
     for p in range(_SERIES_TERM_CAP):
-        term = (-1.0) ** p * weight * float(theta_count_unbounded(0, s, p))
-        y = term - comp
-        acc = total + y
-        comp = (acc - total) - y
-        total = acc
-        abs_total += abs(term)
-        next_weight = weight * t * t / ((s + 2 * p + 1) * (s + 2 * p + 2))
-        next_scale = abs(next_weight) * float(theta_count_unbounded(0, s, p + 1))
-        q = t * t / ((p + 2) * (p + s + 3))  # exact term ratio, decreasing
-        if q < 1.0 and next_scale / (1.0 - q) <= _EPS * max(1.0, abs_total):
-            return total, abs_total
-        weight = next_weight
+        parts[phase % 2] += -power * count if phase > 1 else power * count
+        grow = prod(range(e + 1, e + step + 1))
+        count = theta_count_unbounded(0, s, p + 1)
+        weight *= at_step / grow
+        # exact ratio of term p+2 to term p+1 (ballot counts), decreasing in p
+        q = at_step * (s + 2 * p + 3) * (s + 2 * p + 4) / ((p + 2) * (s + p + 3))
+        q /= prod(range(e + step + 1, e + 2 * step + 1))
+        if q < 1.0 and weight * count / (1.0 - q) <= _EPS:
+            return complex(parts[0] / denom, parts[1] / denom) if kinetic else parts[0] / denom
+        grow *= b_step
+        parts = [part * grow for part in parts]
+        denom *= grow
+        power *= a_step
+        e += step
+        phase = (phase + step) % 4
     raise ConvergenceError(f"coefficient series (s={s},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
 
 
-@lru_cache(maxsize=65536)
-def _i0_bessel(s: int, t: float) -> float:
-    """Closed form I[0, s](t) = (s+1) J_{s+1}(2t)/t via the ratio series."""
-    return bessel_j_ratio(s, t)
-
-
-def _checked_closed_form(
-    kind: CoeffKind, s: int, t: float, tol: float | None
+def _checked_coefficient(
+    kind: CoeffKind, s: int, t: float, tol: float | None, column: np.ndarray
 ) -> tuple[float | complex, float]:
-    """Closed form of the [0, s] coefficient and its distance from the defining series.
+    """The [0, s] coefficient from the defining series and its gap to the engine column.
 
-    Every (m, s-m) coefficient is this value times (-1)^m, or i^s for the
-    position group, so one check per (kind, s, t) covers them all.  The
-    routes must agree within tol (default 1e-11), widened by the
-    rounding scale of the series when its terms are large.
+    I[0, s] = (-1)^s <s|e^{itP}|0> and I2[0, s] = <s|e^{itP^2}|0> must
+    agree within tol (default 1e-11).  The series is returned: it rounds
+    once, the transform at every node.  Every (m, s-m) coefficient is
+    this value times (-1)^m, or i^s for the position group, so one check
+    per (kind, s, t) covers them all.
     """
     kinetic = kind is CoeffKind.KINETIC_I2
-    cap = _MAX_T_KINETIC if kinetic else _MAX_T_MOMENTUM
-    if abs(t) > cap:
-        raise DomainError(f"|t| <= {cap} required, got {t}")
-    t = float(t)
     if kinetic and s % 2 == 1:
         return 0j, 0.0  # P^2 keeps parity
-    closed = _i2_closed(s, t) if kinetic else _i0_bessel(s, t)
-    series, abs_total = (_i2_series_cached if kinetic else _coeff_series_cached)(s, t)
-    gap = abs(closed - series)
-    effective = max(tol if tol is not None else 1e-11, 64.0 * _EPS * abs_total)
-    if gap > effective:
+    engine = complex(column[s]) if kinetic else (-1.0) ** s * float(column[s].real)
+    series = _series_cached(kinetic, s, float(t))
+    gap = abs(engine - series)
+    tol = 1e-11 if tol is None else tol
+    if gap > tol:
         raise CrossCheckError(
-            f"{kind.value}[0,{s}]({t}): series {series} vs closed form {closed} "
-            f"differ beyond {effective:.2e}"
+            f"{kind.value}[0,{s}]({t}): engine column {engine} vs defining series {series} "
+            f"differ beyond {tol:.2e}"
         )
-    return closed, gap
+    return series, gap
 
 
-def _entry(kind: CoeffKind, closed: float | complex, m: int, s: int) -> complex:
-    """Coefficient (m, s-m) from the closed form of the [0, s] coefficient."""
+def _entry(kind: CoeffKind, value: float | complex, m: int, s: int) -> complex:
+    """Coefficient (m, s-m) from the [0, s] coefficient."""
     if kind is CoeffKind.POSITION_I:
-        return (1j) ** s * closed
+        return (1j) ** s * value
     # signs go on before complex() and never on a zero, so no -0.0 parts appear
     if kind is CoeffKind.KINETIC_I2 and s % 2 == 1:
         return 0j
-    return complex((-1.0) ** m * closed)
+    return complex((-1.0) ** m * value)
 
 
 def _coefficient(kind: CoeffKind, m: int, n: int, t: float, tol: float | None) -> complex:
     if m < 0 or n < 0:
         raise DomainError("orders must be non-negative")
-    return _entry(kind, _checked_closed_form(kind, m + n, t, tol)[0], m, m + n)
+    s = m + n
+    return _entry(kind, _checked_coefficient(kind, s, t, tol, _coeff_column(kind, t, s))[0], m, s)
 
 
 def coeff_I_series(m: int, n: int, t: float) -> complex:
     """Defining-series route alone (exact inverse-normal-order counts)."""
-    return complex((-1.0) ** m * _coeff_series_cached(m + n, float(t))[0])
+    return complex((-1.0) ** m * _series_cached(False, m + n, float(t)))
 
 
 def coeff_I(m: int, n: int, t: float, tol: float | None = None) -> complex:
     """Translation-group coefficient I[m, n](t), cross-checked both ways.
 
-    Evaluates the defining series and the Bessel closed form
-    (-1)^m (m+n+1) J_{m+n+1}(2t)/t and requires agreement within tol
-    (widened by the rounding scale of the series when its terms are
-    large).  Returns the Bessel-path value.
+    Compares (-1)^n <m+n|e^{itP}|0> from the sine-transform engine,
+    which equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t)/t,
+    with the exactly summed defining series and requires agreement
+    within tol (default 1e-11).  Returns the series value.
     """
     return _coefficient(CoeffKind.MOMENTUM_I, m, n, t, tol)
 
@@ -225,6 +263,12 @@ _DIM_CAP = 4095
 _MAX_T = {Generator.P: _MAX_T_MOMENTUM, Generator.X: _MAX_T_MOMENTUM, Generator.P2: _MAX_T_KINETIC}
 
 
+def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
+    """Tail level of e^{itG} at tol and the levels it spans past a source level."""
+    tail = _p2_level_tail_index(t, tol) if gen is Generator.P2 else bessel_tail_index(t, tol)
+    return tail, 2 * tail if gen is Generator.P2 else tail
+
+
 def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, tol: float):
     """(<level l | e^{itG} | level k> for l <= l_max, k in cols; tail index; top), G in {X, P, P2}.
 
@@ -240,8 +284,7 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, 
         raise DomainError(f"sine-transform evolutions cover generators P, X, P2, got {gen.value}")
     if abs(t) > _MAX_T[gen]:
         raise DomainError(f"|t| <= {_MAX_T[gen]} required for generator {gen.value}, got {t}")
-    tail = _p2_level_tail_index(t, tol) if gen is Generator.P2 else bessel_tail_index(t, tol)
-    span = 2 * tail if gen is Generator.P2 else tail
+    tail, span = _tail_span(gen, t, tol)
     top = int(cols.max()) + span
     rows = (top if l_max is None else l_max) + 1
     d = np.arange(rows)[:, None] - cols
@@ -368,20 +411,14 @@ def evolve_X_vacuum_pointwise(t: float, x: float) -> complex:
 def char_function(generator: Generator | str, t: float) -> complex:
     """Vacuum characteristic function of the position or momentum group.
 
-    Both equal J_1(2t)/t: the vacuum distribution of either operator is
-    the semicircle law.  Raises DomainError for |t| > 16.
+    Both equal I[0, 0](t) = J_1(2t)/t, checked like every coefficient:
+    the vacuum distribution of either operator is the semicircle law.
+    Raises DomainError for |t| > 16.
     """
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.X):
         raise DomainError("characteristic function defined for generators P and X")
-    return complex(_i0_bessel(0, _char_t(t)))
-
-
-def _char_t(t: float) -> float:
-    """t as a float within the translation-group cap of the Bessel ratio route."""
-    if abs(t) > _MAX_T_MOMENTUM:
-        raise DomainError(f"|t| <= {_MAX_T_MOMENTUM} required, got {t}")
-    return float(t)
+    return coeff_I(0, 0, t)
 
 
 def char_function_catalan_series(t: float) -> complex:
@@ -414,74 +451,27 @@ def state_char_function(l: int, t: float) -> complex:
     """
     if l < 0:
         raise DomainError("level must be >= 0")
-    t = _char_t(t)
-    return complex(sum((-1.0) ** m * _i0_bessel(2 * m, t) for m in range(l + 1)))
+    column = _coeff_column(CoeffKind.MOMENTUM_I, t, 2 * l)  # one column for every m
+    values = [_checked_coefficient(CoeffKind.MOMENTUM_I, 2 * m, t, None, column)[0] for m in range(l + 1)]
+    return complex(sum((-1.0) ** m * value for m, value in enumerate(values)))
 
 
 # ---------------------------------------------------------------------------
 # kinetic group e^{i t P^2}
 
-@lru_cache(maxsize=65536)
-def _i2_series_cached(s: int, t: float) -> tuple[complex, float]:
-    """Defining series of the kinetic coefficient I2[0, s] with exact counts.
-
-    The terms (it)^(h+p)/(h+p)! N(0,s,p) grow to ~1e5 before decaying
-    at |t| = 4 while the sum stays bounded by 1, so the partial sums are
-    accumulated in exact rational arithmetic (t is a dyadic rational);
-    only the final conversion to complex rounds.
-    """
-    if s % 2 == 1:
-        return 0j, 0.0
-    h = s // 2
-    t_exact = Fraction(t)
-    weight = t_exact**h / factorial(h)
-    re = Fraction(0)
-    im = Fraction(0)
-    abs_total = 0.0
-    for p in range(_SERIES_TERM_CAP):
-        magnitude = weight * theta_count_unbounded(0, s, p)
-        phase = (h + p) % 4  # i^(h+p)
-        if phase == 0:
-            re += magnitude
-        elif phase == 1:
-            im += magnitude
-        elif phase == 2:
-            re -= magnitude
-        else:
-            im -= magnitude
-        abs_total += abs(float(magnitude))
-        count_next = theta_count_unbounded(0, s, p + 1)
-        next_weight = weight * t_exact / (h + p + 1)
-        next_scale = abs(float(next_weight)) * float(count_next)
-        q = abs(t) * (float(theta_count_unbounded(0, s, p + 2)) / float(count_next)) / (h + p + 2)
-        # the accumulation is exact, so truncate relative to the value,
-        # not to the (much larger) sum of term magnitudes
-        value_scale = max(1.0, abs(float(re)) + abs(float(im)))
-        if q < 0.5 and next_scale / (1.0 - q) <= _EPS * value_scale:
-            return (-1) ** h * complex(float(re), float(im)), abs_total
-        weight = next_weight
-    raise ConvergenceError(f"kinetic series (s={s},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
-
-
-@lru_cache(maxsize=65536)
-def _i2_closed(n: int, t: float) -> complex:
-    """Closed form I2[0, n](t) for even n via the confluent hypergeometric series."""
-    h = n // 2
-    f = hyp1f1((n + 1) / 2.0, float(n + 2), 4j * t)
-    return (-1j * t) ** h / factorial(h) * f.value
-
-
 def coeff_I2_series(m: int, n: int, t: float) -> complex:
     """Defining-series route for the kinetic coefficient."""
-    return (-1) ** m * _i2_series_cached(m + n, float(t))[0]
+    return (-1) ** m * _series_cached(True, m + n, float(t))
 
 
 def coeff_I2(m: int, n: int, t: float, tol: float | None = None) -> complex:
     """Kinetic-group coefficient I2[m, n](t), cross-checked both ways.
 
-    Zero for odd m+n; otherwise equals
-        (-1)^m (-it)^((m+n)/2) / ((m+n)/2)! 1F1((m+n+1)/2; m+n+2; 4it),
-    verified against the defining series with exact counts.
+    Zero for odd m+n; otherwise the exactly summed defining series,
+    required to agree within tol (default 1e-11) with (-1)^m
+    <m+n|e^{itP^2}|0> from the sine-transform engine, which equals the
+    closed form
+        (-1)^m (-it)^((m+n)/2) / ((m+n)/2)! 1F1((m+n+1)/2; m+n+2; 4it).
     """
     return _coefficient(CoeffKind.KINETIC_I2, m, n, t, tol)
 
@@ -555,29 +545,25 @@ def heisenberg_aplus_P2(
     The derivative of the evolved raising operator is the Hermitian
     rank-two kernel i(w_s u_s^* - u_s w_s^*) with u_s the evolved vacuum
     and w_s the evolved first level (both under e^{i s P^2}); the block
-    integrates it over [0, t].  The result is Hermitian when
-    m_max = n_max.
+    integrates it over [0, t].  At each node s the engine's vacuum
+    column gives u[2j] = I2[0, 2j](s) and w[2j+1] = I2[0, 2j](s) -
+    I2[0, 2j+2](s).  The result is Hermitian when m_max = n_max.
+    Raises DomainError for |t| > 8.
     """
     if m_max < 0 or n_max < 0:
         raise DomainError("block extents must be non-negative")
+    if abs(t) > _MAX_T_KINETIC:
+        raise DomainError(f"|t| <= {_MAX_T_KINETIC} required, got {t}")
     if t == 0.0:
         return np.zeros((m_max + 1, n_max + 1), dtype=complex)
-    level_top = max(m_max, n_max)
-    inner_tol = tol / 100.0
+    top = max(m_max, n_max)
 
     def block(s: float) -> np.ndarray:
-        m_tail = _p2_level_tail_index(s, inner_tol)
-        top = max(2 * m_tail + 1, level_top)
-        u = np.zeros(top + 1, dtype=complex)
+        u = _coeff_column(CoeffKind.KINETIC_I2, s, top + 1)
         w = np.zeros(top + 1, dtype=complex)
-        for j in range(0, top // 2 + 1):
-            u[2 * j] = _i2_closed(2 * j, s)
-        for j in range(0, (top - 1) // 2 + 1):
-            w[2 * j + 1] = _i2_closed(2 * j, s) - _i2_closed(2 * j + 2, s)
-        um = u[: m_max + 1]
-        un = u[: n_max + 1]
-        wm = w[: m_max + 1]
-        wn = w[: n_max + 1]
+        w[1::2] = u[0:top:2] - u[2 : top + 2 : 2]
+        um, un = u[: m_max + 1], u[: n_max + 1]
+        wm, wn = w[: m_max + 1], w[: n_max + 1]
         return 1j * (np.outer(wm, un.conj()) - np.outer(um, wn.conj()))
 
     value = _gauss_legendre_adaptive(block, t, tol)
@@ -595,17 +581,20 @@ def element_table(generator: Generator | str, t: float, l_max: int, tol: float =
 def build_coeff_table(kind: CoeffKind | str, t: float, max_order: int) -> CoeffTable:
     """Coefficient table over all (m, n) with m + n <= max_order.
 
-    Each entry records the closed-form value and the absolute
-    discrepancy between the two evaluation routes (method agreement).
-    The routes are cross-checked once per s = m + n: the entries
-    (m, s-m) all follow from the [0, s] coefficient.
+    Each entry records the checked value and the absolute discrepancy
+    between the engine column and the defining series (method
+    agreement).  One vacuum column
+    serves the whole table, and the routes are cross-checked once per
+    s = m + n: the entries (m, s-m) all follow from the [0, s]
+    coefficient.
     """
     kind = CoeffKind(kind)
+    column = _coeff_column(kind, t, max_order)
     entries: dict[tuple[int, int], complex] = {}
     agreements: dict[tuple[int, int], float] = {}
     for s in range(max_order + 1):
-        closed, gap = _checked_closed_form(kind, s, t, None)
+        value, gap = _checked_coefficient(kind, s, t, None, column)
         for m in range(s + 1):
-            entries[(m, s - m)] = _entry(kind, closed, m, s)
+            entries[(m, s - m)] = _entry(kind, value, m, s)
             agreements[(m, s - m)] = gap
     return CoeffTable(t=float(t), kind=kind, entries=entries, agreements=agreements)

@@ -213,17 +213,21 @@ def test_criterion_10_heisenberg_evolutions():
 
 
 def test_criterion_11_coefficient_path_cross_check():
-    from semicircleqm.specfun import bessel_j_ratio
+    from math import factorial
+
+    from semicircleqm.specfun import bessel_j_ratio, hyp1f1
 
     worst = 0.0
     for t in (0.25, 1.0, 2.5, 4.0):
         for m in range(17):
             for n in range(17 - m):
-                closed = (-1.0) ** m * bessel_j_ratio(m + n, t)
+                s = m + n
+                closed = (-1.0) ** m * bessel_j_ratio(s, t)
                 series = evolution.coeff_I_series(m, n, t)
                 worst = max(worst, abs(closed - series))
-                if (m + n) % 2 == 0:
-                    closed2 = evolution.coeff_I2(m, n, t)
+                if s % 2 == 0:
+                    h = s // 2
+                    closed2 = (-1) ** m * (-1j * t) ** h / factorial(h) * hyp1f1((s + 1) / 2, s + 2, 4j * t).value
                     series2 = evolution.coeff_I2_series(m, n, t)
                     worst = max(worst, abs(closed2 - series2))
     report(11, "defining series vs Bessel/1F1 closed forms (m+n <= 16)", worst, 1e-11)

@@ -7,7 +7,7 @@ import pytest
 
 from semicircleqm import evolution, oracle
 from semicircleqm.cli import OutputFormat, RunConfig, main, run
-from semicircleqm.fock import build_momentum
+from semicircleqm.fock import build_creation, build_momentum
 
 
 def run_capture(capsys, **kwargs):
@@ -139,6 +139,15 @@ class TestCoeffs:
         for line in lines[1:]:
             assert float(line.split(",")[-1]) <= 1e-11
 
+    @pytest.mark.parametrize("generator, t", [("P", 15.9), ("P2", 7.9)])
+    def test_routes_agree_at_the_domain_edge(self, capsys, generator, t):
+        status, out, _ = run_capture(
+            capsys, command="coeffs", generator=generator, t_values=[t], max_order=20,
+            output_format=OutputFormat.JSON,
+        )
+        assert status == 0
+        assert json.loads(out)["residuals"]["max_method_agreement"] <= 1e-11
+
     def test_rejects_harmonic(self, capsys):
         status, _, err = run_capture(capsys, command="coeffs", generator="H1", t_values=[0.5])
         assert status == 2
@@ -158,6 +167,27 @@ class TestHeisenberg:
     def test_rejects_position_generator(self, capsys):
         status, _, _ = run_capture(capsys, command="heisenberg", generator="X", t_values=[0.3])
         assert status == 2
+
+    def test_kinetic_block_near_the_edge(self, capsys):
+        t = 7.5
+        status, out, _ = run_capture(
+            capsys, command="heisenberg", generator="P2", t_values=[t], block=2,
+            output_format=OutputFormat.JSON,
+        )
+        assert status == 0
+        got = np.array([row["re"] + 1j * row["im"] for row in json.loads(out)["rows"]]).reshape(2, 2)
+        dim = oracle.truncation_level(t, 2, 1e-10, generator="P2")
+        p = build_momentum(dim)
+        u, _, _ = oracle.expm_matrix(p @ p, 1j * t)
+        ap = build_creation(dim).entries
+        conj = u @ ap @ u.conj().T - ap
+        assert np.max(np.abs(got - conj[:2, :2])) <= 1e-8
+
+    def test_kinetic_block_beyond_the_cap_exits_two(self, capsys):
+        status, out, err = run_capture(capsys, command="heisenberg", generator="P2", t_values=[16.0], block=2)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error: |t| <=")
 
 
 class TestTable:

@@ -27,7 +27,7 @@ from semicircleqm.evolution import (
     matrix_element_P,
     state_char_function,
 )
-from semicircleqm.exceptions import DomainError, TruncationError
+from semicircleqm.exceptions import CrossCheckError, DomainError, TruncationError
 from semicircleqm.fock import build_creation, build_momentum, build_position
 from semicircleqm.specfun import bessel_j, bessel_j_ratio
 
@@ -35,6 +35,12 @@ from semicircleqm.specfun import bessel_j, bessel_j_ratio
 def momentum_oracle_column(t, k, dim):
     mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
     return mat[:, k]
+
+
+def offset_engine_column(monkeypatch, offset):
+    """Shift every entry of the engine's vacuum column, the route checked against the series."""
+    column = evolution._coeff_column
+    monkeypatch.setattr(evolution, "_coeff_column", lambda kind, t, s: column(kind, t, s) + offset)
 
 
 class TestCoeffI:
@@ -67,19 +73,21 @@ class TestCoeffI:
             coeff_I(0, 0, 17.0)
 
     def test_route_disagreement_is_detected(self, monkeypatch):
-        from semicircleqm.exceptions import CrossCheckError
-
-        monkeypatch.setattr(evolution, "_i0_bessel", lambda s, t: 0.123)
+        offset_engine_column(monkeypatch, 0.123)
         with pytest.raises(CrossCheckError):
             coeff_I(0, 0, 1.0)
 
-    @pytest.mark.parametrize("kind", [CoeffKind.MOMENTUM_I, CoeffKind.POSITION_I])
-    def test_tables_cross_check_the_bessel_route(self, monkeypatch, kind):
-        from semicircleqm.exceptions import CrossCheckError
-
-        monkeypatch.setattr(evolution, "_i0_bessel", lambda s, t: 0.123)
+    @pytest.mark.parametrize("kind", list(CoeffKind))
+    def test_tables_cross_check_the_engine_column(self, monkeypatch, kind):
+        offset_engine_column(monkeypatch, 0.123)
         with pytest.raises(CrossCheckError):
             build_coeff_table(kind, 1.0, 4)
+
+    def test_small_offset_at_the_edge_is_detected(self, monkeypatch):
+        # the routes agree to ~5e-16 here; a check widened to 64 eps sum|terms| (~4e-3) let 1e-10 pass
+        offset_engine_column(monkeypatch, 1e-10)
+        with pytest.raises(CrossCheckError):
+            build_coeff_table(CoeffKind.MOMENTUM_I, 15.9, 20)
 
 
 class TestMatrixElements:
@@ -389,16 +397,10 @@ class TestTablesAndGroupLaw:
                 assert report.passed, str(report)
             assert max(table.agreements.values()) <= 1e-11
 
-    @pytest.mark.parametrize(
-        "kind, cache, size",
-        [
-            (CoeffKind.KINETIC_I2, "_i2_series_cached", 7),
-            (CoeffKind.MOMENTUM_I, "_coeff_series_cached", 13),
-        ],
-    )
-    def test_series_cached_once_per_order_sum(self, kind, cache, size):
+    @pytest.mark.parametrize("kind, size", [(CoeffKind.KINETIC_I2, 7), (CoeffKind.MOMENTUM_I, 13)])
+    def test_series_cached_once_per_order_sum(self, kind, size):
         # one defining series per s = m + n (per even s for the kinetic group)
-        series = getattr(evolution, cache)
+        series = evolution._series_cached
         series.cache_clear()
         build_coeff_table(kind, 0.7, 12)
         assert series.cache_info().currsize == size
@@ -505,3 +507,46 @@ class TestSineTransformEngine:
     def test_out_of_domain_is_refused(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+def reference_coefficient(kind, m, n, t):
+    """I[m, n](t) (I2 for the kinetic kind) from the Bessel and 1F1 closed forms, at 30 digits."""
+    s = m + n
+    if kind is CoeffKind.KINETIC_I2:
+        return (-1) ** m * closed_form_column("P2", 0, t, s + 1)[s]
+    value = (-1) ** s * closed_form_column("P", 0, t, s + 1)[s]  # I[0, s]
+    return 1j**s * value if kind is CoeffKind.POSITION_I else (-1) ** m * value
+
+
+class TestCoefficientDomainEdges:
+    @pytest.mark.parametrize(
+        "kind, t",
+        [(kind, t) for kind in (CoeffKind.MOMENTUM_I, CoeffKind.POSITION_I) for t in (15.9, -16.0)]
+        + [(CoeffKind.KINETIC_I2, t) for t in (7.9, -8.0)],
+    )
+    def test_tables_against_mpmath(self, kind, t):
+        table = build_coeff_table(kind, t, 20)
+        want = {s: reference_coefficient(kind, 0, s, t) for s in range(21)}
+        for (m, n), value in table.entries.items():
+            ref = want[m + n] * (1 if kind is CoeffKind.POSITION_I else (-1) ** m)
+            assert abs(value - ref) <= 1e-11
+        assert max(table.agreements.values()) <= 1e-11
+
+    @pytest.mark.parametrize("t", [15.9, -16.0])
+    def test_coeff_I_against_mpmath(self, t):
+        for m, n in ((0, 0), (0, 8), (3, 5), (5, 15)):
+            assert abs(coeff_I(m, n, t) - reference_coefficient(CoeffKind.MOMENTUM_I, m, n, t)) <= 1e-11
+
+    @pytest.mark.parametrize("t", [7.9, -8.0])
+    def test_coeff_I2_against_mpmath(self, t):
+        for m, n in ((0, 0), (0, 8), (3, 5), (5, 15)):
+            assert abs(coeff_I2(m, n, t) - reference_coefficient(CoeffKind.KINETIC_I2, m, n, t)) <= 1e-11
+
+    @pytest.mark.parametrize("t", [12.0, 15.9, 16.0])
+    def test_char_functions_against_mpmath(self, t):
+        with mp.workdps(30):
+            tt = mp.mpf(t)
+            want = complex(mp.besselj(1, 2 * tt) / tt)
+            want_state = complex(sum((-1) ** m * (2 * m + 1) * mp.besselj(2 * m + 1, 2 * tt) / tt for m in range(3)))
+        assert abs(char_function("P", t) - want) <= 1e-13
+        assert abs(state_char_function(2, t) - want_state) <= 1e-13
