@@ -263,15 +263,12 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
             # evolve_P does not read the coefficients; this ties them to the group
             reassembled = np.array([evolution.matrix_element_P(l, k, t) for l in range(top)])
             reassembly = max(reassembly, float(np.max(np.abs(ref[:top] - reassembled))))
-    heis = 0.0
     t_h = 0.4
     dim = oracle.truncation_level(t_h, 8, 1e-10)
     u_mat, _, _ = oracle.expm_matrix(fock.build_momentum(dim), 1j * t_h)
     ap = fock.build_creation(dim).entries
     conj = u_mat @ ap @ u_mat.conj().T - ap
-    for m in range(4):
-        for n in range(4):
-            heis = max(heis, abs(evolution.heisenberg_aplus_P(t_h, m, n) - conj[m, n]))
+    heis = float(np.max(np.abs(evolution.heisenberg_block("P", t_h, 3, 3) - conj[:4, :4])))
     return [
         CheckReport("coefficient routes agree (orders <= 8)", cross, 1e-11),
         CheckReport("evolved states are unit norm", unit, 1e-8),

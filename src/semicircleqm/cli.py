@@ -13,7 +13,8 @@ human-checkable tables.
 Output is CSV (default) or JSON; floats are printed with 17 significant
 digits so values round-trip exactly.  Exit codes: 0 success, 1
 verification failure, 2 configuration error (also |t| beyond its cap,
-`--l-max` below the tail level, a `--tol` below rounding, or a
+16 for P and X and 8 for P2, `heisenberg` included; `--l-max` below
+the tail level, a `--tol` below rounding, or a
 Heisenberg quadrature that does not reach `--tol`).
 For CSV output the per-run residuals (e.g. the norm defect) go to
 stderr as `#`-prefixed comments so stdout stays a clean table; JSON
@@ -179,15 +180,7 @@ def _run_char(config: RunConfig) -> int:
 def _run_heisenberg(config: RunConfig) -> int:
     t = config.t_values[0]
     size = config.block
-    if config.generator == "P":
-        block = np.array(
-            [
-                [evolution.heisenberg_aplus_P(t, m, n, config.omega, config.tol) for n in range(size)]
-                for m in range(size)
-            ]
-        )
-    else:
-        block = evolution.heisenberg_aplus_P2(t, size - 1, size - 1, config.omega, config.tol)
+    block = evolution.heisenberg_block(config.generator, t, size - 1, size - 1, config.omega, config.tol)
     rows = [[m, n, block[m, n].real, block[m, n].imag] for m in range(size) for n in range(size)]
     hermiticity = float(np.max(np.abs(block - block.conj().T)))
     _emit(config, ["m", "n", "re", "im"], rows, {"hermiticity_defect": hermiticity})

@@ -15,8 +15,8 @@ hypergeometric function.  Evolutions and element tables come from one
 sine-transform engine with its own truncation check.  Each coefficient
 is its defining series summed exactly in integers, checked within the
 caller's tol against the engine's vacuum column.  Heisenberg-picture
-corrections of the raising operator are rank-one integrals of these
-amplitudes.
+corrections of the raising operator integrate a low-rank kernel of the
+same column.
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ from .exceptions import (
 )
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
-from .specfun import bessel_j, bessel_j_ratio, bessel_tail_index
+from .specfun import bessel_j, bessel_tail_index
 
 _EPS = np.finfo(float).eps
 _SERIES_TERM_CAP = 500
-_MAX_T_MOMENTUM = 16.0
-_MAX_T_KINETIC = 8.0
 
 
 class CoeffKind(enum.Enum):
@@ -260,7 +258,7 @@ def matrix_element_P(l: int, k: int, t: float, tol: float | None = None) -> comp
 # Schroedinger evolutions level by level
 
 _DIM_CAP = 4095
-_MAX_T = {Generator.P: _MAX_T_MOMENTUM, Generator.X: _MAX_T_MOMENTUM, Generator.P2: _MAX_T_KINETIC}
+_MAX_T = {Generator.P: 16.0, Generator.X: 16.0, Generator.P2: 8.0}
 
 
 def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
@@ -500,10 +498,10 @@ def _p2_level_tail_index(t: float, tol: float) -> int:
 # ---------------------------------------------------------------------------
 # Heisenberg-picture corrections of the raising operator
 
-def _gauss_legendre_adaptive(f_block, t: float, tol: float, start_order: int = 24):
-    """Integrate a vector/matrix-valued function over [0, t] by GL doubling."""
+def _gauss_legendre_adaptive(f_block, t: float, tol: float):
+    """Integrate a vector/matrix-valued function over [0, t] by GL doubling from order 24."""
     prev = None
-    order = start_order
+    order = 24
     while order <= 512:
         xg, wg = orthopoly.gauss_legendre(order)
         s_nodes = 0.5 * t * (xg + 1.0)
@@ -516,58 +514,59 @@ def _gauss_legendre_adaptive(f_block, t: float, tol: float, start_order: int = 2
     raise QuadratureError(f"Heisenberg quadrature did not reach tol={tol} by order 512")
 
 
+def heisenberg_block(
+    generator: Generator | str, t: float, m_max: int, n_max: int, omega: float = 1.0, tol: float = 1e-8
+) -> np.ndarray:
+    """Raising-operator correction U a^+ U^* - a^+ for m <= m_max, n <= n_max, U = e^{itG}, G in {P, P2}.
+
+    By the free relation a a^+ = 1 the derivative of the evolved raising
+    operator is a low-rank kernel of the evolved vacuum u_s = e^{isG}|0>:
+    u_s u_s^* for P, and the Hermitian rank-two i(w_s u_s^* - u_s w_s^*)
+    for P2, with w_s the evolved first level, w[2j+1] = u[2j] - u[2j+2].
+    The block integrates the kernel over [0, t] by Gauss-Legendre
+    doubling to tol, reading u from the engine's cached vacuum column at
+    each node.  Hermitian when m_max = n_max.  Raises DomainError for
+    |t| above 16 (P) or 8 (P2).
+    """
+    gen = Generator(generator)
+    if gen not in (Generator.P, Generator.P2):
+        raise DomainError(f"Heisenberg corrections cover generators P and P2, got {gen.value}")
+    if m_max < 0 or n_max < 0:
+        raise DomainError("block extents must be non-negative")
+    if abs(t) > _MAX_T[gen]:
+        raise DomainError(f"|t| <= {_MAX_T[gen]} required, got {t}")
+    if t == 0.0:
+        return np.zeros((m_max + 1, n_max + 1), dtype=complex)
+    kind = CoeffKind.KINETIC_I2 if gen is Generator.P2 else CoeffKind.MOMENTUM_I
+    top = max(m_max, n_max)
+
+    def kernel(s: float) -> np.ndarray:
+        u = _coeff_column(kind, s, top + 1)
+        um, un = u[: m_max + 1], u[: n_max + 1]
+        if gen is Generator.P:
+            return np.outer(um, un.conj())
+        w = np.zeros(top + 1, dtype=complex)
+        w[1::2] = u[0:top:2] - u[2 : top + 2 : 2]
+        wm, wn = w[: m_max + 1], w[: n_max + 1]
+        return 1j * (np.outer(wm, un.conj()) - np.outer(um, wn.conj()))
+
+    return omega * _gauss_legendre_adaptive(kernel, t, tol)
+
+
 def heisenberg_aplus_P(t: float, m: int, n: int, omega: float = 1.0, tol: float = 1e-8) -> complex:
     """Entry (m, n) of the raising-operator correction under the translation group.
 
-        omega (-1)^(m+n) (m+1)(n+1) int_0^t J_{m+1}(2s) J_{n+1}(2s) / s^2 ds
-
-    evaluated through the ratio series (n+1) J_{n+1}(2s)/s, which extends
-    continuously to s = 0; symmetric in (m, n).
+    Equals omega (-1)^(m+n) (m+1)(n+1) int_0^t J_{m+1}(2s) J_{n+1}(2s) / s^2 ds,
+    symmetric in (m, n); read from `heisenberg_block`.
     """
-    if m < 0 or n < 0:
-        raise DomainError("orders must be non-negative")
-    if t == 0.0:
-        return 0j
-    sign = (-1.0) ** (m + n)
-
-    def integrand(s: float):
-        return np.array(sign * bessel_j_ratio(m, s) * bessel_j_ratio(n, s))
-
-    value = _gauss_legendre_adaptive(integrand, t, tol)
-    return complex(omega * float(value))
+    return complex(heisenberg_block(Generator.P, t, m, n, omega, tol)[m, n])
 
 
 def heisenberg_aplus_P2(
     t: float, m_max: int, n_max: int, omega: float = 1.0, tol: float = 1e-8
 ) -> np.ndarray:
-    """Raising-operator correction block under the kinetic group.
-
-    The derivative of the evolved raising operator is the Hermitian
-    rank-two kernel i(w_s u_s^* - u_s w_s^*) with u_s the evolved vacuum
-    and w_s the evolved first level (both under e^{i s P^2}); the block
-    integrates it over [0, t].  At each node s the engine's vacuum
-    column gives u[2j] = I2[0, 2j](s) and w[2j+1] = I2[0, 2j](s) -
-    I2[0, 2j+2](s).  The result is Hermitian when m_max = n_max.
-    Raises DomainError for |t| > 8.
-    """
-    if m_max < 0 or n_max < 0:
-        raise DomainError("block extents must be non-negative")
-    if abs(t) > _MAX_T_KINETIC:
-        raise DomainError(f"|t| <= {_MAX_T_KINETIC} required, got {t}")
-    if t == 0.0:
-        return np.zeros((m_max + 1, n_max + 1), dtype=complex)
-    top = max(m_max, n_max)
-
-    def block(s: float) -> np.ndarray:
-        u = _coeff_column(CoeffKind.KINETIC_I2, s, top + 1)
-        w = np.zeros(top + 1, dtype=complex)
-        w[1::2] = u[0:top:2] - u[2 : top + 2 : 2]
-        um, un = u[: m_max + 1], u[: n_max + 1]
-        wm, wn = w[: m_max + 1], w[: n_max + 1]
-        return 1j * (np.outer(wm, un.conj()) - np.outer(um, wn.conj()))
-
-    value = _gauss_legendre_adaptive(block, t, tol)
-    return omega * value
+    """Raising-operator correction block under the kinetic group, from `heisenberg_block`."""
+    return heisenberg_block(Generator.P2, t, m_max, n_max, omega, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,17 @@ class TestHeisenberg:
         conj = u @ ap @ u.conj().T - ap
         assert np.max(np.abs(got - conj[:2, :2])) <= 1e-8
 
+    def test_momentum_block_at_the_cap(self, capsys):
+        status, out, _ = run_capture(capsys, command="heisenberg", generator="P", t_values=[16.0], block=4)
+        assert status == 0
+        assert len(out.strip().splitlines()) == 17
+
+    def test_momentum_block_beyond_the_cap_exits_two(self, capsys):
+        status, out, err = run_capture(capsys, command="heisenberg", generator="P", t_values=[17.0])
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error: |t| <=")
+
     def test_kinetic_block_beyond_the_cap_exits_two(self, capsys):
         status, out, err = run_capture(capsys, command="heisenberg", generator="P2", t_values=[16.0], block=2)
         assert status == 2
@@ -244,7 +255,9 @@ class TestConfigValidation:
         assert err.startswith("configuration error:")
 
     def test_unconverged_heisenberg_quadrature_exits_two(self, capsys):
-        status, out, err = run_capture(capsys, command="heisenberg", generator="P", t_values=[30.0], block=1)
+        status, out, err = run_capture(
+            capsys, command="heisenberg", generator="P", t_values=[16.0], block=1, tol=1e-16
+        )
         assert status == 2
         assert out == ""
         assert err.startswith("configuration error: Heisenberg quadrature did not reach")

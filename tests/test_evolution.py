@@ -24,6 +24,7 @@ from semicircleqm.evolution import (
     evolve_X_vacuum_pointwise,
     heisenberg_aplus_P,
     heisenberg_aplus_P2,
+    heisenberg_block,
     matrix_element_P,
     state_char_function,
 )
@@ -338,8 +339,8 @@ class TestHeisenbergP:
         assert abs(heisenberg_aplus_P(t, 0, 0) - conj[0, 0]) <= 1e-6
 
     def test_negative_time_parity(self):
-        # the Bessel-product integrand is even in s for even m+n and odd
-        # otherwise, so the correction has parity (-1)^(m+n+1) in t
+        # the kernel u_m(s) u_n(s) of the evolved vacuum has parity
+        # (-1)^(m+n) in s, so the correction has parity (-1)^(m+n+1) in t
         for (m, n) in ((0, 0), (1, 2), (2, 2), (0, 3)):
             plus = heisenberg_aplus_P(0.5, m, n)
             minus = heisenberg_aplus_P(-0.5, m, n)
@@ -352,6 +353,29 @@ class TestHeisenbergP:
         ap = build_creation(dim).entries
         conj = mat @ ap @ mat.conj().T - ap
         assert abs(heisenberg_aplus_P(t, 1, 2) - conj[1, 2]) <= 1e-8
+
+    @pytest.mark.parametrize("t", [12.0, -16.0, 16.0])
+    def test_block_against_oracle_to_the_cap(self, t):
+        dim = oracle.truncation_level(t, 8, 1e-10)
+        mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
+        ap = build_creation(dim).entries
+        conj = mat @ ap @ mat.conj().T - ap
+        block = np.array([[heisenberg_aplus_P(t, m, n) for n in range(4)] for m in range(4)])
+        assert np.max(np.abs(block - conj[:4, :4])) <= 1e-8
+
+    def test_beyond_translation_cap_rejected(self):
+        with pytest.raises(DomainError):
+            heisenberg_aplus_P(16.5, 0, 0)
+
+    def test_block_matches_entries(self):
+        block = heisenberg_block("P", 0.9, 7, 7)
+        entries = np.array([[heisenberg_aplus_P(0.9, m, n) for n in range(8)] for m in range(8)])
+        assert np.max(np.abs(block - entries)) <= 1e-8
+
+    @pytest.mark.parametrize("generator", ["X", "H1"])
+    def test_block_rejects_other_generators(self, generator):
+        with pytest.raises(DomainError):
+            heisenberg_block(generator, 0.5, 2, 2)
 
 
 class TestHeisenbergP2:
