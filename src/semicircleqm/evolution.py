@@ -41,7 +41,7 @@ from .exceptions import (
 )
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
-from .specfun import bessel_j, bessel_tail_index
+from .specfun import bessel_j, bessel_j_all, bessel_tail_index
 
 _EPS = np.finfo(float).eps
 _SERIES_TERM_CAP = 500
@@ -140,7 +140,7 @@ def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
     return _vacuum_column(gen, float(t), max(s, _tail_span(gen, t, _COLUMN_TOL)[1]))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)
 def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
     """Defining series of I[0, s] (or I2[0, s]) with exact counts N(0, s, p), summed exactly.
 
@@ -375,7 +375,7 @@ def evolve_P_pointwise(k: int, t: float, x: float, tol: float = 1e-10) -> comple
     if abs(x) > 2.0:
         raise DomainError("x must lie in [-2, 2]")
     m_top = bessel_tail_index(t, tol / 100.0) + k + 4
-    jv = np.array([bessel_j(m, 2.0 * t).value for m in range(m_top + 1)])
+    jv = bessel_j_all(m_top, 2.0 * t).values
     pv = phi_all(m_top + k + 2, x)
     val = jv[0] * pv[k]
     for n in range(1, k + 1):

@@ -32,7 +32,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError, SingularNodeError
 from .orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
 from .report import CheckReport
-from .specfun import bessel_j, bessel_tail_index
+from .specfun import bessel_j, bessel_j_all, bessel_tail_index
 
 _EDGE_MARGIN = 1e-6
 _KAPTEYN_TERM_CAP = 400
@@ -202,10 +202,6 @@ def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> flo
     return total
 
 
-def _bessel_values(n_max: int, x: float) -> np.ndarray:
-    return np.array([bessel_j(n, x).value for n in range(n_max + 1)], dtype=float)
-
-
 def kapteyn_sum_sin(t: float, theta: float, tol: float = 1e-12) -> float:
     """Alternating Bessel sine sum  sum_{m>=1} (-1)^m J_m(2t) sin(m theta)."""
     return _kapteyn_series(t, theta, tol, np.sin)
@@ -224,7 +220,7 @@ def _kapteyn_series(t: float, theta: float, tol: float, trig) -> float:
     n_max = bessel_tail_index(t, tol)
     if n_max > _KAPTEYN_TERM_CAP:
         raise ConvergenceError(f"tail index {n_max} exceeds the cap {_KAPTEYN_TERM_CAP}")
-    jv = _bessel_values(n_max, 2.0 * t)
+    jv = bessel_j_all(n_max, 2.0 * t).values
     ms = np.arange(1, n_max + 1)
     return float(np.sum(((-1.0) ** ms) * jv[1:] * trig(ms * theta)))
 

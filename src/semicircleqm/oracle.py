@@ -133,14 +133,19 @@ def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
         raise DomainError("source level must be >= 0")
     if t == 0.0:
         return k + 2
+
+    def evolved(dim: int) -> np.ndarray:
+        return expm_apply(_generator(generator, dim), 1j * t, FockVector.basis(k, dim), tol / 10).vector
+
     n = max(k + 2, 8, k + bessel_tail_index(t, tol) // 2)
+    small = None
     while 2 * n <= _MAX_DIM:
-        small = expm_apply(_generator(generator, n), 1j * t, FockVector.basis(k, n), tol / 10).vector
-        big = expm_apply(_generator(generator, 2 * n), 1j * t, FockVector.basis(k, 2 * n), tol / 10).vector
+        small = evolved(n) if small is None else small
+        big = evolved(2 * n)  # the next doubling's small
         defect = float(np.linalg.norm(big[:n] - small)) + float(np.linalg.norm(big[n:]))
         if defect < tol:
             return 2 * n
-        n *= 2
+        n, small = 2 * n, big
     raise ConvergenceError(f"no adequate truncation below {_MAX_DIM} for t={t}, k={k}")
 
 

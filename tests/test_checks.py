@@ -1,10 +1,13 @@
-from semicircleqm import checks, combinatorics, evolution, hilbert
+from dataclasses import replace
+
+from semicircleqm import checks, combinatorics, evolution, hilbert, specfun
 
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
 REASSEMBLY = "coefficients reassemble the matrix exponential"
 EXPM = "amplitudes match the matrix exponential"
 PV = "PV transform sends Phi_n to T_{n+1} (n <= 12)"
+MILLER = "backward recurrence matches the defining series"
 SPECTRAL = (
     "momentum action matches the tridiagonal matrix",
     "transform is skew-adjoint on series (50 pairs)",
@@ -76,3 +79,24 @@ def test_pv_criteria_catch_a_shifted_quadrature(monkeypatch):
         assert not reports[f"[Q,P]/i on weighted level {n}"].passed
     # the spectral route never calls the quadrature
     assert all(reports[name].passed for name in SPECTRAL)
+
+
+def test_backward_recurrence_criterion_catches_a_shifted_series(monkeypatch):
+    true_series = specfun.bessel_j_series
+
+    def shifted(n, x):
+        res = true_series(n, x)
+        return replace(res, value=res.value + 1e-12)
+
+    monkeypatch.setattr(specfun, "bessel_j_series", shifted)
+    reports = {r.name: r for r in checks.specfun_suite()}
+    assert not reports[MILLER].passed
+    assert reports[MILLER].residual >= 1e-12
+    # the recurrence itself never calls the series
+    assert reports["Bessel normalization sum"].passed
+
+
+def test_backward_recurrence_criterion_passes_on_working_code():
+    reports = {r.name: r for r in checks.specfun_suite()}
+    assert reports[MILLER].passed
+    assert reports[MILLER].tolerance == 1e-13

@@ -2,10 +2,26 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from semicircleqm.exceptions import DomainError, PoleError
-from semicircleqm.specfun import bessel_j, bessel_j_ratio, bessel_tail_index, hyp1f1
+from semicircleqm import specfun
+from semicircleqm.exceptions import ConvergenceError, DomainError, PoleError
+from semicircleqm.specfun import (
+    bessel_j,
+    bessel_j_all,
+    bessel_j_ratio,
+    bessel_j_series,
+    bessel_tail_index,
+    hyp1f1,
+)
 
 mp.mp.dps = 40
+
+EDGE_ARGUMENTS = [0.1, -0.1, 1.0, 8.0, 16.0, 32.0, 48.0, 63.9, 64.0, -64.0]
+
+
+@pytest.fixture(scope="module")
+def mpmath_orders():
+    """J_0(x) .. J_80(x) at 40 digits for every edge argument."""
+    return {x: np.array([float(mp.besselj(n, x)) for n in range(81)]) for x in EDGE_ARGUMENTS}
 
 
 class TestBesselJ:
@@ -22,14 +38,10 @@ class TestBesselJ:
         assert abs(bessel_j(0, 2.0).value - 0.22389077914123567) < 1e-15
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
-    @pytest.mark.parametrize("x", [0.1, 0.7, 2.0, 5.5, 16.0, -3.2])
+    @pytest.mark.parametrize("x", [0.1, 0.7, 2.0, 5.5, 16.0, -3.2, 64.0, -64.0])
     def test_against_high_precision(self, n, x):
         want = float(mp.besselj(n, x))
-        got = bessel_j(n, x)
-        # rounding of the retained terms scales with the sum of |terms|,
-        # roughly e^|x|; the tail bound covers truncation only
-        roundoff = 5e-16 * np.exp(abs(x))
-        assert abs(got.value - want) <= max(got.tail_bound, 1e-13, roundoff)
+        assert abs(bessel_j(n, x).value - want) <= 1e-14
 
     def test_tail_bound_is_honest(self):
         res = bessel_j(3, 4.0)
@@ -38,6 +50,14 @@ class TestBesselJ:
     def test_argument_cap(self):
         with pytest.raises(DomainError):
             bessel_j(0, 65.0)
+
+    @pytest.mark.parametrize("x", EDGE_ARGUMENTS)
+    def test_to_the_cap_within_reported_bound(self, x, mpmath_orders):
+        for n in range(81):
+            got = bessel_j(n, x)
+            err = abs(got.value - mpmath_orders[x][n])
+            assert err <= 1e-14
+            assert err <= got.tail_bound + got.rounding_bound
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
@@ -63,6 +83,81 @@ class TestBesselJ:
             m_top = bessel_tail_index(x / 2, 1e-14) + 2
             jv = [bessel_j(m, x).value for m in range(m_top)]
             assert abs(jv[0] ** 2 + 2 * sum(v * v for v in jv[1:]) - 1.0) <= 1e-10
+
+
+class TestBesselOrders:
+    @pytest.mark.parametrize("x", EDGE_ARGUMENTS)
+    def test_to_the_cap_within_reported_bound(self, x, mpmath_orders):
+        got = bessel_j_all(80, x)
+        assert got.values.shape == (81,)
+        err = float(np.max(np.abs(got.values - mpmath_orders[x])))
+        assert err <= 1e-14
+        assert err <= got.tail_bound + got.rounding_bound
+
+    def test_origin(self):
+        got = bessel_j_all(5, 0.0)
+        assert got.values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert got.tail_bound == 0.0
+
+    @pytest.mark.parametrize("x", [1e-300, -3e-12, 2.0**-30, 2.0**-29])
+    def test_tiny_arguments(self, x):
+        got = bessel_j_all(40, x)
+        want = np.array([float(mp.besselj(n, x)) for n in range(41)])
+        assert np.all(np.abs(got.values - want) <= 1e-15 * np.abs(want))
+
+    def test_negative_argument_parity(self):
+        pos = bessel_j_all(30, 12.5).values
+        neg = bessel_j_all(30, -12.5).values
+        assert np.array_equal(neg, pos * (-1.0) ** np.arange(31))
+
+    def test_high_orders_far_past_the_argument(self):
+        got = bessel_j_all(2000, 3.0)
+        want = float(mp.besselj(40, 3.0))
+        assert abs(got.values[40] - want) <= 1e-14 * want
+        assert got.values[2000] == 0.0
+
+    def test_start_orders_that_disagree_raise(self, monkeypatch):
+        true_miller = specfun._miller
+        starts = []
+
+        def shifted_second_run(x, start):
+            values, condition = true_miller(x, start)
+            starts.append(start)
+            return (values + 1e-12 if len(starts) == 2 else values), condition
+
+        monkeypatch.setattr(specfun, "_miller", shifted_second_run)
+        with pytest.raises(ConvergenceError):
+            bessel_j_all(10, 20.0)
+
+    def test_argument_cap(self):
+        with pytest.raises(DomainError):
+            bessel_j_all(3, -64.5)
+        with pytest.raises(DomainError):
+            bessel_j_all(3, float("nan"))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            bessel_j_all(-1, 1.0)
+
+
+class TestBesselSeries:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    @pytest.mark.parametrize("x", [0.1, 0.7, 2.0, 5.5, -3.2])
+    def test_small_arguments_within_reported_bound(self, n, x):
+        got = bessel_j_series(n, x)
+        assert abs(got.value - float(mp.besselj(n, x))) <= got.tail_bound + got.rounding_bound
+
+    @pytest.mark.parametrize("n", [0, 20])
+    def test_rounding_bound_is_honest_at_the_cap(self, n):
+        # the terms reach about 1e26 at x = 64, so the series is useless there
+        got = bessel_j_series(n, 64.0)
+        err = abs(got.value - float(mp.besselj(n, 64.0)))
+        assert err > 1.0
+        assert err <= got.tail_bound + got.rounding_bound
+
+    def test_argument_cap(self):
+        with pytest.raises(DomainError):
+            bessel_j_series(0, 65.0)
 
 
 class TestBesselRatio:
@@ -113,6 +208,22 @@ class TestHyp1F1:
         got = hyp1f1(1.5, 4.0, 8j)
         want = complex(mp.hyp1f1(1.5, 4.0, 8j))
         assert abs(got.value - want) <= got.tail_bound + 1e-13
+
+    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (1.5, 4.0), (-2.5, 0.5)])
+    @pytest.mark.parametrize("r", [2.0, 16.0, 32.0, 63.9, 64.0])
+    def test_reported_bounds_cover_the_error_to_the_cap(self, a, b, r):
+        for phase in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            z = r * np.exp(1j * phase)
+            got = hyp1f1(a, b, z)
+            err = abs(got.value - complex(mp.hyp1f1(a, b, z)))
+            assert err <= got.tail_bound + got.rounding_bound
+
+    def test_rounding_bound_is_honest_at_the_cap(self):
+        # the series loses every digit at z = 64i; the bound says so
+        got = hyp1f1(0.5, 2.0, 64j)
+        err = abs(got.value - complex(mp.hyp1f1(0.5, 2.0, 64j)))
+        assert err > 1e6
+        assert err <= got.tail_bound + got.rounding_bound
 
 
 class TestTailIndex:
