@@ -64,7 +64,7 @@ from .hilbert import (
 )
 from .oracle import ExpmResult, expm_apply, truncation_level
 from .orthopoly import phi, quadrature_rule, t_cheb
-from .specfun import SeriesResult, bessel_j, bessel_j_ratio, bessel_tail_index, hyp1f1
+from .specfun import SeriesResult, bessel_j, bessel_tail_index, hyp1f1
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "NormalForm",
     "SeriesResult",
     "bessel_j",
-    "bessel_j_ratio",
     "bessel_tail_index",
     "brute_force_theta",
     "build_annihilation",

@@ -5,10 +5,13 @@ normally ordered products with numerical coefficients
 
     I[m, n](t) = sum_p t^(m+n+2p)/(m+n+2p)! (-1)^(p+m) N(m, n, p)
 
-where N(m, n, p) is the exact inverse-normal-order count from
-`combinatorics.theta_count`.  The same coefficients are matrix elements
-of the group, I[m, n](t) = (-1)^n <m+n|e^{itP}|0>, which equals the
-Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t) / t.  Analogous tables
+where N(m, n, p) is the exact inverse-normal-order count of
+`combinatorics.theta_count`.  The series reaches the counts through
+their ballot ratio N(0, s, p+1)/N(0, s, p), s = m+n, and
+`specfun._exact_series` sums it exactly.  The same coefficients are
+matrix elements of the group, I[m, n](t) = (-1)^n <m+n|e^{itP}|0>,
+which equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t) / t.
+Analogous tables
 cover the position group (same profile with an i^(m+n) phase) and the
 kinetic group e^{i t P^2}, whose closed form is a confluent
 hypergeometric function.  Evolutions and element tables come from one
@@ -24,14 +27,12 @@ from __future__ import annotations
 import cmath
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import exp, factorial, prod
+from math import exp, factorial
 
 import numpy as np
 
 from . import orthopoly
-from .combinatorics import theta_count_unbounded
 from .exceptions import (
     ConvergenceError,
     CrossCheckError,
@@ -41,10 +42,7 @@ from .exceptions import (
 )
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
-from .specfun import bessel_j, bessel_j_all, bessel_tail_index
-
-_EPS = np.finfo(float).eps
-_SERIES_TERM_CAP = 500
+from .specfun import _exact_series, bessel_j, bessel_j_all, bessel_tail_index
 
 
 class CoeffKind(enum.Enum):
@@ -147,45 +145,35 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
         I[0, s]  = sum_p (-1)^p t^(s+2p)/(s+2p)! N(0, s, p)
         I2[0, s] = (-i)^h sum_p i^p t^(h+p)/(h+p)! N(0, s, p),   h = s/2
 
-    With t = a/b (b a power of two) every partial sum is an integer
-    numerator over the common denominator b^e e! of its last term, so
-    the alternating cancellation costs nothing; the final division is
-    the only rounding.  Terms stop once a geometric bound on the rest is
-    below eps, which is absolute since |I[0, s]| <= 1 (a unitary matrix
-    element).
+    Term p+1 is term p times +-t^step/((e+1)...(e+step)) (step 2 and
+    e = s+2p, or step 1 and e = h+p) and the ballot ratio
+    N(0, s, p+1)/N(0, s, p) = (s+2p+1)(s+2p+2)/((p+1)(s+p+2)), with the
+    common factors cancelled; `specfun._exact_series` sums the terms in
+    exact integers over t = a/b and rounds once.  Its stop rule,
+    eps max(1, |partial sum|), is eps here, since |I[0, s]| <= 1 (a
+    unitary matrix element).
     """
     if kinetic and s % 2 == 1:
         return 0j  # P^2 keeps parity
-    step = 1 if kinetic else 2  # growth of the power of t per term; term p has phase i^(step p)
-    phase = 3 * (s // 2) % 4 if kinetic else 0  # the (-i)^h prefactor
-    e = s // 2 if kinetic else s
     a, b = float(t).as_integer_ratio()
     at = abs(t)
-    a_step, b_step, at_step = a**step, b**step, at**step
-    power = a**e
-    denom = b**e * factorial(e)
-    parts = [0, 0]  # numerators of the real and imaginary partial sums over denom
-    weight = 1.0  # |t|^e/e! as a float, for the stop rule only
-    for j in range(1, e + 1):
-        weight *= at / j
-    count = theta_count_unbounded(0, s, 0)
-    for p in range(_SERIES_TERM_CAP):
-        parts[phase % 2] += -power * count if phase > 1 else power * count
-        grow = prod(range(e + 1, e + step + 1))
-        count = theta_count_unbounded(0, s, p + 1)
-        weight *= at_step / grow
-        # exact ratio of term p+2 to term p+1 (ballot counts), decreasing in p
-        q = at_step * (s + 2 * p + 3) * (s + 2 * p + 4) / ((p + 2) * (s + p + 3))
-        q /= prod(range(e + step + 1, e + 2 * step + 1))
-        if q < 1.0 and weight * count / (1.0 - q) <= _EPS:
-            return complex(parts[0] / denom, parts[1] / denom) if kinetic else parts[0] / denom
-        grow *= b_step
-        parts = [part * grow for part in parts]
-        denom *= grow
-        power *= a_step
-        e += step
-        phase = (phase + step) % 4
-    raise ConvergenceError(f"coefficient series (s={s},t={t}) hit the {_SERIES_TERM_CAP}-term cap")
+    if kinetic:
+        h = s // 2
+        lead_re, lead_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[h % 4]  # (-i)^h
+        power, scale = a**h, b**h * factorial(h)
+        two_a = 2 * a
+        return _exact_series(
+            (lead_re * power, lead_im * power, scale),
+            lambda p: (0, (s + 2 * p + 1) * two_a, (p + 1) * (s + p + 2) * b),
+            lambda p: 2.0 * at * (s + 2 * p + 3) / ((p + 2) * (s + p + 3)),
+        )[0]
+    a2, b2 = -a * a, b * b
+    tt = at * at
+    return _exact_series(
+        (a**s, 0, b**s * factorial(s)),
+        lambda p: (a2, 0, (p + 1) * (s + p + 2) * b2),
+        lambda p: tt / ((p + 2) * (s + p + 3)),
+    )[0].real
 
 
 def _checked_coefficient(
@@ -368,10 +356,12 @@ def evolve_P_pointwise(k: int, t: float, x: float, tol: float = 1e-10) -> comple
     The single -J_{k+1}(2t) Phi_1(x) term is the boundary contribution
     of the reindexed telescoping; dropping it breaks the identity with
     the amplitude series for every x != 0 (verified against the matrix
-    oracle).
+    oracle).  Raises DomainError for |t| > 16, like `evolve_P`.
     """
     if k < 0:
         raise DomainError("source level must be >= 0")
+    if not abs(t) <= _MAX_T[Generator.P]:
+        raise DomainError(f"|t| <= {_MAX_T[Generator.P]} required, got {t}")
     if abs(x) > 2.0:
         raise DomainError("x must lie in [-2, 2]")
     m_top = bessel_tail_index(t, tol / 100.0) + k + 4
@@ -422,23 +412,22 @@ def char_function(generator: Generator | str, t: float) -> complex:
 def char_function_catalan_series(t: float) -> complex:
     """Independent route: sum_p (-t^2)^p C_p / (2p)! with exact Catalan numbers.
 
-    The partial sums are accumulated in exact rational arithmetic (the
-    binary float t is a rational number), so the alternating
-    cancellation costs no precision; only the final conversion rounds.
+    Term p+1 is term p times -t^2 C_{p+1} / (C_p (2p+1)(2p+2)), with
+    C_{p+1}/C_p = 2(2p+1)/(p+2); `specfun._exact_series` sums the terms
+    in exact integers (the binary float t is a rational number), so the
+    alternating cancellation costs no precision; only the final
+    division rounds.
     """
-    from math import comb
-
-    t2 = Fraction(t) ** 2
-    total = Fraction(0)
-    term = Fraction(1)
-    for p in range(_SERIES_TERM_CAP):
-        cp = comb(2 * p, p) // (p + 1)
-        total += term * cp
-        term *= -t2 / ((2 * p + 1) * (2 * p + 2))
-        nxt_cp = comb(2 * p + 2, p + 1) // (p + 2)
-        if abs(float(term)) * nxt_cp <= 1e-18 * max(1.0, abs(float(total))):
-            return complex(float(total))
-    raise ConvergenceError(f"Catalan series did not converge for t={t}")
+    a, b = float(t).as_integer_ratio()
+    a2, b2 = -a * a, b * b
+    tt = t * t
+    return complex(
+        _exact_series(
+            (1, 0, 1),
+            lambda p: (2 * (2 * p + 1) * a2, 0, (p + 2) * (2 * p + 1) * (2 * p + 2) * b2),
+            lambda p: tt / ((p + 2) * (p + 3)),
+        )[0].real
+    )
 
 
 def state_char_function(l: int, t: float) -> complex:

@@ -5,28 +5,32 @@ recurrence (`bessel_j_all`), normalised by J_0 + 2 sum_k J_2k = 1
 (Gautschi, SIAM Rev. 9, 1967; A&S 9.12), and certified against a run
 from twice the start order.  `bessel_j` reads one order from it.  The
 defining power series stay public as independent references:
-`bessel_j_series` for J at small |x|, and `hyp1f1` for 1F1.  They are
-summed with compensated (Kahan) summation and report a geometric bound
-on the omitted tail and a bound on the rounding of the retained terms.
+`bessel_j_series` for J, and `hyp1f1` for 1F1.  Every defining series
+of the package, these two and the coefficient and Catalan series of
+`evolution`, is summed by one exact summer (`_exact_series`): a binary
+float is a rational number, so each partial sum is a Gaussian-integer
+numerator over one integer denominator, the alternating cancellation
+costs nothing, and the final division is the only rounding.  Each
+reports a geometric bound on the omitted tail and that one rounding.
 This is a deliberate small-to-moderate-argument design: the argument
 range is capped (|x| <= 64) and no asymptotic expansions are used.
-Removable singularities such as J_{n+1}(2t)/t at t = 0 are evaluated
-by dedicated series, never by dividing small numbers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import ceil, exp, fsum
+from math import ceil, exp, factorial, fsum, inf, isfinite, log, log1p
 
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, PoleError
 
 _MAX_ABS_ARGUMENT = 64.0
-_BESSEL_TERM_CAP = 500
-_HYP1F1_TERM_CAP = 1000
-_EPS = 2.0**-52
+_SERIES_TERM_CAP = 1000
+_LOG2_EPS = -52
+_EPS = 2.0**_LOG2_EPS
+_LOG_EPS = log(_EPS)
 # below this |x| the first omitted series term is under 2^-62 relative, so the
 # leading term (x/2)^n/n! is every J_n(x) to full precision
 _TINY_ARGUMENT = 2.0**-30
@@ -38,12 +42,11 @@ class SeriesResult:
     """Value of a truncated series together with bounds on its error.
 
     tail_bound bounds the absolute value of the discarded terms
-    (ratio-test geometric bound).  rounding_bound bounds the floating-
-    point rounding of the retained terms: 8 k eps sum|terms| for k steps
-    of the term recursion, covering the few roundings each step adds to
-    every later term and those of the compensated sum.  Their sum bounds
-    the absolute error of value.  `bessel_j` fills both from the
-    recurrence's bounds (see `BesselOrders`).
+    (ratio-test geometric bound).  The retained terms are summed
+    exactly, so rounding_bound is the one final rounding,
+    eps (|Re value| + |Im value|).  Their sum bounds the absolute error
+    of value.  `bessel_j` fills both from the recurrence's bounds (see
+    `BesselOrders`).
     """
 
     value: complex
@@ -70,27 +73,58 @@ class BesselOrders:
     rounding_bound: float
 
 
-class _KahanSum:
-    """Compensated accumulator; also tracks the sum of |terms|."""
+def _exact_series(
+    lead: tuple[int, int, int],
+    ratio: Callable[[int], tuple[int, int, int]],
+    ratio_bound: Callable[[int], float],
+) -> tuple[complex, int, float, float]:
+    """Sum a defining series exactly and round once.
 
-    __slots__ = ("total", "_comp", "abs_total")
+    Term 0 is lead = (re, im, den), the Gaussian integer re + i im over
+    the integer den > 0; term k+1 is term k times ratio(k), given in the
+    same form.  ratio_bound(k) bounds |term j+1 / term j| for every
+    j > k (inf while no such bound is known).  Every partial sum is kept
+    as one Gaussian-integer numerator over the denominator of its last
+    term.  Terms stop once the geometric bound on the rest,
+    |term k+1| / (1 - ratio_bound(k)), evaluated in logs, is at most
+    eps max(1, |partial sum|); a zero term ends the series, since every
+    later term is a multiple of it.
 
-    def __init__(self) -> None:
-        self.total = 0j
-        self._comp = 0j
-        self.abs_total = 0.0
-
-    def add(self, term: complex) -> None:
-        y = term - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-        self.abs_total += abs(term)
-
-
-def _rounding_bound(steps: int, abs_total: float) -> float:
-    """8 k eps sum|terms| after k steps of a term recursion (see SeriesResult)."""
-    return 8.0 * steps * _EPS * abs_total
+    Returns:
+        The `SeriesResult` fields: the correctly rounded partial sum,
+        the number of terms in it, the tail bound and the one rounding,
+        eps (|Re| + |Im|).
+    Raises:
+        ConvergenceError: past _SERIES_TERM_CAP terms.
+    """
+    re, im, den = lead
+    term_re, term_im = re, im  # numerator of term k over den
+    den_bits = den.bit_length()
+    for k in range(_SERIES_TERM_CAP):
+        r_re, r_im, r_den = ratio(k)
+        if r_im or term_im:
+            term_re, term_im = term_re * r_re - term_im * r_im, term_re * r_im + term_im * r_re
+            term_bits = max(term_re.bit_length(), term_im.bit_length())
+        else:
+            term_re *= r_re
+            term_bits = term_re.bit_length()
+        sum_bits = (max(re.bit_length(), im.bit_length()) if im else re.bit_length()) + 2 - den_bits
+        next_den = den * r_den
+        next_bits = next_den.bit_length()
+        # a nonzero |term k+1| > 2^(term_bits - next_bits - 1) and |partial sum| < 2^sum_bits,
+        # so the stop rule cannot hold before this does; the logs of the big integers wait for it
+        if not term_bits or term_bits - next_bits - 1 <= _LOG2_EPS + (sum_bits if sum_bits > 0 else 0):
+            q = ratio_bound(k) if term_bits else 0.0
+            if q < 1.0:
+                value = complex(re / den, im / den)
+                log_tail = log(abs(term_re) + abs(term_im)) - log(next_den) - log1p(-q) if term_bits else -inf
+                if log_tail <= _LOG_EPS + log(max(1.0, abs(value))):
+                    return value, k + 1, exp(log_tail), _EPS * (abs(value.real) + abs(value.imag))
+        re = re * r_den + term_re
+        if im or term_im:
+            im = im * r_den + term_im
+        den, den_bits = next_den, next_bits
+    raise ConvergenceError(f"defining series did not converge in {_SERIES_TERM_CAP} terms")
 
 
 def _check_bessel_domain(n: int, x: float) -> None:
@@ -185,110 +219,69 @@ def bessel_j(n: int, x: float) -> SeriesResult:
 
 
 def bessel_j_series(n: int, x: float) -> SeriesResult:
-    """J_n(x) by its defining series, the independent reference at small |x|.
+    """J_n(x) by its defining series (A&S 9.1.10), the independent reference.
 
     J_n(x) = sum_p (-1)^p / (p! (n+p)!) (x/2)^(n+2p)
 
-    The terms grow roughly like e^|x| before they fall, so the rounding
-    bound, and the error, grow with |x|.
+    summed exactly by `_exact_series`: term p+1 is term p times
+    -x^2 / (4 (p+1) (n+p+1)).
 
     Returns:
-        SeriesResult whose tail_bound is below 0.5e-15 * max(1, |value|)
-        at convergence.
-    Raises:
-        ConvergenceError: if more than 500 terms would be needed.
+        SeriesResult whose tail_bound is at most eps max(1, |value|)
+        and whose value is correctly rounded from the retained terms.
     """
     _check_bessel_domain(n, x)
-    half = 0.5 * x
-    # leading term (x/2)^n / n!, built incrementally to avoid overflow
-    term = 1.0
-    for j in range(1, n + 1):
-        term *= half / j
-    # the compensated sum of _KahanSum, inlined on floats: verify calls this 144 times a pass
-    total = comp = abs_total = 0.0
-    hh = half * half
-    for p in range(_BESSEL_TERM_CAP):
-        y = term - comp
-        partial = total + y
-        comp = (partial - total) - y
-        total = partial
-        abs_total += abs(term)
-        nxt = -term * hh / ((p + 1) * (n + p + 1))
-        ratio = hh / ((p + 2) * (n + p + 2))  # decreasing in p
-        if ratio < 1.0:
-            bound = abs(nxt) / (1.0 - ratio)
-            if bound <= 0.5e-15 * max(1.0, abs(total)):
-                return SeriesResult(
-                    value=total,
-                    terms_used=p + 1,
-                    tail_bound=bound,
-                    rounding_bound=_rounding_bound(n + p + 1, abs_total),
-                )
-        term = nxt
-    raise ConvergenceError(f"bessel_j_series({n}, {x}) did not converge in {_BESSEL_TERM_CAP} terms")
-
-
-def bessel_j_ratio(n: int, t: float) -> float:
-    """(n+1) J_{n+1}(2t) / t, with the t = 0 limit taken by the series.
-
-    Expanding J_{n+1}(2t) gives
-        (n+1) J_{n+1}(2t)/t = (n+1) sum_p (-1)^p t^(n+2p) / (p! (n+1+p)!)
-    so the value at t = 0 is 1 for n = 0 and 0 otherwise.
-    """
-    if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
-    if abs(t) > _MAX_ABS_ARGUMENT / 2:
-        raise DomainError(f"|t| <= {_MAX_ABS_ARGUMENT / 2} required, got {t}")
-    # leading term (n+1) t^n / (n+1)! = t^n / n!
-    term = 1.0
-    for j in range(1, n + 1):
-        term *= t / j
-    acc = _KahanSum()
-    tt = t * t
-    for p in range(_BESSEL_TERM_CAP):
-        acc.add(term)
-        nxt = -term * tt / ((p + 1) * (n + p + 2))
-        ratio = tt / ((p + 2) * (n + p + 3))
-        if ratio < 1.0 and abs(nxt) / (1.0 - ratio) <= 0.5e-15 * max(1.0, abs(acc.total)):
-            return acc.total.real
-        term = nxt
-    raise ConvergenceError(f"bessel_j_ratio({n}, {t}) did not converge")
+    a, b = float(x).as_integer_ratio()
+    a2, b2 = -a * a, 4 * b * b
+    hh = 0.25 * x * x
+    value, terms, tail, rounding = _exact_series(
+        (a**n, 0, (2 * b) ** n * factorial(n)),
+        lambda p: (a2, 0, (p + 1) * (n + p + 1) * b2),
+        lambda p: hh / ((p + 2) * (n + p + 2)),
+    )
+    return SeriesResult(value.real, terms, tail, rounding)
 
 
 def hyp1f1(a: float, b: float, z: complex) -> SeriesResult:
-    """Confluent hypergeometric function 1F1(a; b; z) by its power series.
+    """Confluent hypergeometric function 1F1(a; b; z) by its power series (DLMF 13.2.2).
 
-    1F1(a; b; z) = sum_k (a)_k / ((b)_k k!) z^k  with Pochhammer (a)_k.
-    The term recursion multiplies by (a+k) z / ((b+k)(k+1)) exactly.
+    1F1(a; b; z) = sum_k (a)_k / ((b)_k k!) z^k  with Pochhammer (a)_k,
+    summed exactly by `_exact_series`: a, b and z are binary floats, so
+    the term ratio (a+k) z / ((b+k)(k+1)) is an exact Gaussian rational.
 
     Raises:
         PoleError: for b a non-positive integer.
+        DomainError: for |z| > 64, or a or b not finite.
         ConvergenceError: past 1000 terms.
     """
+    if not (isfinite(a) and isfinite(b)):
+        raise DomainError(f"1F1 parameters must be finite, got a = {a}, b = {b}")
     if b <= 0 and float(b).is_integer():
         raise PoleError(f"1F1 pole: b = {b} is a non-positive integer")
     z = complex(z)
-    if abs(z) > _MAX_ABS_ARGUMENT:
+    if not abs(z) <= _MAX_ABS_ARGUMENT:  # also rejects nan
         raise DomainError(f"|z| <= {_MAX_ABS_ARGUMENT} required, got |z| = {abs(z)}")
-    acc = _KahanSum()
-    term: complex = 1.0 + 0j
-    for k in range(_HYP1F1_TERM_CAP):
-        acc.add(term)
-        nxt = term * (a + k) * z / ((b + k) * (k + 1))
-        # conservative geometric ratio valid once the recursion factor
-        # is below 1/2 and shrinking (k beyond |z| and |a - b|)
-        ratio = abs(z) * max(1.0, abs(a + k + 1) / abs(b + k + 1)) / (k + 2)
-        if ratio < 0.5:
-            bound = abs(nxt) / (1.0 - ratio)
-            if bound <= 0.5e-15 * max(1.0, abs(acc.total)):
-                return SeriesResult(
-                    value=acc.total,
-                    terms_used=k + 1,
-                    tail_bound=bound,
-                    rounding_bound=_rounding_bound(k + 1, acc.abs_total),
-                )
-        term = nxt
-    raise ConvergenceError(f"hyp1f1({a}, {b}, {z}) did not converge in {_HYP1F1_TERM_CAP} terms")
+    a_num, a_den = float(a).as_integer_ratio()
+    b_num, b_den = float(b).as_integer_ratio()
+    re_num, re_den = z.real.as_integer_ratio()
+    im_num, im_den = z.imag.as_integer_ratio()
+    z_den = max(re_den, im_den)  # both are powers of two
+    z_re, z_im = re_num * (z_den // re_den), im_num * (z_den // im_den)
+
+    def ratio(k: int) -> tuple[int, int, int]:
+        num = (a_num + k * a_den) * b_den
+        den = a_den * (b_num + k * b_den) * z_den * (k + 1)
+        if den < 0:
+            num, den = -num, -den
+        return num * z_re, num * z_im, den
+
+    def ratio_bound(k: int) -> float:
+        # for j > k with b + j > 0, |a+j|/(b+j) is at most max(1, its value at j = k+1)
+        if b + k + 1 <= 0:
+            return inf
+        return abs(z) * max(1.0, abs(a + k + 1) / (b + k + 1)) / (k + 2)
+
+    return SeriesResult(*_exact_series((1, 0, 1), ratio, ratio_bound))
 
 
 def bessel_tail_index(t: float, tol: float) -> int:
@@ -298,20 +291,23 @@ def bessel_tail_index(t: float, tol: float) -> int:
         |c_n(t)| <= (|t|^n / n!) e^(t^2) (1 + t^2/2),
     so the tail sum over n > n* is bounded by the geometric estimate
         e^(t^2) (1 + t^2/2) * |t|^(n*+1)/(n*+1)! / (1 - |t|/(n*+2)).
-    Returns the smallest n* making that bound < tol.
+    Returns the smallest n* making that bound < tol.  The bound is
+    evaluated in logs, so it cannot overflow at large |t|.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     at = abs(t)
     if at == 0.0:
         return 1
-    prefactor = exp(at * at) * (1.0 + at * at / 2.0)
+    log_limit = log(tol) - at * at - log1p(at * at / 2.0)  # log of tol over the prefactor
+    log_at = log(at)
     n = 1
-    lead = at ** 2 / 2.0  # |t|^(n+1)/(n+1)! at n = 1
+    log_lead = 2.0 * log_at - log(2.0)  # log |t|^(n+1)/(n+1)! at n = 1
     while True:
-        if n + 2 > at and prefactor * lead / (1.0 - at / (n + 2)) < tol:
+        # the geometric factor is at least 1, so its log1p is needed only once the lead is below the limit
+        if n + 2 > at and log_lead < log_limit and log_lead - log1p(-at / (n + 2)) < log_limit:
             return n
         n += 1
-        lead *= at / (n + 1)
+        log_lead += log_at - log(n + 1)
         if n > 100_000:
             raise ConvergenceError("tail index search did not terminate")

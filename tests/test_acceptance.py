@@ -215,14 +215,15 @@ def test_criterion_10_heisenberg_evolutions():
 def test_criterion_11_coefficient_path_cross_check():
     from math import factorial
 
-    from semicircleqm.specfun import bessel_j_ratio, hyp1f1
+    from semicircleqm.specfun import bessel_j_all, hyp1f1
 
     worst = 0.0
     for t in (0.25, 1.0, 2.5, 4.0):
+        jv = bessel_j_all(17, 2 * t).values
         for m in range(17):
             for n in range(17 - m):
                 s = m + n
-                closed = (-1.0) ** m * bessel_j_ratio(s, t)
+                closed = (-1.0) ** m * (s + 1) * jv[s + 1] / t
                 series = evolution.coeff_I_series(m, n, t)
                 worst = max(worst, abs(closed - series))
                 if s % 2 == 0:

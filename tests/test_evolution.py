@@ -30,7 +30,7 @@ from semicircleqm.evolution import (
 )
 from semicircleqm.exceptions import CrossCheckError, DomainError, TruncationError
 from semicircleqm.fock import build_creation, build_momentum, build_position
-from semicircleqm.specfun import bessel_j, bessel_j_ratio
+from semicircleqm.specfun import bessel_j, bessel_j_all
 
 
 def momentum_oracle_column(t, k, dim):
@@ -46,8 +46,8 @@ def offset_engine_column(monkeypatch, offset):
 
 class TestCoeffI:
     def test_vacuum_entry_is_bessel_ratio(self):
-        for t in (0.3, 1.0, 2.5):
-            assert abs(coeff_I(0, 0, t) - bessel_j_ratio(0, t)) <= 1e-14
+        for t in (1e-9, 0.3, 1.0, 2.5):
+            assert abs(coeff_I(0, 0, t) - bessel_j_all(1, 2 * t).values[1] / t) <= 1e-14
 
     def test_time_zero_delta(self):
         assert coeff_I(0, 0, 0.0) == 1.0
@@ -140,6 +140,16 @@ class TestEvolveP:
             state = evolve_P(k, t, tol=1e-12)
             assert abs(state.evaluate(x) - evolve_P_pointwise(k, t, x, tol=1e-12)) <= 1e-10
 
+    @pytest.mark.parametrize("t", [16.0, -16.0])
+    def test_pointwise_closed_form_at_the_cap(self, t):
+        state = evolve_P(1, t, tol=1e-12)
+        assert abs(state.evaluate(0.7) - evolve_P_pointwise(1, t, 0.7, tol=1e-12)) <= 1e-10
+
+    @pytest.mark.parametrize("t", [16.5, -16.5, 30.0])
+    def test_pointwise_closed_form_refuses_past_the_cap(self, t):
+        with pytest.raises(DomainError):
+            evolve_P_pointwise(0, t, 0.3)
+
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             evolve_P(0, 2.0, l_max=3, tol=1e-10)
@@ -206,6 +216,12 @@ class TestCharFunctions:
     def test_catalan_series_route(self):
         for t in np.linspace(0.1, 8.0, 12):
             assert abs(char_function("P", float(t)) - char_function_catalan_series(float(t))) <= 1e-12
+
+    @pytest.mark.parametrize("t", [16.0, -16.0])
+    def test_catalan_series_at_the_cap(self, t):
+        with mp.workdps(40):
+            want = float(mp.besselj(1, 2 * t) / t)
+        assert abs(char_function_catalan_series(t) - want) <= 1e-15
 
     def test_state_char_vacuum(self):
         for t in (0.5, 1.5):

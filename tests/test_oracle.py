@@ -3,7 +3,7 @@ import pytest
 
 from semicircleqm import oracle
 from semicircleqm.combinatorics import catalan
-from semicircleqm.exceptions import DimensionError, DomainError
+from semicircleqm.exceptions import ConvergenceError, DimensionError, DomainError
 from semicircleqm.fock import (
     FockVector,
     build_momentum,
@@ -111,6 +111,10 @@ class TestTruncationLevel:
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
             oracle.truncation_level(1.0, 0, -1e-8)
+
+    def test_dimension_cap_past_the_translation_cap(self):
+        with pytest.raises(ConvergenceError):
+            oracle.truncation_level(30.0, 4, 1e-10)
 
 
 class TestReferenceIntegrals:

@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from semicircleqm import specfun
+from semicircleqm.evolution import coeff_I_series
 from semicircleqm.exceptions import ConvergenceError, DomainError, PoleError
 from semicircleqm.specfun import (
     bessel_j,
     bessel_j_all,
-    bessel_j_ratio,
     bessel_j_series,
     bessel_tail_index,
     hyp1f1,
@@ -149,11 +149,26 @@ class TestBesselSeries:
 
     @pytest.mark.parametrize("n", [0, 20])
     def test_rounding_bound_is_honest_at_the_cap(self, n):
-        # the terms reach about 1e26 at x = 64, so the series is useless there
+        # the terms reach about 1e26 at x = 64; the exact sum cancels them without loss
         got = bessel_j_series(n, 64.0)
-        err = abs(got.value - float(mp.besselj(n, 64.0)))
-        assert err > 1.0
+        want = float(mp.besselj(n, 64.0))
+        err = abs(got.value - want)
+        assert err <= 1e-15 * max(1.0, abs(want))
         assert err <= got.tail_bound + got.rounding_bound
+
+    @pytest.mark.parametrize("x", EDGE_ARGUMENTS)
+    def test_to_the_cap_within_reported_bound(self, x, mpmath_orders):
+        for n in range(41):
+            got = bessel_j_series(n, x)
+            want = mpmath_orders[x][n]
+            err = abs(got.value - want)
+            assert err <= 1e-15 * max(1.0, abs(want))
+            assert err <= got.tail_bound + got.rounding_bound
+
+    @pytest.mark.parametrize("x", EDGE_ARGUMENTS)
+    def test_backward_recurrence_matches_the_series_to_the_cap(self, x):
+        series = np.array([bessel_j_series(n, x).value for n in range(41)])
+        assert float(np.max(np.abs(bessel_j_all(40, x).values - series))) <= 1e-13
 
     def test_argument_cap(self):
         with pytest.raises(DomainError):
@@ -161,23 +176,25 @@ class TestBesselSeries:
 
 
 class TestBesselRatio:
+    """(n+1) J_{n+1}(2t)/t with its t = 0 limit: the coefficient I[0, n](t) of its defining series."""
+
     def test_limit_at_zero_order_zero(self):
-        assert bessel_j_ratio(0, 0.0) == 1.0
+        assert coeff_I_series(0, 0, 0.0) == 1.0
 
     def test_limit_at_zero_higher_order(self):
-        assert bessel_j_ratio(3, 0.0) == 0.0
+        assert coeff_I_series(0, 3, 0.0) == 0.0
 
     def test_value_at_one(self):
-        assert abs(bessel_j_ratio(0, 1.0) - 0.5767248077568734) < 1e-15
+        assert abs(coeff_I_series(0, 0, 1.0) - 0.5767248077568734) < 1e-15
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     @pytest.mark.parametrize("t", [0.3, 1.7, -2.5, 6.0])
     def test_matches_direct_quotient(self, n, t):
         want = (n + 1) * float(mp.besselj(n + 1, 2 * t)) / t
-        assert abs(bessel_j_ratio(n, t) - want) <= 1e-13 * max(1.0, abs(want))
+        assert abs(coeff_I_series(0, n, t) - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_continuity_near_zero(self):
-        assert abs(bessel_j_ratio(0, 1e-9) - 1.0) < 1e-15
+        assert abs(coeff_I_series(0, 0, 1e-9) - 1.0) < 1e-15
 
 
 class TestHyp1F1:
@@ -204,6 +221,11 @@ class TestHyp1F1:
         with pytest.raises(DomainError):
             hyp1f1(0.5, 2.0, 100.0)
 
+    @pytest.mark.parametrize("a,b,z", [(float("nan"), 2.0, 1.0), (0.5, float("inf"), 1.0), (0.5, 2.0, complex("nan"))])
+    def test_non_finite_arguments_rejected(self, a, b, z):
+        with pytest.raises(DomainError):
+            hyp1f1(a, b, z)
+
     def test_tail_bound_is_honest(self):
         got = hyp1f1(1.5, 4.0, 8j)
         want = complex(mp.hyp1f1(1.5, 4.0, 8j))
@@ -215,14 +237,17 @@ class TestHyp1F1:
         for phase in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             z = r * np.exp(1j * phase)
             got = hyp1f1(a, b, z)
-            err = abs(got.value - complex(mp.hyp1f1(a, b, z)))
+            want = complex(mp.hyp1f1(a, b, z))
+            err = abs(got.value - want)
+            assert err <= 1e-15 * max(1.0, abs(want))
             assert err <= got.tail_bound + got.rounding_bound
 
     def test_rounding_bound_is_honest_at_the_cap(self):
-        # the series loses every digit at z = 64i; the bound says so
+        # the terms reach about 1e27 at z = 64i; the exact sum cancels them without loss
         got = hyp1f1(0.5, 2.0, 64j)
-        err = abs(got.value - complex(mp.hyp1f1(0.5, 2.0, 64j)))
-        assert err > 1e6
+        want = complex(mp.hyp1f1(0.5, 2.0, 64j))
+        err = abs(got.value - want)
+        assert err <= 1e-15 * max(1.0, abs(want))
         assert err <= got.tail_bound + got.rounding_bound
 
 
@@ -244,6 +269,19 @@ class TestTailIndex:
             lambda n: abs((n + 1) * mp.besselj(int(n) + 1, 2 * t) / t), [n_star + 1, n_star + 250]
         )
         assert float(tail) < tol
+
+    @pytest.mark.parametrize("t", [27.0, -40.0, 64.0])
+    def test_no_overflow_past_the_translation_cap(self, t):
+        # smallest n with e^(t^2) (1 + t^2/2) |t|^(n+1)/(n+1)! / (1 - |t|/(n+2)) < tol, at 40 digits
+        tol = 1e-10
+        at = mp.mpf(abs(t))
+
+        def bound(n):
+            return mp.exp(at**2) * (1 + at**2 / 2) * at ** (n + 1) / mp.factorial(n + 1) / (1 - at / (n + 2))
+
+        n_star = bessel_tail_index(t, tol)
+        assert n_star + 2 > abs(t)
+        assert bound(n_star) < tol <= bound(n_star - 1)
 
     def test_monotone_in_tolerance(self):
         assert bessel_tail_index(2.0, 1e-12) >= bessel_tail_index(2.0, 1e-6)
