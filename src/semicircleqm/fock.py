@@ -6,7 +6,11 @@ maps e_n -> e_{n-1} (e_0 -> 0) and is exact on the truncated space; the
 raising operator maps e_n -> e_{n+1} and must send the top vector to 0,
 so operator identities involving it hold only on the interior block
 (row/column indices < N-1).  Algebraic identity checks run in exact
-integer arithmetic (object-dtype matrices of Python ints); evolutions
+integer arithmetic: the multiplication-table and bracket checks on
+np.int64 matrices, which cannot overflow because every matrix they form
+is a 0/1 partial permutation (a, a+, P0, their powers and products), a
+level diagonal, or a small sum of these, so no entry exceeds N; the
+vacuum moments on vectors of Python ints, since C_40 > 2^63.  Evolutions
 use complex floating matrices.
 """
 
@@ -162,26 +166,26 @@ def commutator(op_a: FockOperator, op_b: FockOperator) -> FockOperator:
 # exact-integer arithmetic backend for algebraic identity checks
 
 def _int_shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering/raising matrices over Python ints (no wraparound possible)."""
-    a = np.zeros((dim, dim), dtype=object)
-    ap = np.zeros((dim, dim), dtype=object)
-    for n in range(1, dim):
-        a[n - 1, n] = 1
-        ap[n, n - 1] = 1
-    return a, ap
+    """Lowering/raising matrices over np.int64.
 
-
-def _int_eye(dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=object)
-    for i in range(dim):
-        out[i, i] = 1
-    return out
+    Both are 0/1 partial permutations, so every product of them, and of
+    P0, is one too; the checks add at most a level diagonal (entries
+    < N) and small multiples of these, so int64 arithmetic stays exact.
+    """
+    a = np.eye(dim, k=1, dtype=np.int64)
+    return a, a.T.copy()
 
 
 def _int_unit(dim: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=object)
+    out = np.zeros((dim, dim), dtype=np.int64)
     out[i, j] = 1
     return out
+
+
+def _interior_defect(mat: np.ndarray) -> float:
+    """Largest absolute entry on the interior block (indices < N-1)."""
+    cut = mat.shape[0] - 1
+    return float(np.max(np.abs(mat[:cut, :cut])))
 
 
 def multiplication_table_checks(dim: int) -> list[CheckReport]:
@@ -192,12 +196,9 @@ def multiplication_table_checks(dim: int) -> list[CheckReport]:
     """
     _require_dim(dim, minimum=3)
     a, ap = _int_shift_matrices(dim)
-    eye = _int_eye(dim)
+    eye = np.eye(dim, dtype=np.int64)
     p0 = _int_unit(dim, 0, 0)
-    cut = dim - 1
-
-    def defect(mat) -> float:
-        return float(max(abs(int(v)) for v in mat[:cut, :cut].ravel()))
+    defect = _interior_defect
 
     reports = [
         CheckReport("a a+ = 1 (interior)", defect(a @ ap - eye), 0.0),
@@ -210,14 +211,9 @@ def multiplication_table_checks(dim: int) -> list[CheckReport]:
     reports.append(CheckReport("[X, P] = 2i P0 (interior)", defect(x @ s - s @ x - 2 * p0), 0.0))
     # function-of-level shifts: F a+ = a+ F' and a F = F' a with F' the
     # shifted diagonal, checked for F = level numbers
-    f_diag = np.zeros((dim, dim), dtype=object)
-    f_shift = np.zeros((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            f_diag[i, j] = 0
-            f_shift[i, j] = 0
-        f_diag[i, i] = i
-        f_shift[i, i] = i + 1
+    levels = np.arange(dim, dtype=np.int64)
+    f_diag = np.diag(levels)
+    f_shift = np.diag(levels + 1)
     reports.append(CheckReport("F a+ = a+ F(.+1) (interior)", defect(f_diag @ ap - ap @ f_shift), 0.0))
     reports.append(CheckReport("a F = F(.+1) a (interior)", defect(a @ f_diag - f_shift @ a), 0.0))
     return reports
@@ -227,7 +223,9 @@ def vacuum_moment(n: int, which: str, dim: int) -> int:
     """Exact vacuum moment <e_0, A^n e_0> for A the position or momentum.
 
     Vanishes for odd n and equals the Catalan number C_{n/2} otherwise;
-    requires dim > 2n so the truncation boundary is never touched.
+    requires dim > 2n so the truncation boundary is never touched.  The
+    banded action (a+ v)_i = v_{i-1}, (a v)_i = v_{i+1} runs on a list
+    of Python ints, so the value is exact for every n.
     """
     if n < 0:
         raise DomainError("moment order must be >= 0")
@@ -235,13 +233,13 @@ def vacuum_moment(n: int, which: str, dim: int) -> int:
         raise DomainError(f"which must be 'X' or 'P', got {which!r}")
     if dim <= 2 * n:
         raise TruncationError(f"dimension {dim} too small for moment order {n}; need dim > {2 * n}")
-    a, ap = _int_shift_matrices(dim)
-    mat = (a + ap) if which == "X" else (ap - a)
-    vec = np.zeros(dim, dtype=object)
-    vec[0] = 1
+    # X = a+ + a and i^-1 P = a+ - a
+    sign = 1 if which == "X" else -1
+    vec = [1] + [0] * (dim - 1)
     for _ in range(n):
-        vec = mat @ vec
-    value = int(vec[0])
+        padded = [0, *vec, 0]  # padded[i] = v_{i-1}, padded[i + 2] = v_{i+1}
+        vec = [padded[i] + sign * padded[i + 2] for i in range(dim)]
+    value = vec[0]
     if which == "P" and n % 2 == 0:
         # P^n = i^n (a+ - a)^n; for even n = 2m the phase is (-1)^m
         value *= (-1) ** (n // 2)
@@ -266,33 +264,25 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
         raise DimensionError("need m_max + n_max + 2 <= dim")
     a, ap = _int_shift_matrices(dim)
     p0 = _int_unit(dim, 0, 0)
-    cut = dim - 1
-
-    def defect(mat) -> float:
-        return float(max(abs(int(v)) for v in mat[:cut, :cut].ravel()))
-
-    def power(mat, k):
-        out = _int_eye(dim)
-        for _ in range(k):
-            out = out @ mat
-        return out
+    defect = _interior_defect
+    top = max(m_max, n_max) + 1
+    a_pow = [np.linalg.matrix_power(a, k) for k in range(top + 1)]
+    ap_pow = [np.linalg.matrix_power(ap, k) for k in range(top + 1)]
 
     reports: list[CheckReport] = []
     for m in range(m_max + 1):
-        am = power(a, m)
+        am = a_pow[m]
         lhs = a @ (p0 @ am) - (p0 @ am) @ a
-        reports.append(CheckReport(f"[a, P0 a^{m}] = -P0 a^{m + 1}", defect(lhs + p0 @ power(a, m + 1)), 0.0))
-        apm = power(ap, m)
+        reports.append(CheckReport(f"[a, P0 a^{m}] = -P0 a^{m + 1}", defect(lhs + p0 @ a_pow[m + 1]), 0.0))
+        apm = ap_pow[m]
         lhs2 = (apm @ p0) @ ap - ap @ (apm @ p0)
         reports.append(
-            CheckReport(f"[a+^{m} P0, a+] = -a+^{m + 1} P0", defect(lhs2 + power(ap, m + 1) @ p0), 0.0)
+            CheckReport(f"[a+^{m} P0, a+] = -a+^{m + 1} P0", defect(lhs2 + ap_pow[m + 1] @ p0), 0.0)
         )
     for m in range(m_max + 1):
-        apm = power(ap, m)
+        t1 = ap_pow[m] @ p0
         for n in range(n_max + 1):
-            an = power(a, n)
-            t1 = apm @ p0
-            t2 = p0 @ an
+            t2 = p0 @ a_pow[n]
             lhs3 = t1 @ t2 - t2 @ t1
             expected = _int_unit(dim, m, n)
             if m == n:

@@ -83,10 +83,8 @@ def t_to_phi(series: TChebSeries) -> ChebSeries:
     d = series.coeffs
     out = np.zeros(d.size, dtype=complex)
     out[0] += 2.0 * d[0]
-    for j in range(1, d.size):
-        out[j] += d[j]
-        if j >= 2:
-            out[j - 2] -= d[j]
+    out[1:] += d[1:]
+    out[:-2] -= d[2:]
     return ChebSeries(out)
 
 
@@ -100,7 +98,11 @@ def hilbert_mu_pv(f, x, m: int = 2048):
 
     x is a scalar (returns a float) or an array (returns an array of its
     shape); f is evaluated once on the nodes and once on all points, so
-    it must be evaluable on arrays over [-2, 2].
+    it must be evaluable on arrays over [-2, 2].  An f that returns k
+    functions stacked on a new first axis (such as `phi_all(n, y)`) is
+    transformed row by row against one set of point-node distances, and
+    the result has shape (k,) + shape(x); each row equals the call with
+    that row's function alone, bit for bit.
 
     Raises:
         DomainError: if any point is not interior to [-2, 2].
@@ -116,10 +118,20 @@ def hilbert_mu_pv(f, x, m: int = 2048):
     gap = np.min(np.abs(dist), axis=1)
     if np.min(gap) < 1e-12:
         raise SingularNodeError(f"x={xs[np.argmin(gap)]} coincides with a quadrature node for m={m}")
-    fx = np.asarray(f(xs)).ravel()
     vals = np.asarray(f(nodes))
-    out = 2.0 * np.sum(weights * (vals - fx[:, None]) / dist, axis=1) + fx * xs
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    stacked = vals.ndim > 1
+    rows = len(vals) if stacked else 1
+    fx = np.asarray(f(xs)).reshape(rows, -1)
+    # one row at a time: a (rows, points, nodes) temporary would cost far more memory
+    out = np.stack(
+        [
+            2.0 * np.sum(weights * (v - f_x[:, None]) / dist, axis=1) + f_x * xs
+            for v, f_x in zip(vals.reshape(rows, -1), fx)
+        ]
+    )
+    if stacked:
+        return out.reshape((rows,) + np.shape(x))
+    return out[0].reshape(np.shape(x)) if np.ndim(x) else float(out[0, 0])
 
 
 def momentum_apply(f: ChebSeries) -> ChebSeries:
@@ -166,8 +178,12 @@ def schrodinger_commutator_check(n: int, m: int = 2048, eval_points: int = 25) -
     # nudge off a shared node of the two cosine grids
     shared = np.min(np.abs(grid[:, None] - nodes), axis=1) < 1e-9
     xs = np.where(shared, grid + 1e-7, grid)
-    hn = hilbert_mu_pv(lambda y: phi_all(n, y)[n], xs, m)
-    hxn = hilbert_mu_pv(lambda y: np.asarray(y) * phi_all(n, y)[n], xs, m)
+
+    def level_and_moment(y):
+        phi = phi_all(n, y)[n]
+        return np.stack([phi, y * phi])
+
+    hn, hxn = hilbert_mu_pv(level_and_moment, xs, m)
     got = rho_weight(xs) * (xs * hn - hxn)
     want = 2.0 * rho_weight(xs) if n == 0 else 0.0
     resid = float(np.max(np.abs(got - want)))

@@ -42,11 +42,13 @@ class SeriesResult:
     """Value of a truncated series together with bounds on its error.
 
     tail_bound bounds the absolute value of the discarded terms
-    (ratio-test geometric bound).  The retained terms are summed
-    exactly, so rounding_bound is the one final rounding,
-    eps (|Re value| + |Im value|).  Their sum bounds the absolute error
-    of value.  `bessel_j` fills both from the recurrence's bounds (see
-    `BesselOrders`).
+    (ratio-test geometric bound); the defining series stop once it is at
+    most eps max(1, |sum|), and `bessel_j_series` once it is at most
+    eps |sum|, so its value is accurate relative to itself.  The
+    retained terms are summed exactly, so rounding_bound is the one
+    final rounding, eps (|Re value| + |Im value|).  Their sum bounds the
+    absolute error of value.  `bessel_j` fills both from the
+    recurrence's bounds (see `BesselOrders`).
     """
 
     value: complex
@@ -77,6 +79,7 @@ def _exact_series(
     lead: tuple[int, int, int],
     ratio: Callable[[int], tuple[int, int, int]],
     ratio_bound: Callable[[int], float],
+    relative: bool = False,
 ) -> tuple[complex, int, float, float]:
     """Sum a defining series exactly and round once.
 
@@ -87,8 +90,9 @@ def _exact_series(
     as one Gaussian-integer numerator over the denominator of its last
     term.  Terms stop once the geometric bound on the rest,
     |term k+1| / (1 - ratio_bound(k)), evaluated in logs, is at most
-    eps max(1, |partial sum|); a zero term ends the series, since every
-    later term is a multiple of it.
+    eps max(1, |partial sum|), or eps |partial sum| if relative (a zero
+    partial sum then stops it only at a zero term); a zero term ends the
+    series, since every later term is a multiple of it.
 
     Returns:
         The `SeriesResult` fields: the correctly rounded partial sum,
@@ -111,14 +115,23 @@ def _exact_series(
         sum_bits = (max(re.bit_length(), im.bit_length()) if im else re.bit_length()) + 2 - den_bits
         next_den = den * r_den
         next_bits = next_den.bit_length()
-        # a nonzero |term k+1| > 2^(term_bits - next_bits - 1) and |partial sum| < 2^sum_bits,
-        # so the stop rule cannot hold before this does; the logs of the big integers wait for it
-        if not term_bits or term_bits - next_bits - 1 <= _LOG2_EPS + (sum_bits if sum_bits > 0 else 0):
+        # a nonzero |term k+1| > 2^(term_bits - next_bits - 1) and |partial sum| < 2^sum_bits
+        # (sum_bits may be negative), so the stop rule cannot hold before this does; the logs
+        # of the big integers wait for it
+        scale_bits = sum_bits if relative or sum_bits > 0 else 0
+        if not term_bits or term_bits - next_bits - 1 <= _LOG2_EPS + scale_bits:
             q = ratio_bound(k) if term_bits else 0.0
             if q < 1.0:
                 value = complex(re / den, im / den)
                 log_tail = log(abs(term_re) + abs(term_im)) - log(next_den) - log1p(-q) if term_bits else -inf
-                if log_tail <= _LOG_EPS + log(max(1.0, abs(value))):
+                if not relative:
+                    log_scale = log(max(1.0, abs(value)))
+                elif re or im:
+                    # from the exact sum, which stays nonzero where value underflows
+                    log_scale = log(max(abs(re), abs(im))) - log(den)
+                else:
+                    log_scale = -inf
+                if log_tail <= _LOG_EPS + log_scale:
                     return value, k + 1, exp(log_tail), _EPS * (abs(value.real) + abs(value.imag))
         re = re * r_den + term_re
         if im or term_im:
@@ -224,11 +237,13 @@ def bessel_j_series(n: int, x: float) -> SeriesResult:
     J_n(x) = sum_p (-1)^p / (p! (n+p)!) (x/2)^(n+2p)
 
     summed exactly by `_exact_series`: term p+1 is term p times
-    -x^2 / (4 (p+1) (n+p+1)).
+    -x^2 / (4 (p+1) (n+p+1)).  The terms stop at eps |partial sum|, not
+    at eps max(1, |partial sum|), so the value is accurate relative to
+    itself even where J_n(x) is far below 1 (J_40(1) ~ 1e-60).
 
     Returns:
-        SeriesResult whose tail_bound is at most eps max(1, |value|)
-        and whose value is correctly rounded from the retained terms.
+        SeriesResult whose tail_bound is at most eps times the exact
+        partial sum and whose value is that sum correctly rounded.
     """
     _check_bessel_domain(n, x)
     a, b = float(x).as_integer_ratio()
@@ -238,6 +253,7 @@ def bessel_j_series(n: int, x: float) -> SeriesResult:
         (a**n, 0, (2 * b) ** n * factorial(n)),
         lambda p: (a2, 0, (p + 1) * (n + p + 1) * b2),
         lambda p: hh / ((p + 2) * (n + p + 2)),
+        relative=True,
     )
     return SeriesResult(value.real, terms, tail, rounding)
 

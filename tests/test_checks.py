@@ -1,6 +1,8 @@
 from dataclasses import replace
 
-from semicircleqm import checks, combinatorics, evolution, hilbert, specfun
+import pytest
+
+from semicircleqm import checks, combinatorics, evolution, fock, hilbert, specfun
 
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
@@ -8,6 +10,7 @@ REASSEMBLY = "coefficients reassemble the matrix exponential"
 EXPM = "amplitudes match the matrix exponential"
 PV = "PV transform sends Phi_n to T_{n+1} (n <= 12)"
 MILLER = "backward recurrence matches the defining series"
+CATALAN = "vacuum moments are Catalan numbers (n <= 8)"
 SPECTRAL = (
     "momentum action matches the tridiagonal matrix",
     "transform is skew-adjoint on series (50 pairs)",
@@ -100,3 +103,41 @@ def test_backward_recurrence_criterion_passes_on_working_code():
     reports = {r.name: r for r in checks.specfun_suite()}
     assert reports[MILLER].passed
     assert reports[MILLER].tolerance == 1e-13
+
+
+@pytest.mark.parametrize(("matrix", "entry"), [(0, (0, 5)), (1, (5, 0))])
+def test_fock_criteria_catch_one_extra_shift_entry(monkeypatch, matrix, entry):
+    true_shifts = fock._int_shift_matrices
+
+    def one_extra_entry(dim):
+        shifts = true_shifts(dim)
+        shifts[matrix][entry] = 1  # a[0, 5] or a+[5, 0]: interior for dim 12
+        return shifts
+
+    monkeypatch.setattr(fock, "_int_shift_matrices", one_extra_entry)
+    reports = {r.name: r for r in checks.fock_suite()}
+    assert not reports["a a+ = 1 (interior)"].passed
+    assert not reports["[a, a+] = P0 (interior)"].passed
+    # the entry enters e0^T a^n (n >= 1) or a+^m e0 (m >= 1), so exactly
+    # those rank-one brackets fail; the rest never read it
+    for m in range(4):
+        for n in range(4):
+            name = f"[a+^{m} P0, P0 a^{n}] = e{m} e{n}* {'- P0' if m == n else ''}"
+            assert reports[name].passed == ((n if matrix == 0 else m) == 0), name
+        assert reports[f"[a, P0 a^{m}] = -P0 a^{m + 1}"].passed
+        assert reports[f"[a+^{m} P0, a+] = -a+^{m + 1} P0"].passed
+    # the vacuum moments run their own banded recurrence
+    assert reports[CATALAN].passed
+
+
+def test_catalan_criterion_catches_a_moment_off_by_one(monkeypatch):
+    true_moment = fock.vacuum_moment
+
+    def off_by_one(n, which, dim):
+        return true_moment(n, which, dim) + (1 if (n, which) == (8, "P") else 0)
+
+    monkeypatch.setattr(fock, "vacuum_moment", off_by_one)
+    reports = {r.name: r for r in checks.fock_suite()}
+    assert reports[CATALAN].residual == 1.0
+    assert not reports[CATALAN].passed
+    assert reports["a a+ = 1 (interior)"].passed

@@ -8,6 +8,7 @@ from semicircleqm.exceptions import DomainError, SingularNodeError
 from semicircleqm.fock import build_momentum
 from semicircleqm.hilbert import (
     ChebSeries,
+    TChebSeries,
     evolved_phi1_closed_form,
     evolved_vacuum_closed_form,
     hilbert_mu_pv,
@@ -57,6 +58,18 @@ class TestSpectral:
         direct = sum(coeffs[n] * np.array([t_cheb(n + 1, float(x)) for x in xs]) for n in range(9))
         assert np.max(np.abs(back.evaluate(xs).real - direct)) <= 1e-12
 
+    def test_t_to_phi_equals_the_term_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 3, 18):
+            d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            want = np.zeros(size, dtype=complex)
+            want[0] += 2.0 * d[0]
+            for j in range(1, size):
+                want[j] += d[j]
+                if j >= 2:
+                    want[j - 2] -= d[j]
+            assert t_to_phi(TChebSeries(d)).coeffs.tobytes() == want.tobytes()
+
 
 class TestPrincipalValue:
     def test_vacuum_at_one(self):
@@ -92,11 +105,20 @@ class TestPrincipalValue:
 
     def test_array_points_equal_scalar_calls_bit_for_bit(self):
         xs, _ = quadrature_rule(25)
+        stacked = hilbert_mu_pv(lambda y: phi_all(12, y), xs, 2048)
+        assert stacked.shape == (13,) + xs.shape
         for n in range(0, 13):
             f = lambda y, n=n: phi_all(n, y)[n]  # noqa: E731
             got = hilbert_mu_pv(f, xs, 2048)
             assert got.shape == xs.shape
             assert got.tolist() == [hilbert_mu_pv(f, float(x), 2048) for x in xs]
+            # each row of the stacked call is the single-function call
+            assert stacked[n].tolist() == got.tolist()
+        for x in xs[::6]:
+            rows = hilbert_mu_pv(lambda y: phi_all(12, y), float(x), 2048)
+            assert rows.shape == (13,)
+            singles = [hilbert_mu_pv(lambda y, n=n: phi_all(n, y)[n], float(x), 2048) for n in range(13)]
+            assert rows.tolist() == singles
 
     def test_one_node_collision_in_array_rejected(self):
         nodes, _ = quadrature_rule(64)

@@ -162,8 +162,16 @@ class TestBesselSeries:
             got = bessel_j_series(n, x)
             want = mpmath_orders[x][n]
             err = abs(got.value - want)
-            assert err <= 1e-15 * max(1.0, abs(want))
+            assert err <= 1e-15 * abs(want)
             assert err <= got.tail_bound + got.rounding_bound
+
+    @pytest.mark.parametrize(("n", "x"), [(40, 1.0), (20, 1.0), (12, 0.5)])
+    def test_relative_accuracy_far_below_one(self, n, x):
+        # J_40(1) ~ 1.1e-60: a stop at eps max(1, |sum|) keeps only the first term here
+        got = bessel_j_series(n, x)
+        want = mp.besselj(n, x)
+        assert float(abs(got.value - want) / abs(want)) <= 1e-15
+        assert got.tail_bound <= 2.0**-51 * abs(got.value)
 
     @pytest.mark.parametrize("x", EDGE_ARGUMENTS)
     def test_backward_recurrence_matches_the_series_to_the_cap(self, x):
