@@ -98,11 +98,13 @@ def hilbert_mu_pv(f, x, m: int = 2048):
 
     x is a scalar (returns a float) or an array (returns an array of its
     shape); f is evaluated once on the nodes and once on all points, so
-    it must be evaluable on arrays over [-2, 2].  An f that returns k
-    functions stacked on a new first axis (such as `phi_all(n, y)`) is
-    transformed row by row against one set of point-node distances, and
-    the result has shape (k,) + shape(x); each row equals the call with
-    that row's function alone, bit for bit.
+    it must be evaluable on arrays over [-2, 2].  The point-node kernel
+    w(y) / (x - y) is formed once per call, and the sum is taken as
+    2 sum (f(y) - f(x)) kernel + f(x) x, so the subtracted integrand
+    stays bounded.  An f that returns k functions stacked on a new first
+    axis (such as `phi_all(n, y)`) is transformed row by row against
+    that one kernel, and the result has shape (k,) + shape(x); each row
+    equals the call with that row's function alone, bit for bit.
 
     Raises:
         DomainError: if any point is not interior to [-2, 2].
@@ -118,6 +120,7 @@ def hilbert_mu_pv(f, x, m: int = 2048):
     gap = np.min(np.abs(dist), axis=1)
     if np.min(gap) < 1e-12:
         raise SingularNodeError(f"x={xs[np.argmin(gap)]} coincides with a quadrature node for m={m}")
+    kernel = weights / dist
     vals = np.asarray(f(nodes))
     stacked = vals.ndim > 1
     rows = len(vals) if stacked else 1
@@ -125,7 +128,7 @@ def hilbert_mu_pv(f, x, m: int = 2048):
     # one row at a time: a (rows, points, nodes) temporary would cost far more memory
     out = np.stack(
         [
-            2.0 * np.sum(weights * (v - f_x[:, None]) / dist, axis=1) + f_x * xs
+            2.0 * np.sum((v - f_x[:, None]) * kernel, axis=1) + f_x * xs
             for v, f_x in zip(vals.reshape(rows, -1), fx)
         ]
     )

@@ -121,22 +121,20 @@ def connection_checks(n_max: int, x_grid) -> list[CheckReport]:
         T_{n+1} = 2 Phi_{n+1} - x Phi_n
 
     with the convention Phi_{-1} = 0.  Residuals are relative to
-    max(1, |T_{n+1}|).
+    max(1, |T_{n+1}|).  T_0 .. T_{n_max+1} are one array 2 cos(n theta),
+    x = 2 cos(theta), entry for entry the values of `t_cheb`.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     xs = _check_support(np.asarray(x_grid, dtype=float))
     pv = phi_all(n_max + 1, xs)
-    phim1 = np.vstack([np.zeros_like(xs)[None, :], pv[:-1]])  # Phi_{n-1}, row n
-    res1 = res2 = res3 = 0.0
-    for n in range(0, n_max + 1):
-        tnext = t_cheb(n + 1, xs)
-        scale = np.maximum(1.0, np.abs(tnext))
-        r1 = np.max(np.abs(tnext - (pv[n + 1] - phim1[n])) / scale)
-        tn = t_cheb(n, xs)
-        r2 = np.max(np.abs(2.0 * tnext - (xs * tn - (4.0 - xs**2) * phim1[n])) / scale)
-        r3 = np.max(np.abs(tnext - (2.0 * pv[n + 1] - xs * pv[n])) / scale)
-        res1, res2, res3 = max(res1, r1), max(res2, r2), max(res3, r3)
+    phim1 = np.vstack([np.zeros_like(xs)[None, :], pv[:-2]])  # Phi_{n-1}, row n
+    t_all = 2.0 * np.cos(np.arange(n_max + 2)[:, None] * np.arccos(xs / 2.0))
+    tn, tnext = t_all[:-1], t_all[1:]
+    scale = np.maximum(1.0, np.abs(tnext))
+    res1 = float(np.max(np.abs(tnext - (pv[1:] - phim1)) / scale))
+    res2 = float(np.max(np.abs(2.0 * tnext - (xs * tn - (4.0 - xs**2) * phim1)) / scale))
+    res3 = float(np.max(np.abs(tnext - (2.0 * pv[1:] - xs * pv[:-1])) / scale))
     tol = 1e-11
     return [
         CheckReport("T[n+1] = Phi[n+1] - Phi[n-1]", res1, tol),

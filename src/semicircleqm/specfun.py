@@ -35,6 +35,7 @@ _LOG_EPS = log(_EPS)
 # leading term (x/2)^n/n! is every J_n(x) to full precision
 _TINY_ARGUMENT = 2.0**-30
 _RESCALE = 1e100  # keeps the backward recurrence finite; ratios are unchanged
+_TINIEST = 5e-324  # least positive subnormal double
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,10 @@ class SeriesResult:
     most eps max(1, |sum|), and `bessel_j_series` once it is at most
     eps |sum|, so its value is accurate relative to itself.  The
     retained terms are summed exactly, so rounding_bound is the one
-    final rounding, eps (|Re value| + |Im value|).  Their sum bounds the
-    absolute error of value.  `bessel_j` fills both from the
+    final rounding, eps (|Re value| + |Im value|).  Neither is below the
+    least subnormal 5e-324 unless it is exactly 0, so a value that
+    underflows keeps a nonzero bound.  Their sum bounds the absolute
+    error of value.  `bessel_j` fills both from the
     recurrence's bounds (see `BesselOrders`).
     """
 
@@ -97,7 +100,9 @@ def _exact_series(
     Returns:
         The `SeriesResult` fields: the correctly rounded partial sum,
         the number of terms in it, the tail bound and the one rounding,
-        eps (|Re| + |Im|).
+        eps (|Re| + |Im|).  Where these underflow, the least subnormal
+        5e-324 bounds them instead: the tail bound whenever a nonzero
+        term is omitted, the rounding whenever the exact sum is nonzero.
     Raises:
         ConvergenceError: past _SERIES_TERM_CAP terms.
     """
@@ -132,7 +137,10 @@ def _exact_series(
                 else:
                     log_scale = -inf
                 if log_tail <= _LOG_EPS + log_scale:
-                    return value, k + 1, exp(log_tail), _EPS * (abs(value.real) + abs(value.imag))
+                    # a nonzero tail or sum that underflows is still at most the least subnormal
+                    tail = max(exp(log_tail), _TINIEST) if term_bits else 0.0
+                    rounding = max(_EPS * (abs(value.real) + abs(value.imag)), _TINIEST) if re or im else 0.0
+                    return value, k + 1, tail, rounding
         re = re * r_den + term_re
         if im or term_im:
             im = im * r_den + term_im

@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from semicircleqm import checks, combinatorics, evolution, fock, hilbert, specfun
+from semicircleqm import checks, combinatorics, evolution, fock, hilbert, oracle, specfun
 
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
 REASSEMBLY = "coefficients reassemble the matrix exponential"
 EXPM = "amplitudes match the matrix exponential"
+UNIT = "evolved states are unit norm"
+GROUP = "group law U(t)U(s) = U(t+s) on the 8x8 block"
 PV = "PV transform sends Phi_n to T_{n+1} (n <= 12)"
 MILLER = "backward recurrence matches the defining series"
 CATALAN = "vacuum moments are Catalan numbers (n <= 8)"
@@ -67,6 +69,24 @@ def test_reassembly_catches_one_flipped_coefficient(monkeypatch):
     assert not reports[REASSEMBLY].passed
     # the evolutions themselves do not read the coefficients
     assert reports[EXPM].passed
+
+
+def test_oracle_criteria_catch_one_moved_level(monkeypatch):
+    true_apply = oracle.expm_apply
+
+    def one_level_moved(op, z, v, tol=1e-12):
+        res = true_apply(op, z, v, tol)
+        vector = res.vector.copy()
+        vector[1] += 1e-6  # not renormalised
+        return replace(res, vector=vector)
+
+    monkeypatch.setattr(oracle, "expm_apply", one_level_moved)
+    reports = {r.name: r for r in checks.evolution_suite()}
+    assert not reports[EXPM].passed
+    assert not reports[REASSEMBLY].passed
+    # the evolutions and their group law never call the oracle
+    assert reports[UNIT].passed
+    assert reports[GROUP].passed
 
 
 def test_pv_criteria_catch_a_shifted_quadrature(monkeypatch):

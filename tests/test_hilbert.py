@@ -120,6 +120,19 @@ class TestPrincipalValue:
             singles = [hilbert_mu_pv(lambda y, n=n: phi_all(n, y)[n], float(x), 2048) for n in range(13)]
             assert rows.tolist() == singles
 
+    def test_rows_match_the_subtracted_integrand_formula(self):
+        # reference: 2 sum w (v - f(x)) / (x - y) + f(x) x, the kernel not formed apart
+        xs, _ = quadrature_rule(25)
+        nodes, weights = quadrature_rule(2048)
+        stacked = hilbert_mu_pv(lambda y: phi_all(12, y), xs, 2048)
+        vals, fx = phi_all(12, nodes), phi_all(12, xs)
+        for n in range(13):
+            want = (
+                2.0 * np.sum(weights * (vals[n] - fx[n][:, None]) / (xs[:, None] - nodes), axis=1)
+                + fx[n] * xs
+            )
+            assert float(np.max(np.abs(stacked[n] - want))) <= 1e-13
+
     def test_one_node_collision_in_array_rejected(self):
         nodes, _ = quadrature_rule(64)
         xs = np.array([-1.1, 0.3, float(nodes[10]), 1.5])

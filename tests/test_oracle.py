@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -5,6 +6,7 @@ from semicircleqm import oracle
 from semicircleqm.combinatorics import catalan
 from semicircleqm.exceptions import ConvergenceError, DimensionError, DomainError
 from semicircleqm.fock import (
+    FockOperator,
     FockVector,
     build_momentum,
     build_number_function,
@@ -83,6 +85,59 @@ class TestExpmApply:
         eig, vec = np.linalg.eigh(x.entries.real)
         want = vec @ (np.exp(0.5 * eig) * vec.T[:, 0])
         assert np.max(np.abs(res.vector - want)) <= 1e-11
+
+
+def random_hermitian(dim):
+    rng = np.random.default_rng(dim)
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return FockOperator.from_matrix((mat + mat.conj().T) / (2.0 * np.sqrt(dim)))
+
+
+# (operator, z): three skew-Hermitian exponents and one real exponent of the
+# position, whose exponential does not preserve the norm
+ACTION_CASES = {
+    "momentum": (build_momentum, 1.5j),
+    "position, real z": (build_position, 0.5),
+    "number": (lambda dim: build_number_function(dim, lambda n: n), 0.3j),
+    "random Hermitian": (random_hermitian, 2.0j),
+}
+
+
+class TestTaylorAction:
+    @pytest.mark.parametrize("dim", [8, 32, 96, 256])
+    @pytest.mark.parametrize("case", sorted(ACTION_CASES))
+    def test_matches_the_dense_exponential(self, case, dim):
+        build, z = ACTION_CASES[case]
+        op = build(dim)
+        rng = np.random.default_rng(dim + 1)
+        v = FockVector.from_coeffs(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        tol = 1e-12
+        res = oracle.expm_apply(op, z, v, tol)
+        mat, _, _ = oracle.expm_matrix(op, z)
+        vnorm = np.linalg.norm(v.coeffs)
+        assert np.linalg.norm(res.vector - mat @ v.coeffs) <= tol * vnorm
+        assert 0.0 <= res.residual_bound <= tol * vnorm
+
+    @pytest.mark.parametrize(("dim", "t"), [(256, 16.0), (256, -16.0), (512, 64.0)])
+    def test_bound_covers_the_error_against_the_closed_form(self, dim, t):
+        # evolved vacuum amplitudes are (-1)^l (l+1) J_{l+1}(2t)/t; the amplitude
+        # at level dim is below 1e-190, so the truncation leaves the sampled levels
+        res = oracle.expm_apply(build_momentum(dim), 1j * t, FockVector.basis(0, dim))
+        assert res.residual_bound <= 1e-12
+        levels = range(0, int(2 * abs(t)) + 60, 5)
+        with mp.workdps(40):
+            want = [(-1) ** l * (l + 1) * mp.besselj(l + 1, 2 * t) / t for l in levels]
+            err = max(abs(mp.mpc(complex(res.vector[l])) - w) for l, w in zip(levels, want))
+        assert err <= res.residual_bound
+
+    def test_never_forms_the_exponential(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_apply formed a dense exponential")
+
+        monkeypatch.setattr(oracle, "expm_matrix", refuse)
+        monkeypatch.setattr(oracle, "_taylor_expm", refuse)
+        res = oracle.expm_apply(build_momentum(64), 3j, FockVector.basis(2, 64))
+        assert abs(np.linalg.norm(res.vector) - 1.0) <= 1e-12
 
 
 class TestTruncationLevel:

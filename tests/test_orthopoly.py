@@ -66,6 +66,31 @@ class TestTCheb:
         for report in connection_checks(100, xs):
             assert report.passed, str(report)
 
+    @pytest.mark.parametrize(
+        ("n_max", "xs"),
+        [
+            (100, 2.0 * np.cos(np.linspace(0.03, np.pi - 0.03, 101))),
+            (1, np.array([0.3])),
+            (7, np.random.default_rng(3).uniform(-2.0, 2.0, 33)),
+            (300, np.linspace(-2.0, 2.0, 57)),
+        ],
+    )
+    def test_connection_residuals_equal_the_per_order_loop_bit_for_bit(self, n_max, xs):
+        # the reference: one t_cheb call per order, and the maxima taken order by order
+        pv = phi_all(n_max + 1, xs)
+        phim1 = np.vstack([np.zeros_like(xs)[None, :], pv[:-1]])
+        res1 = res2 = res3 = 0.0
+        for n in range(0, n_max + 1):
+            tnext = t_cheb(n + 1, xs)
+            scale = np.maximum(1.0, np.abs(tnext))
+            r1 = np.max(np.abs(tnext - (pv[n + 1] - phim1[n])) / scale)
+            tn = t_cheb(n, xs)
+            r2 = np.max(np.abs(2.0 * tnext - (xs * tn - (4.0 - xs**2) * phim1[n])) / scale)
+            r3 = np.max(np.abs(tnext - (2.0 * pv[n + 1] - xs * pv[n])) / scale)
+            res1, res2, res3 = max(res1, r1), max(res2, r2), max(res3, r3)
+        got = [report.residual for report in connection_checks(n_max, xs)]
+        assert got == [float(res1), float(res2), float(res3)]
+
     def test_connection_at_origin(self):
         # T_2(0) = Phi_2(0) - Phi_0(0) = -1 - 1
         assert abs(t_cheb(2, 0.0) - (phi(2, 0.0) - phi(0, 0.0))) < 1e-15

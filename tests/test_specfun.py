@@ -173,6 +173,15 @@ class TestBesselSeries:
         assert float(abs(got.value - want) / abs(want)) <= 1e-15
         assert got.tail_bound <= 2.0**-51 * abs(got.value)
 
+    @pytest.mark.parametrize(("n", "x"), [(40, 1e-10), (20, 1e-200)])
+    def test_reported_bounds_cover_a_value_that_underflows(self, n, x):
+        # J_40(1e-10) ~ 1e-460 and J_20(1e-200) ~ 4e-4025 round to 0.0
+        got = bessel_j_series(n, x)
+        assert got.value == 0.0
+        err = abs(mp.mpf(got.value) - mp.besselj(n, mp.mpf(x)))
+        assert err > 0
+        assert err <= mp.mpf(got.tail_bound) + mp.mpf(got.rounding_bound)
+
     @pytest.mark.parametrize("x", EDGE_ARGUMENTS)
     def test_backward_recurrence_matches_the_series_to_the_cap(self, x):
         series = np.array([bessel_j_series(n, x).value for n in range(41)])
