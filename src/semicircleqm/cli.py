@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -68,8 +69,12 @@ class RunConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if not self.t_values:
             raise ConfigError("at least one t value is required")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not all(math.isfinite(t) for t in self.t_values):
+            raise ConfigError("t values must be finite")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite")
+        if not math.isfinite(self.omega):
+            raise ConfigError("omega must be finite")
         if self.k < 0:
             raise ConfigError("k must be non-negative")
         if self.l_max is not None and self.l_max < self.k:

@@ -133,7 +133,7 @@ def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
     Sized past the tail level, so one cache entry per t serves every s up to it.
     """
     gen = Generator.P2 if kind is CoeffKind.KINETIC_I2 else Generator.P
-    if abs(t) > _MAX_T[gen]:
+    if not abs(t) <= _MAX_T[gen]:
         raise DomainError(f"|t| <= {_MAX_T[gen]} required, got {t}")
     return _vacuum_column(gen, float(t), max(s, _tail_span(gen, t, _COLUMN_TOL)[1]))
 
@@ -268,7 +268,7 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, 
     """
     if gen not in _MAX_T:
         raise DomainError(f"sine-transform evolutions cover generators P, X, P2, got {gen.value}")
-    if abs(t) > _MAX_T[gen]:
+    if not abs(t) <= _MAX_T[gen]:
         raise DomainError(f"|t| <= {_MAX_T[gen]} required for generator {gen.value}, got {t}")
     tail, span = _tail_span(gen, t, tol)
     top = int(cols.max()) + span
@@ -469,6 +469,8 @@ def _p2_level_tail_index(t: float, tol: float) -> int:
     |amplitude at level 2m| <= 2 (4|t|)^m e^(4|t|) / m!, so the tail is
     geometric once m + 2 > 4|t|.
     """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
     at = abs(t)
     if at == 0.0:
         return 1
@@ -522,8 +524,10 @@ def heisenberg_block(
         raise DomainError(f"Heisenberg corrections cover generators P and P2, got {gen.value}")
     if m_max < 0 or n_max < 0:
         raise DomainError("block extents must be non-negative")
-    if abs(t) > _MAX_T[gen]:
+    if not abs(t) <= _MAX_T[gen]:
         raise DomainError(f"|t| <= {_MAX_T[gen]} required, got {t}")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
     if t == 0.0:
         return np.zeros((m_max + 1, n_max + 1), dtype=complex)
     kind = CoeffKind.KINETIC_I2 if gen is Generator.P2 else CoeffKind.MOMENTUM_I

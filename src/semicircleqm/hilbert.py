@@ -11,7 +11,7 @@ directly by singularity subtraction, using the closed-form moment
 p.v. integral dmu(y)/(x - y) = x/2 on the interior.  The momentum
 operator of the semicircle space is i times this transform, which the
 module exposes together with the kinetic (half-square) action, the
-Schroedinger-weight realization, Bessel trigonometric sums with their
+Schroedinger weight, Bessel trigonometric sums with their
 principal-value integral forms, and pointwise closed forms for the
 translation group on the two lowest levels.
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, SingularNodeError
 from .orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
-from .report import CheckReport
 from .specfun import bessel_j, bessel_j_all, bessel_tail_index
 
 _EDGE_MARGIN = 1e-6
@@ -164,35 +163,6 @@ def rho_weight(x):
     return vals if vals.shape else float(vals)
 
 
-def schrodinger_commutator_check(n: int, m: int = 2048, eval_points: int = 25) -> CheckReport:
-    """Coordinate/momentum commutator on weighted basis functions.
-
-    In the weighted representation the momentum is i rho H rho^{-1} and
-    Q is multiplication by x, so applied to Phi_n rho the commutator
-    divided by i is rho(x) (x (H Phi_n)(x) - (H y Phi_n)(x)); this
-    equals 2 rho for n = 0 and vanishes for n >= 1 (the full commutator
-    is the rank-one operator 2i rho <rho, .>).  Both transforms are
-    evaluated by principal-value quadrature on an interior grid.
-    """
-    if n < 0:
-        raise DomainError("level must be >= 0")
-    grid, _ = quadrature_rule(eval_points)
-    nodes, _ = quadrature_rule(m)
-    # nudge off a shared node of the two cosine grids
-    shared = np.min(np.abs(grid[:, None] - nodes), axis=1) < 1e-9
-    xs = np.where(shared, grid + 1e-7, grid)
-
-    def level_and_moment(y):
-        phi = phi_all(n, y)[n]
-        return np.stack([phi, y * phi])
-
-    hn, hxn = hilbert_mu_pv(level_and_moment, xs, m)
-    got = rho_weight(xs) * (xs * hn - hxn)
-    want = 2.0 * rho_weight(xs) if n == 0 else 0.0
-    resid = float(np.max(np.abs(got - want)))
-    return CheckReport(f"[Q,P]/i on weighted level {n}", resid, 1e-8)
-
-
 # ---------------------------------------------------------------------------
 # principal-value integrals over the angle variable
 
@@ -266,22 +236,6 @@ def kapteyn_integral_cos(t: float, theta: float) -> float:
         raise DomainError(f"theta must be in (0, pi), got {theta}")
     integral = pv_integral_angle(lambda p: np.sin(2.0 * t * np.sin(p)) * np.sin(p), theta)
     return (cos(2.0 * t * sin(theta)) - bessel_j(0, 2.0 * t).value) / 2.0 - integral / (2.0 * pi)
-
-
-def kapteyn_checks(t: float, theta: float, tol: float = 1e-6) -> list[CheckReport]:
-    """Series vs principal-value agreement for both trigonometric sums."""
-    return [
-        CheckReport(
-            f"Bessel sine sum vs PV integral (t={t}, theta={theta:.4f})",
-            abs(kapteyn_sum_sin(t, theta) - kapteyn_integral_sin(t, theta)),
-            tol,
-        ),
-        CheckReport(
-            f"Bessel cosine sum vs PV integral (t={t}, theta={theta:.4f})",
-            abs(kapteyn_sum_cos(t, theta) - kapteyn_integral_cos(t, theta)),
-            tol,
-        ),
-    ]
 
 
 def _interior_theta(x: float) -> float:

@@ -318,7 +318,7 @@ def bessel_tail_index(t: float, tol: float) -> int:
     Returns the smallest n* making that bound < tol.  The bound is
     evaluated in logs, so it cannot overflow at large |t|.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     at = abs(t)
     if at == 0.0:

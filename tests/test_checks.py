@@ -1,6 +1,10 @@
+import sys
 from dataclasses import replace
+from math import nan
 
+import numpy as np
 import pytest
+from test_acceptance import GATE, residual
 
 from semicircleqm import checks, combinatorics, evolution, fock, hilbert, oracle, specfun
 
@@ -161,3 +165,105 @@ def test_catalan_criterion_catches_a_moment_off_by_one(monkeypatch):
     assert reports[CATALAN].residual == 1.0
     assert not reports[CATALAN].passed
     assert reports["a a+ = 1 (interior)"].passed
+
+
+# verify's (suite, name, tolerance) rows at seed 0, in order
+BRACKETS = [
+    *(name for m in range(4) for name in (f"[a, P0 a^{m}] = -P0 a^{m + 1}", f"[a+^{m} P0, a+] = -a+^{m + 1} P0")),
+    *(f"[a+^{m} P0, P0 a^{n}] = e{m} e{n}* {'- P0' if m == n else ''}" for m in range(4) for n in range(4)),
+]
+VERIFY_ROWS = [
+    *(("combinatorics", name, 0.0) for name in (
+        "counting formula vs enumeration (k <= 14)", "class sizes sum to 2^k (k <= 14)",
+        "empty normal form counts are Catalan (p <= 10)", "raising count is p + m_plus on every class")),
+    ("specfun", "Bessel three-term recurrence", 1e-08),
+    ("specfun", "backward recurrence matches the defining series", 1e-13),
+    ("specfun", "plane-wave (Jacobi-Anger) expansion at 2t", 1e-08),
+    ("specfun", "Bessel normalization sum", 1e-08),
+    ("specfun", "1F1(1;2;z) = (e^z - 1)/z", 1e-08),
+    *(("fock", name, 0.0) for name in (
+        "a a+ = 1 (interior)", "a+ a = 1 - P0", "[a, a+] = P0 (interior)", "[X, P] = 2i P0 (interior)",
+        "F a+ = a+ F(.+1) (interior)", "a F = F(.+1) a (interior)", *BRACKETS,
+        "vacuum moments are Catalan numbers (n <= 8)")),
+    ("fock", "position norm is 2 cos(pi/(N+1))", 1e-08),
+    ("fock", "coherent kernel geometric series", 1e-08),
+    ("fock", "two-point characteristic function vs diagonal state", 1e-08),
+    ("orthopoly", "orthonormality under the Gauss rule (degree <= 20)", 1e-08),
+    ("orthopoly", "recurrence vs trigonometric closed form (n <= 200)", 1e-10),
+    ("orthopoly", "T[n+1] = Phi[n+1] - Phi[n-1]", 1e-11),
+    ("orthopoly", "2 T[n+1] = x T[n] - (4-x^2) Phi[n-1]", 1e-11),
+    ("orthopoly", "T[n+1] = 2 Phi[n+1] - x Phi[n]", 1e-11),
+    ("orthopoly", "even quadrature moments are Catalan numbers", 1e-10),
+    ("hilbert", PV, 1e-06),
+    ("hilbert", SPECTRAL[0], 1e-08),
+    ("hilbert", SPECTRAL[1], 1e-10),
+    ("hilbert", SPECTRAL[2], 1e-12),
+    ("hilbert", "squared weight integrates to 1", 1e-08),
+    *(("hilbert", f"[Q,P]/i on weighted level {n}", 1e-08) for n in (0, 1, 3)),
+    *(("hilbert", f"Bessel {kind} sum vs PV integral (t={t}, theta=1.0472)", 1e-06)
+      for t in (0.5, 2.0) for kind in ("sine", "cosine")),
+    ("hilbert", "pointwise PV closed forms match amplitude series", 1e-06),
+    ("evolution", "coefficient routes agree (orders <= 8)", 1e-11),
+    ("evolution", UNIT, 1e-08),
+    ("evolution", GROUP, 1e-08),
+    ("evolution", EXPM, 1e-08),
+    ("evolution", REASSEMBLY, 1e-08),
+    ("evolution", "raising-operator correction matches conjugation", 1e-06),
+    ("oracle", "exponential preserves norm (skew-Hermitian)", 1e-12),
+    ("oracle", "diagonal generator exponentiates componentwise", 1e-08),
+    ("oracle", "semigroup property e^A e^B = e^(A+B)", 1e-10),
+    ("oracle", "doubling the dimension leaves amplitudes fixed", 1e-10),
+    ("oracle", "z = 0 returns the input vector", 0.0),
+]
+
+
+def verify_rows(**kwargs):
+    return [(suite, r) for suite, reports in checks.run_all(**kwargs).items() for r in reports]
+
+
+def test_verify_rows_are_pinned():
+    assert [(suite, r.name, r.tolerance) for suite, r in verify_rows(seed=0)] == VERIFY_ROWS
+
+
+def test_gate_covers_every_criterion_through_the_registry():
+    assert sorted({line.num for line in GATE}) == list(range(1, 13))
+    assert all(line.criterion in checks.CRITERIA for line in GATE)
+
+
+def test_every_verify_row_comes_from_a_registry_function(monkeypatch):
+    def nan_residuals(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, list):
+                return [replace(r, residual=nan) for r in out]
+            return np.full(np.shape(out), nan)
+
+        return wrapped
+
+    for fn in checks.CRITERIA:
+        monkeypatch.setattr(sys.modules[fn.__module__], fn.__name__, nan_residuals(fn))
+    assert all(np.isnan(r.residual) for _, r in verify_rows())
+
+
+def test_gate_reaches_the_domain_edges(monkeypatch):
+    def moved_past_twelve(true):
+        def wrapped(generator, t, *args, **kwargs):
+            out = true(generator, t, *args, **kwargs)
+            return out + 1e-5 if abs(t) > 12 else out
+
+        return wrapped
+
+    def past_twelve(line):
+        # the line on the points of its grid where the move acts
+        grid = dict(line.grid)
+        if "ts" in grid:
+            grid["ts"] = tuple(t for t in grid["ts"] if abs(t) > 12)
+        if "pairs" in grid:
+            grid["pairs"] = {gen: tuple(p for p in pairs if abs(sum(p)) > 12) for gen, pairs in grid["pairs"].items()}
+        return line._replace(grid=grid)
+
+    monkeypatch.setattr(evolution, "element_table", moved_past_twelve(evolution.element_table))
+    monkeypatch.setattr(evolution, "heisenberg_block", moved_past_twelve(evolution.heisenberg_block))
+    for num in (6, 10, 12):
+        assert any(residual(past_twelve(line)) > line.tol for line in GATE if line.num == num), num
+    assert all(r.passed for _, r in verify_rows())

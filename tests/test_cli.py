@@ -219,6 +219,19 @@ class TestConfigValidation:
         assert status == 2
         assert "tol" in err
 
+    @pytest.mark.parametrize(
+        "command, generator, field",
+        [("evolve", "P", {"t_values": [float("nan")]}), ("coeffs", "P", {"t_values": [float("nan")]}),
+         ("heisenberg", "P", {"t_values": [float("nan")]}), ("char", "P", {"t_values": [float("nan")]}),
+         ("char", "H1", {"t_values": [float("inf")]}), ("evolve", "P", {"tol": float("nan")}),
+         ("char", "H1", {"omega": float("nan")})],
+    )
+    def test_non_finite_inputs_exit_two(self, capsys, command, generator, field):
+        status, out, err = run_capture(capsys, command=command, generator=generator, **{"t_values": [1.0], **field})
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error:")
+
     def test_empty_t(self, capsys):
         status, _, _ = run_capture(capsys, command="char", t_values=[])
         assert status == 2

@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from semicircleqm import evolution, oracle
+from semicircleqm import checks, evolution, oracle
 from semicircleqm.evolution import (
     CoeffKind,
     Generator,
@@ -29,8 +29,10 @@ from semicircleqm.evolution import (
     state_char_function,
 )
 from semicircleqm.exceptions import CrossCheckError, DomainError, TruncationError
-from semicircleqm.fock import build_creation, build_momentum, build_position
+from semicircleqm.fock import build_momentum, build_position
 from semicircleqm.specfun import bessel_j, bessel_j_all
+
+NAN = float("nan")
 
 
 def momentum_oracle_column(t, k, dim):
@@ -103,9 +105,7 @@ class TestMatrixElements:
             assert matrix_element_P(l, k, 0.0) == (1.0 if l == k else 0.0)
 
     def test_against_matrix_exponential(self):
-        t = 1.2
-        col = momentum_oracle_column(t, 3, oracle.truncation_level(t, 3, 1e-10))
-        assert abs(matrix_element_P(2, 3, t) - col[2]) <= 1e-9
+        assert checks.evolutions_vs_oracle("P", (1.2,), (3,), 1e-10)[1] <= 1e-9
 
     def test_transpose_symmetry(self):
         # the group element table is symmetric up to a sign flip of l-k
@@ -321,13 +321,7 @@ class TestEvolveP2:
         assert np.max(np.abs(state.amplitudes[:top] - mat[:top, 0])) <= 1e-7
 
     def test_first_level_against_oracle(self):
-        t = 0.35
-        dim = oracle.truncation_level(t, 1, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        state = evolve_P2_level1(t, tol=1e-10)
-        top = min(state.amplitudes.size, dim)
-        assert np.max(np.abs(state.amplitudes[:top] - mat[:top, 1])) <= 1e-7
+        assert checks.evolutions_vs_oracle("P2", (0.35,), (1,), 1e-10)[0] <= 1e-7
 
     def test_odd_support_for_first_level(self):
         state = evolve_P2_level1(0.4, tol=1e-10)
@@ -347,12 +341,7 @@ class TestHeisenbergP:
         assert abs(heisenberg_aplus_P(0.5, 0, 0, omega=2.5) - 2.5 * base) <= 1e-13
 
     def test_against_oracle_conjugation(self):
-        t = 0.9
-        dim = oracle.truncation_level(t, 8, 1e-10)
-        mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
-        ap = build_creation(dim).entries
-        conj = mat @ ap @ mat.conj().T - ap
-        assert abs(heisenberg_aplus_P(t, 0, 0) - conj[0, 0]) <= 1e-6
+        assert checks.heisenberg_conjugation("P", (0.9,), 1) <= 1e-6
 
     def test_negative_time_parity(self):
         # the kernel u_m(s) u_n(s) of the evolved vacuum has parity
@@ -363,21 +352,11 @@ class TestHeisenbergP:
             assert abs(minus - (-1.0) ** (m + n + 1) * plus) <= 1e-12
 
     def test_negative_time_against_oracle(self):
-        t = -0.5
-        dim = oracle.truncation_level(t, 6, 1e-10)
-        mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
-        ap = build_creation(dim).entries
-        conj = mat @ ap @ mat.conj().T - ap
-        assert abs(heisenberg_aplus_P(t, 1, 2) - conj[1, 2]) <= 1e-8
+        assert checks.heisenberg_conjugation("P", (-0.5,), 3) <= 1e-8
 
     @pytest.mark.parametrize("t", [12.0, -16.0, 16.0])
     def test_block_against_oracle_to_the_cap(self, t):
-        dim = oracle.truncation_level(t, 8, 1e-10)
-        mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
-        ap = build_creation(dim).entries
-        conj = mat @ ap @ mat.conj().T - ap
-        block = np.array([[heisenberg_aplus_P(t, m, n) for n in range(4)] for m in range(4)])
-        assert np.max(np.abs(block - conj[:4, :4])) <= 1e-8
+        assert checks.heisenberg_conjugation("P", (t,), 4) <= 1e-8
 
     def test_beyond_translation_cap_rejected(self):
         with pytest.raises(DomainError):
@@ -403,32 +382,15 @@ class TestHeisenbergP2:
         assert np.max(np.abs(block - block.conj().T)) <= 1e-10
 
     def test_against_oracle_conjugation(self):
-        t = 0.25
-        dim = oracle.truncation_level(t, 8, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        ap = build_creation(dim).entries
-        conj = mat @ ap @ mat.conj().T - ap
-        block = heisenberg_aplus_P2(t, 7, 7)
-        assert np.max(np.abs(block - conj[:8, :8])) <= 1e-6
+        assert checks.heisenberg_conjugation("P2", (0.25,), 8) <= 1e-6
 
 
 class TestTablesAndGroupLaw:
     def test_group_law_momentum(self):
-        t1, t2 = 0.3, 0.7
-        size = 8 + 18
-        u1 = element_table("P", t1, size)
-        u2 = element_table("P", t2, size)
-        u12 = element_table("P", t1 + t2, size)
-        assert np.max(np.abs((u1 @ u2 - u12)[:8, :8])) <= 1e-8
+        assert checks.group_law({"P": ((0.3, 0.7),)}) <= 1e-8
 
     def test_group_law_position(self):
-        t1, t2 = 0.3, 0.7
-        size = 8 + 18
-        u1 = element_table("X", t1, size)
-        u2 = element_table("X", t2, size)
-        u12 = element_table("X", t1 + t2, size)
-        assert np.max(np.abs((u1 @ u2 - u12)[:8, :8])) <= 1e-8
+        assert checks.group_law({"X": ((0.3, 0.7),)}) <= 1e-8
 
     def test_coeff_table_invariants(self):
         for kind in (CoeffKind.MOMENTUM_I, CoeffKind.POSITION_I, CoeffKind.KINETIC_I2):
@@ -482,6 +444,18 @@ def closed_form_column(generator, k, t, size):
 
 
 class TestSineTransformEngine:
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: evolve_P(0, NAN), lambda: element_table("X", NAN, 4), lambda: coeff_I2(0, 2, NAN),
+         lambda: heisenberg_block("P2", NAN, 2, 2), lambda: evolve_P(0, 1.0, tol=NAN),
+         lambda: evolve_P2_vacuum(1.0, tol=NAN), lambda: heisenberg_block("P", 1.0, 2, 2, tol=NAN)],
+        ids=["evolve", "element-table", "coefficient", "heisenberg", "nan-tol", "kinetic-nan-tol",
+             "heisenberg-nan-tol"],
+    )
+    def test_nan_arguments_are_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
     @pytest.mark.parametrize(
         "generator, k, t",
         [("P", 0, t) for t in (16.0, -16.0, 12.7)]

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from semicircleqm import evolution
+from semicircleqm import checks
 from semicircleqm.exceptions import DomainError, SingularNodeError
-from semicircleqm.fock import build_momentum
 from semicircleqm.hilbert import (
     ChebSeries,
     TChebSeries,
-    evolved_phi1_closed_form,
     evolved_vacuum_closed_form,
     hilbert_mu_pv,
     hilbert_mu_spectral,
@@ -21,7 +19,6 @@ from semicircleqm.hilbert import (
     momentum_apply,
     pv_integral_angle,
     rho_weight,
-    schrodinger_commutator_check,
     t_to_phi,
 )
 from semicircleqm.orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
@@ -173,36 +170,13 @@ class TestMomentumRealization:
         assert np.allclose(out.coeffs, [0.0, 1j])
 
     def test_matches_matrix_on_random_series(self):
-        rng = np.random.default_rng(0)
-        pmat = build_momentum(18).entries
-        for _ in range(25):
-            coeffs = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            out = momentum_apply(ChebSeries.from_coeffs(coeffs)).coeffs
-            ref = pmat @ np.concatenate([coeffs, [0.0]])
-            assert np.max(np.abs(out[:18] - ref)) <= 1e-13
+        assert checks.momentum_realization(0, samples=25, pairs=0)[0] <= 1e-13
 
     def test_skew_adjoint(self):
-        rng = np.random.default_rng(1)
-        worst = 0.0
-        for _ in range(50):
-            fc = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            gc = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            hf = t_to_phi(hilbert_mu_spectral(ChebSeries.from_coeffs(fc))).coeffs
-            hg = t_to_phi(hilbert_mu_spectral(ChebSeries.from_coeffs(gc))).coeffs
-            lhs = np.vdot(np.concatenate([fc, [0.0]]), hg)
-            rhs = np.vdot(hf, np.concatenate([gc, [0.0]]))
-            worst = max(worst, abs(lhs + rhs))
-        assert worst <= 1e-10
+        assert checks.momentum_realization(1, samples=0, pairs=50)[1] <= 1e-10
 
     def test_kinetic_matches_half_square(self):
-        rng = np.random.default_rng(2)
-        pmat = build_momentum(18).entries
-        p2 = pmat @ pmat
-        for _ in range(10):
-            coeffs = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            out = kinetic_apply(ChebSeries.from_coeffs(coeffs)).coeffs
-            ref = 0.5 * (p2 @ np.concatenate([coeffs, [0.0]]))
-            assert np.max(np.abs(out[:16] - ref[:16])) <= 1e-12
+        assert checks.kinetic_action(2, samples=10) <= 1e-12
 
     def test_kinetic_of_zero(self):
         out = kinetic_apply(ChebSeries.from_coeffs(np.zeros(5)))
@@ -231,24 +205,26 @@ class TestMomentumRealization:
 
 class TestSchrodingerWeight:
     def test_density_normalization(self):
-        xg, wg = np.polynomial.legendre.leggauss(64)
-        thetas = 0.5 * np.pi * (xg + 1.0)
-        w = 0.5 * np.pi * wg
-        val = np.sum(w * rho_weight(2 * np.cos(thetas)) ** 2 * 2 * np.sin(thetas))
-        assert abs(val - 1.0) <= 1e-12
+        assert checks.weight_norm() <= 1e-12
 
     def test_zero_outside_support(self):
         assert rho_weight(2.5) == 0.0
         assert rho_weight(-3.0) == 0.0
 
     def test_commutator_on_vacuum(self):
-        report = schrodinger_commutator_check(0, 2048)
-        assert report.passed, str(report)
+        assert checks.weighted_commutator([0])[0] <= 1e-8
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_commutator_vanishes_on_excited(self, n):
-        report = schrodinger_commutator_check(n, 2048)
-        assert report.passed, str(report)
+        assert checks.weighted_commutator([n])[0] <= 1e-8
+
+    def test_commutator_refuses_a_negative_level(self):
+        with pytest.raises(DomainError):
+            checks.weighted_commutator([0, -1])
+
+    def test_stacked_commutator_equals_one_call_per_level(self):
+        stacked = checks.weighted_commutator(range(7))
+        assert list(stacked) == [checks.weighted_commutator([n])[0] for n in range(7)]
 
 
 class TestKapteyn:
@@ -263,8 +239,7 @@ class TestKapteyn:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3])
     def test_series_equals_integral(self, t, theta):
-        assert abs(kapteyn_sum_sin(t, theta) - kapteyn_integral_sin(t, theta)) <= 1e-6
-        assert abs(kapteyn_sum_cos(t, theta) - kapteyn_integral_cos(t, theta)) <= 1e-6
+        assert np.max(checks.kapteyn((t,), (theta,))) <= 1e-6
 
     @pytest.mark.parametrize("t", [0.5, 4.0])
     @pytest.mark.parametrize("theta", [0.2, np.pi / 3, 2.9])
@@ -295,18 +270,10 @@ class TestEvolvedClosedForms:
         assert evolved_vacuum_closed_form(0.0, 0.7) == 1.0 + 0j
 
     def test_vacuum_matches_amplitude_series(self):
-        for t in (0.5, 1.0, 2.0):
-            for x in np.linspace(-1.8, 1.8, 15):
-                series = evolution.evolve_P(0, t, tol=1e-12).evaluate(float(x))
-                closed = evolved_vacuum_closed_form(t, float(x))
-                assert abs(series - closed) <= 1e-6
+        assert checks.pointwise_closed_forms((0.5, 1.0, 2.0), np.linspace(-1.8, 1.8, 15))[0] <= 1e-6
 
     def test_first_level_matches_amplitude_series(self):
-        for t in (0.5, 1.0, 2.0):
-            for x in np.linspace(-1.8, 1.8, 15):
-                series = evolution.evolve_P(1, t, tol=1e-12).evaluate(float(x))
-                closed = evolved_phi1_closed_form(t, float(x))
-                assert abs(series - closed) <= 1e-6
+        assert checks.pointwise_closed_forms((0.5, 1.0, 2.0), np.linspace(-1.8, 1.8, 15))[1] <= 1e-6
 
     def test_edge_rejected(self):
         with pytest.raises(DomainError):

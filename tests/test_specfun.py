@@ -304,5 +304,6 @@ class TestTailIndex:
         assert bessel_tail_index(2.0, 1e-12) >= bessel_tail_index(2.0, 1e-6)
 
     def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            bessel_tail_index(1.0, 0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(DomainError):
+                bessel_tail_index(1.0, tol)
