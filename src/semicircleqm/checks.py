@@ -26,7 +26,7 @@ import numpy as np
 
 from . import combinatorics as comb_mod
 from . import evolution, fock, hilbert, oracle, orthopoly, specfun
-from .exceptions import DomainError
+from .exceptions import check_index
 from .report import CheckReport
 
 _QUAD_TOL_PV = 1e-6
@@ -67,9 +67,9 @@ def enumeration(ks) -> tuple[int, int, int]:
     return worst_formula, worst_union, worst_nu
 
 
-def catalan_counts(p_max: int) -> int:
-    """Largest |theta_count(0, 0, p) - C_p| for p <= p_max."""
-    return max(abs(comb_mod.theta_count(0, 0, p) - comb_mod.catalan(p)) for p in range(p_max + 1))
+def catalan_counts() -> int:
+    """Largest |theta_count(0, 0, p) - C_p| for p <= 10."""
+    return max(abs(comb_mod.theta_count(0, 0, p) - comb_mod.catalan(p)) for p in range(11))
 
 
 def combinatorics_suite(k_max: int = 14, tol: float = 1e-8) -> list[CheckReport]:
@@ -78,7 +78,7 @@ def combinatorics_suite(k_max: int = 14, tol: float = 1e-8) -> list[CheckReport]
     return [
         CheckReport(f"counting formula vs enumeration (k <= {k_max})", float(formula), 0.0),
         CheckReport(f"class sizes sum to 2^k (k <= {k_max})", float(union), 0.0),
-        CheckReport("empty normal form counts are Catalan (p <= 10)", float(catalan_counts(10)), 0.0),
+        CheckReport("empty normal form counts are Catalan (p <= 10)", float(catalan_counts()), 0.0),
         CheckReport("raising count is p + m_plus on every class", float(raising), 0.0),
     ]
 
@@ -280,8 +280,7 @@ def weighted_commutator(levels) -> np.ndarray:
     nodes.
     """
     levels = list(levels)
-    if min(levels) < 0:
-        raise DomainError("levels must be >= 0")
+    check_index("levels", *levels)
     grid, _ = orthopoly.quadrature_rule(25)
     nodes, _ = orthopoly.quadrature_rule(_PV_NODES)
     # nudge off a shared node of the two cosine grids
@@ -463,13 +462,14 @@ def char_function_routes(ts, series_ts) -> tuple[float, float, float]:
     return closed, quad, series
 
 
-def position_vacuum_law(ts, xs) -> float:
-    """Largest gap of `evolve_X_vacuum_pointwise` to e^{itx} - i x J_1(2t) at every (t, x)."""
+def position_vacuum_law(ts, xs, tol: float) -> float:
+    """Largest gap of `evolve_X_vacuum_pointwise` + i x J_1(2t) to the Phi_l(x) sum of `evolve_X(0, t, tol=tol)`."""
     worst = 0.0
     for t in ts:
+        state = evolution.evolve_X(0, t, tol=tol)
         j1 = specfun.bessel_j(1, 2 * t).value
         for x in map(float, xs):
-            worst = max(worst, abs(evolution.evolve_X_vacuum_pointwise(t, x) - (np.exp(1j * t * x) - 1j * x * j1)))
+            worst = max(worst, abs(evolution.evolve_X_vacuum_pointwise(t, x) + 1j * x * j1 - state.evaluate(x)))
     return worst
 
 

@@ -12,10 +12,11 @@ human-checkable tables.
 
 Output is CSV (default) or JSON; floats are printed with 17 significant
 digits so values round-trip exactly.  Exit codes: 0 success, 1
-verification failure, 2 configuration error (also |t| beyond its cap,
-16 for P and X and 8 for P2, `heisenberg` included; `--l-max` below
-the tail level, a `--tol` below rounding, or a
-Heisenberg quadrature that does not reach `--tol`).
+verification failure, 2 configuration error: an argument outside its
+domain (a non-finite `--t`, `--tol` or `--omega`, a `--tol` <= 0, |t|
+beyond its cap of 16 for P and X and 8 for P2, a negative `--k` or
+`--max-order`, a `--block` below 1), `--l-max` below the tail level, a
+`--tol` below rounding, or a Heisenberg quadrature that misses `--tol`.
 For CSV output the per-run residuals (e.g. the norm defect) go to
 stderr as `#`-prefixed comments so stdout stays a clean table; JSON
 carries them inline.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import enum
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import checks, evolution, fock, hilbert, oracle
 from .combinatorics import _CATALAN_MAX_P, catalan
-from .exceptions import DomainError, QuadratureError, TruncationError
+from .exceptions import DomainError, QuadratureError, TruncationError, check_finite, check_index, check_positive
 from .report import CheckReport
 
 
@@ -69,24 +69,19 @@ class RunConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if not self.t_values:
             raise ConfigError("at least one t value is required")
-        if not all(math.isfinite(t) for t in self.t_values):
-            raise ConfigError("t values must be finite")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError("tol must be positive and finite")
-        if not math.isfinite(self.omega):
-            raise ConfigError("omega must be finite")
-        if self.k < 0:
-            raise ConfigError("k must be non-negative")
+        for t in self.t_values:
+            check_finite("t", t)
+        check_positive("tol", self.tol)
+        check_finite("omega", self.omega)
+        check_index("k", self.k)
         if self.l_max is not None and self.l_max < self.k:
             raise ConfigError("l_max must be >= k")
         if self.command in ("evolve", "heisenberg") and len(self.t_values) != 1:
             raise ConfigError(f"{self.command} takes exactly one t value")
-        if self.command == "heisenberg" and self.generator not in ("P", "P2"):
-            raise ConfigError("heisenberg corrections are defined for generators P and P2")
-        if self.command == "heisenberg" and self.block < 1:
-            raise ConfigError("block must be >= 1")
-        if self.command in ("coeffs", "table") and self.max_order < 0:
-            raise ConfigError("max_order must be non-negative")
+        if self.command == "heisenberg":
+            check_index("block", self.block, least=1)
+        if self.command in ("coeffs", "table"):
+            check_index("max_order", self.max_order)
         if self.command == "table" and self.max_order > _CATALAN_MAX_P:
             raise ConfigError(f"table max_order must be <= {_CATALAN_MAX_P}, the exact Catalan range")
         if self.command == "char" and self.generator == "X" and self.k != 0:

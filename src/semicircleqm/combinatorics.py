@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .exceptions import EnumerationLimitError
+from .exceptions import EnumerationLimitError, check_index
 
 PLUS = 1
 MINUS = -1
@@ -75,8 +75,7 @@ def catalan(p: int) -> int:
 
     Restricted to p <= 30 so the result fits in a signed 64-bit integer.
     """
-    if p < 0:
-        raise ValueError(f"catalan index must be >= 0, got {p}")
+    check_index("p", p)
     if p > _CATALAN_MAX_P:
         raise OverflowError(f"catalan({p}) exceeds the supported exact range (p <= {_CATALAN_MAX_P})")
     return comb(2 * p, p) // (p + 1)
@@ -89,8 +88,7 @@ def theta_count_unbounded(m_plus: int, m_minus: int, p: int) -> int:
     the guard on the public operation is a portability contract, not a
     correctness requirement.
     """
-    if m_plus < 0 or m_minus < 0 or p < 0:
-        raise ValueError("theta_count arguments must be non-negative")
+    check_index("m_plus, m_minus, p", m_plus, m_minus, p)
     s = m_plus + m_minus
     numerator = (s + 1) * comb(2 * p + s + 1, p)
     count, rem = divmod(numerator, 2 * p + s + 1)
@@ -129,8 +127,7 @@ def normal_order(word: Iterable[int] | str) -> NormalForm:
 
 
 def _check_enumerable(k: int) -> None:
-    if k < 0:
-        raise ValueError("word length must be >= 0")
+    check_index("k", k)
     if k > _ENUMERATION_MAX_K:
         raise EnumerationLimitError(
             f"refusing exhaustive enumeration for k={k} > {_ENUMERATION_MAX_K}"
@@ -179,6 +176,7 @@ def normal_forms(k: int) -> NormalFormArrays:
 
 def enumerate_theta_class(k: int, m_plus: int, m_minus: int) -> Iterator[SignWord]:
     """Words of length k whose normal order is (m_plus, m_minus)."""
+    check_index("m_plus, m_minus", m_plus, m_minus)
     target = NormalForm(m_plus, m_minus)
     return (w for w in all_sign_words(k) if normal_order(w) == target)
 
@@ -190,6 +188,7 @@ def brute_force_theta(k: int, m_plus: int, m_minus: int) -> int:
     = 2p >= 0, brute_force_theta(k, m_plus, m_minus) equals
     theta_count(m_plus, m_minus, p); it is 0 for unreachable targets.
     """
+    check_index("m_plus, m_minus", m_plus, m_minus)
     return sign_word_distribution(k).get(NormalForm(m_plus, m_minus), 0)
 
 
@@ -207,6 +206,5 @@ def nu_plus_on_theta(m_plus: int, m_minus: int, p: int) -> int:
     (m_plus, m_minus) performs exactly p cancelled raisings plus the
     m_plus surviving ones.
     """
-    if m_plus < 0 or m_minus < 0 or p < 0:
-        raise ValueError("arguments must be non-negative")
+    check_index("m_plus, m_minus, p", m_plus, m_minus, p)
     return p + m_plus

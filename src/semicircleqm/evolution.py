@@ -28,21 +28,24 @@ import cmath
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, factorial
+from math import factorial, log
 
 import numpy as np
 
 from . import orthopoly
 from .exceptions import (
-    ConvergenceError,
     CrossCheckError,
     DomainError,
     QuadratureError,
     TruncationError,
+    check_finite,
+    check_index,
+    check_positive,
+    check_support,
 )
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
-from .specfun import _exact_series, bessel_j, bessel_j_all, bessel_tail_index
+from .specfun import _MAX_ABS_ARGUMENT, _exact_series, _tail_index, bessel_j, bessel_j_all, bessel_tail_index
 
 
 class CoeffKind(enum.Enum):
@@ -133,8 +136,7 @@ def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
     Sized past the tail level, so one cache entry per t serves every s up to it.
     """
     gen = Generator.P2 if kind is CoeffKind.KINETIC_I2 else Generator.P
-    if not abs(t) <= _MAX_T[gen]:
-        raise DomainError(f"|t| <= {_MAX_T[gen]} required, got {t}")
+    check_finite("t", t, _MAX_T[gen])
     return _vacuum_column(gen, float(t), max(s, _tail_span(gen, t, _COLUMN_TOL)[1]))
 
 
@@ -153,6 +155,7 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
     eps max(1, |partial sum|), is eps here, since |I[0, s]| <= 1 (a
     unitary matrix element).
     """
+    check_finite("t", t)
     if kinetic and s % 2 == 1:
         return 0j  # P^2 keeps parity
     a, b = float(t).as_integer_ratio()
@@ -190,10 +193,11 @@ def _checked_coefficient(
     kinetic = kind is CoeffKind.KINETIC_I2
     if kinetic and s % 2 == 1:
         return 0j, 0.0  # P^2 keeps parity
+    tol = 1e-11 if tol is None else tol
+    check_positive("tol", tol)
     engine = complex(column[s]) if kinetic else (-1.0) ** s * float(column[s].real)
     series = _series_cached(kinetic, s, float(t))
     gap = abs(engine - series)
-    tol = 1e-11 if tol is None else tol
     if gap > tol:
         raise CrossCheckError(
             f"{kind.value}[0,{s}]({t}): engine column {engine} vs defining series {series} "
@@ -213,14 +217,14 @@ def _entry(kind: CoeffKind, value: float | complex, m: int, s: int) -> complex:
 
 
 def _coefficient(kind: CoeffKind, m: int, n: int, t: float, tol: float | None) -> complex:
-    if m < 0 or n < 0:
-        raise DomainError("orders must be non-negative")
+    check_index("m, n", m, n)
     s = m + n
     return _entry(kind, _checked_coefficient(kind, s, t, tol, _coeff_column(kind, t, s))[0], m, s)
 
 
 def coeff_I_series(m: int, n: int, t: float) -> complex:
-    """Defining-series route alone (exact inverse-normal-order counts)."""
+    """Defining-series route alone (exact inverse-normal-order counts); any finite t."""
+    check_index("m, n", m, n)
     return complex((-1.0) ** m * _series_cached(False, m + n, float(t)))
 
 
@@ -237,8 +241,7 @@ def coeff_I(m: int, n: int, t: float, tol: float | None = None) -> complex:
 
 def matrix_element_P(l: int, k: int, t: float, tol: float | None = None) -> complex:
     """<level l | translation group | level k> = sum_m I[l-m, k-m](t), m <= min(l, k)."""
-    if l < 0 or k < 0:
-        raise DomainError("levels must be non-negative")
+    check_index("l, k", l, k)
     return sum(coeff_I(l - m, k - m, t, tol) for m in range(min(l, k) + 1))
 
 
@@ -250,16 +253,22 @@ _MAX_T = {Generator.P: 16.0, Generator.X: 16.0, Generator.P2: 8.0}
 
 
 def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
-    """Tail level of e^{itG} at tol and the levels it spans past a source level."""
-    tail = _p2_level_tail_index(t, tol) if gen is Generator.P2 else bessel_tail_index(t, tol)
-    return tail, 2 * tail if gen is Generator.P2 else tail
+    """Tail level of e^{itG} at tol and the levels it spans past a source level.
+
+    P^2 counts even levels: |<2m|e^{itP^2}|0>| <= 2 e^(4|t|) (4|t|)^m / m!.
+    """
+    if gen is Generator.P2:
+        tail = _tail_index(log(2.0) + 4.0 * abs(t), 4.0 * abs(t), tol)
+        return tail, 2 * tail
+    tail = bessel_tail_index(t, tol)
+    return tail, tail
 
 
 def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, tol: float):
     """(<level l | e^{itG} | level k> for l <= l_max, k in cols; tail index; top), G in {X, P, P2}.
 
-    top is max(cols) plus the tail level (`bessel_tail_index`, or twice
-    `_p2_level_tail_index` for P2); l_max defaults to it.  The DST-I
+    top is max(cols) plus the levels the tail spans (`_tail_span`);
+    l_max defaults to it.  The DST-I
     diagonalises X on m levels: eigenvalues 2 cos(j pi/(m+1)), the
     `orthopoly.quadrature_rule` nodes, and eigenvectors
     sqrt(2/(m+1)) sin((l+1) j pi/(m+1)); P = D X D* with D = diag(i^l).
@@ -268,8 +277,9 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, 
     """
     if gen not in _MAX_T:
         raise DomainError(f"sine-transform evolutions cover generators P, X, P2, got {gen.value}")
-    if not abs(t) <= _MAX_T[gen]:
-        raise DomainError(f"|t| <= {_MAX_T[gen]} required for generator {gen.value}, got {t}")
+    check_finite("t", t, _MAX_T[gen])
+    if l_max is not None:
+        check_index("l_max", l_max)
     tail, span = _tail_span(gen, t, tol)
     top = int(cols.max()) + span
     rows = (top if l_max is None else l_max) + 1
@@ -304,8 +314,7 @@ def evolve(
 ) -> EvolvedState:
     """Amplitudes <level l | e^{itG} | level k>, G in {P, X, P2}, up to l_max or k plus the tail level."""
     gen = Generator(generator)
-    if k < 0:
-        raise DomainError("source level must be >= 0")
+    check_index("k", k)
     block, tail, top = _group_block(gen, t, np.array([k]), l_max, tol)
     if l_max is not None and l_max < top:
         raise TruncationError(f"l_max={l_max} below the required tail level {top}")
@@ -333,10 +342,12 @@ def evolve_P2_level1(t: float, l_max: int | None = None, tol: float = 1e-10) -> 
 
 
 def evolve_H1(k: int, t: float, omega1: float = 1.0, l_max: int | None = None) -> EvolvedState:
-    """Quadratic-well group: a pure phase on each level (diagonal generator)."""
-    if k < 0:
-        raise DomainError("source level must be >= 0")
-    top = max(k, 0) if l_max is None else l_max
+    """Quadratic-well group: a pure phase on each level (diagonal generator); any finite t and omega1."""
+    check_index("k", k)
+    check_finite("t", t)
+    check_finite("omega1", omega1)
+    top = k if l_max is None else l_max
+    check_index("l_max", top)
     if top < k:
         raise TruncationError(f"l_max={l_max} below source level {k}")
     amps = np.zeros(top + 1, dtype=complex)
@@ -358,12 +369,8 @@ def evolve_P_pointwise(k: int, t: float, x: float, tol: float = 1e-10) -> comple
     the amplitude series for every x != 0 (verified against the matrix
     oracle).  Raises DomainError for |t| > 16, like `evolve_P`.
     """
-    if k < 0:
-        raise DomainError("source level must be >= 0")
-    if not abs(t) <= _MAX_T[Generator.P]:
-        raise DomainError(f"|t| <= {_MAX_T[Generator.P]} required, got {t}")
-    if abs(x) > 2.0:
-        raise DomainError("x must lie in [-2, 2]")
+    check_index("k", k)
+    check_finite("t", t, _MAX_T[Generator.P])
     m_top = bessel_tail_index(t, tol / 100.0) + k + 4
     jv = bessel_j_all(m_top, 2.0 * t).values
     pv = phi_all(m_top + k + 2, x)
@@ -386,10 +393,10 @@ def evolve_X_vacuum_pointwise(t: float, x: float) -> complex:
     the evolution with its order-one term removed.  The position
     operator acts as multiplication, so the full pointwise evolved
     vacuum is e^(itx) itself; the amplitude series of evolve_X sums to
-    that, exceeding this combination by exactly i x J_1(2t).
+    that, exceeding this combination by exactly i x J_1(2t).  |t| <= 32.
     """
-    if abs(x) > 2.0:
-        raise DomainError("x must lie in [-2, 2]")
+    check_finite("t", t, _MAX_ABS_ARGUMENT / 2)  # the Bessel argument is 2t
+    check_support(x)
     return cmath.exp(1j * t * x) - 1j * x * bessel_j(1, 2.0 * t).value
 
 
@@ -416,8 +423,9 @@ def char_function_catalan_series(t: float) -> complex:
     C_{p+1}/C_p = 2(2p+1)/(p+2); `specfun._exact_series` sums the terms
     in exact integers (the binary float t is a rational number), so the
     alternating cancellation costs no precision; only the final
-    division rounds.
+    division rounds.  Any finite t.
     """
+    check_finite("t", t)
     a, b = float(t).as_integer_ratio()
     a2, b2 = -a * a, b * b
     tt = t * t
@@ -436,8 +444,7 @@ def state_char_function(l: int, t: float) -> complex:
     Partial diagonal sum sum_{m=0..l} I[m, m](t); raises DomainError for
     |t| > 16.
     """
-    if l < 0:
-        raise DomainError("level must be >= 0")
+    check_index("l", l)
     column = _coeff_column(CoeffKind.MOMENTUM_I, t, 2 * l)  # one column for every m
     values = [_checked_coefficient(CoeffKind.MOMENTUM_I, 2 * m, t, None, column)[0] for m in range(l + 1)]
     return complex(sum((-1.0) ** m * value for m, value in enumerate(values)))
@@ -447,7 +454,8 @@ def state_char_function(l: int, t: float) -> complex:
 # kinetic group e^{i t P^2}
 
 def coeff_I2_series(m: int, n: int, t: float) -> complex:
-    """Defining-series route for the kinetic coefficient."""
+    """Defining-series route for the kinetic coefficient; any finite t."""
+    check_index("m, n", m, n)
     return (-1) ** m * _series_cached(True, m + n, float(t))
 
 
@@ -461,29 +469,6 @@ def coeff_I2(m: int, n: int, t: float, tol: float | None = None) -> complex:
         (-1)^m (-it)^((m+n)/2) / ((m+n)/2)! 1F1((m+n+1)/2; m+n+2; 4it).
     """
     return _coefficient(CoeffKind.KINETIC_I2, m, n, t, tol)
-
-
-def _p2_level_tail_index(t: float, tol: float) -> int:
-    """Even-level count M with the amplitude tail beyond level 2M below tol.
-
-    |amplitude at level 2m| <= 2 (4|t|)^m e^(4|t|) / m!, so the tail is
-    geometric once m + 2 > 4|t|.
-    """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    at = abs(t)
-    if at == 0.0:
-        return 1
-    pref = 2.0 * exp(4.0 * at)
-    m = 1
-    lead = (4.0 * at) ** 2 / 2.0
-    while True:
-        if m + 2 > 4.0 * at and pref * lead / (1.0 - 4.0 * at / (m + 2)) < tol:
-            return m
-        m += 1
-        lead *= 4.0 * at / (m + 1)
-        if m > 100_000:
-            raise ConvergenceError("kinetic tail index search did not terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +507,10 @@ def heisenberg_block(
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.P2):
         raise DomainError(f"Heisenberg corrections cover generators P and P2, got {gen.value}")
-    if m_max < 0 or n_max < 0:
-        raise DomainError("block extents must be non-negative")
-    if not abs(t) <= _MAX_T[gen]:
-        raise DomainError(f"|t| <= {_MAX_T[gen]} required, got {t}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    check_index("m_max, n_max", m_max, n_max)
+    check_finite("t", t, _MAX_T[gen])
+    check_finite("omega", omega)
+    check_positive("tol", tol)
     if t == 0.0:
         return np.zeros((m_max + 1, n_max + 1), dtype=complex)
     kind = CoeffKind.KINETIC_I2 if gen is Generator.P2 else CoeffKind.MOMENTUM_I
@@ -567,6 +550,7 @@ def heisenberg_aplus_P2(
 
 def element_table(generator: Generator | str, t: float, l_max: int, tol: float = 1e-10) -> np.ndarray:
     """Matrix of group elements <level l | e^{itG} | level k> for l, k <= l_max, G in {P, X, P2}."""
+    check_index("l_max", l_max)
     return _group_block(Generator(generator), t, np.arange(l_max + 1), l_max, tol)[0]
 
 
@@ -581,6 +565,7 @@ def build_coeff_table(kind: CoeffKind | str, t: float, max_order: int) -> CoeffT
     coefficient.
     """
     kind = CoeffKind(kind)
+    check_index("max_order", max_order)
     column = _coeff_column(kind, t, max_order)
     entries: dict[tuple[int, int], complex] = {}
     agreements: dict[tuple[int, int], float] = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, TruncationError
+from .exceptions import DimensionError, DomainError, TruncationError, check_finite, check_index, check_positive
 from .report import CheckReport
 
 
@@ -227,8 +227,7 @@ def vacuum_moment(n: int, which: str, dim: int) -> int:
     banded action (a+ v)_i = v_{i-1}, (a v)_i = v_{i+1} runs on a list
     of Python ints, so the value is exact for every n.
     """
-    if n < 0:
-        raise DomainError("moment order must be >= 0")
+    check_index("n", n)
     if which not in ("X", "P"):
         raise DomainError(f"which must be 'X' or 'P', got {which!r}")
     if dim <= 2 * n:
@@ -260,6 +259,7 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
     and their difference picks up the vacuum projection exactly when
     m = n.
     """
+    check_index("m_max, n_max", m_max, n_max)
     if m_max + n_max + 2 > dim:
         raise DimensionError("need m_max + n_max + 2 <= dim")
     a, ap = _int_shift_matrices(dim)
@@ -299,14 +299,14 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
 
 def coherent_kernel(u: complex, v: complex) -> complex:
     """Overlap of two coherent vectors: the geometric-series kernel 1/(1 - conj(u) v)."""
-    if abs(u) >= 1.0 or abs(v) >= 1.0:
+    if not (abs(u) < 1.0 and abs(v) < 1.0):
         raise DomainError("coherent parameters must satisfy |u| < 1, |v| < 1")
     return 1.0 / (1.0 - complex(u).conjugate() * complex(v))
 
 
 def coherent_kernel_truncated(u: complex, v: complex, dim: int) -> tuple[complex, float]:
     """Partial geometric sum over the first dim levels plus a tail bound."""
-    if abs(u) >= 1.0 or abs(v) >= 1.0:
+    if not (abs(u) < 1.0 and abs(v) < 1.0):
         raise DomainError("coherent parameters must satisfy |u| < 1, |v| < 1")
     q = complex(u).conjugate() * complex(v)
     total = 0j
@@ -325,17 +325,17 @@ def harmonic_char(t: float, p_xi: float, omega1: float) -> complex:
     2*omega1 on every excited level, so any unit vector with vacuum
     weight p_xi yields p_xi e^{i t omega1} + (1 - p_xi) e^{2 i t omega1}.
     """
+    check_finite("t", t)
+    check_positive("omega1", omega1)
     if not 0.0 <= p_xi <= 1.0:
         raise DomainError(f"vacuum weight must be in [0, 1], got {p_xi}")
-    if omega1 <= 0:
-        raise DomainError("omega1 must be positive")
     return p_xi * cmath.exp(1j * t * omega1) + (1.0 - p_xi) * cmath.exp(2j * t * omega1)
 
 
 def harmonic_char_from_state(t: float, xi: FockVector, omega1: float) -> complex:
     """Same quantity by explicit diagonal exponentiation of a state vector."""
-    if omega1 <= 0:
-        raise DomainError("omega1 must be positive")
+    check_finite("t", t)
+    check_positive("omega1", omega1)
     levels = np.arange(xi.dim)
     eigenvalues = np.where(levels == 0, omega1, 2.0 * omega1)
     phases = np.exp(1j * t * eigenvalues)

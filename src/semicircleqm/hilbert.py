@@ -29,12 +29,11 @@ from math import acos, cos, pi, sin
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, SingularNodeError
-from .orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
-from .specfun import bessel_j, bessel_j_all, bessel_tail_index
+from .exceptions import SingularNodeError, check_finite, check_support, check_theta
+from .orthopoly import _INTERIOR_MARGIN, gauss_legendre, phi_all, quadrature_rule, t_cheb
+from .specfun import _MAX_ABS_ARGUMENT, bessel_j, bessel_j_all, bessel_tail_index
 
-_EDGE_MARGIN = 1e-6
-_KAPTEYN_TERM_CAP = 400
+_MAX_T_BESSEL = _MAX_ABS_ARGUMENT / 2  # the Bessel argument is 2t
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,7 @@ def hilbert_mu_pv(f, x, m: int = 2048):
         SingularNodeError: if any point collides with a quadrature node
             (perturb the evaluation point or change m).
     """
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    outside = ~((-2.0 < xs) & (xs < 2.0))
-    if np.any(outside):
-        raise DomainError(f"evaluation point must be interior, got {xs[outside][0]}")
+    xs = check_support(x, 2.0**-52).reshape(-1)  # 2 - 2^-52 is the largest double below 2
     nodes, weights = quadrature_rule(m)
     dist = xs[:, None] - nodes
     gap = np.min(np.abs(dist), axis=1)
@@ -158,6 +154,7 @@ def rho_weight(x):
     Its square is the semicircle probability density.
     """
     arr = np.asarray(x, dtype=float)
+    check_finite("x", float(np.max(np.abs(arr), initial=0.0)))
     inside = np.abs(arr) <= 2.0
     vals = np.where(inside, (np.clip(4.0 - arr**2, 0.0, None)) ** 0.25 / np.sqrt(2.0 * np.pi), 0.0)
     return vals if vals.shape else float(vals)
@@ -175,8 +172,7 @@ def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> flo
     panels are evaluated as one (panels x order) array; their sums are
     added in panel order.
     """
-    if not 0.0 < theta < pi:
-        raise DomainError(f"theta must be interior to (0, pi), got {theta}")
+    check_theta(theta)
     xg, wg = gauss_legendre(order)
     g_theta = g(np.array([theta]))[0]
     half = max(2, panels // 2)
@@ -202,13 +198,9 @@ def kapteyn_sum_cos(t: float, theta: float, tol: float = 1e-12) -> float:
 
 
 def _kapteyn_series(t: float, theta: float, tol: float, trig) -> float:
-    if not 0.0 < theta < pi:
-        raise DomainError(f"theta must be in (0, pi), got {theta}")
-    if abs(t) > 8.0:
-        raise DomainError(f"|t| <= 8 required, got {t}")
-    n_max = bessel_tail_index(t, tol)
-    if n_max > _KAPTEYN_TERM_CAP:
-        raise ConvergenceError(f"tail index {n_max} exceeds the cap {_KAPTEYN_TERM_CAP}")
+    check_theta(theta)
+    check_finite("t", t, 8.0)
+    n_max = bessel_tail_index(t, tol)  # at most 305 terms for |t| <= 8 and any tol > 0
     jv = bessel_j_all(n_max, 2.0 * t).values
     ms = np.arange(1, n_max + 1)
     return float(np.sum(((-1.0) ** ms) * jv[1:] * trig(ms * theta)))
@@ -220,8 +212,7 @@ def kapteyn_integral_sin(t: float, theta: float) -> float:
         -sin(2t sin theta)/2
         - (sin theta / 2 pi) p.v. int_0^pi cos(2t sin phi)/(cos theta - cos phi) dphi
     """
-    if not 0.0 < theta < pi:
-        raise DomainError(f"theta must be in (0, pi), got {theta}")
+    check_finite("t", t)
     integral = pv_integral_angle(lambda p: np.cos(2.0 * t * np.sin(p)), theta)
     return -sin(2.0 * t * sin(theta)) / 2.0 - sin(theta) / (2.0 * pi) * integral
 
@@ -232,16 +223,9 @@ def kapteyn_integral_cos(t: float, theta: float) -> float:
         (cos(2t sin theta) - J_0(2t))/2
         - (1/2 pi) p.v. int_0^pi sin(2t sin phi) sin(phi)/(cos theta - cos phi) dphi
     """
-    if not 0.0 < theta < pi:
-        raise DomainError(f"theta must be in (0, pi), got {theta}")
+    check_finite("t", t, _MAX_T_BESSEL)
     integral = pv_integral_angle(lambda p: np.sin(2.0 * t * np.sin(p)) * np.sin(p), theta)
     return (cos(2.0 * t * sin(theta)) - bessel_j(0, 2.0 * t).value) / 2.0 - integral / (2.0 * pi)
-
-
-def _interior_theta(x: float) -> float:
-    if abs(x) > 2.0 - _EDGE_MARGIN:
-        raise DomainError(f"|x| <= 2 - {_EDGE_MARGIN} required, got {x}")
-    return acos(x / 2.0)
 
 
 def evolved_vacuum_closed_form(t: float, x: float) -> complex:
@@ -255,7 +239,9 @@ def evolved_vacuum_closed_form(t: float, x: float) -> complex:
     Equals the amplitude series sum_l (-1)^l (l+1) J_{l+1}(2t)/t Phi_l(x);
     the value is real for real t.
     """
-    theta = _interior_theta(x)
+    check_finite("t", t, _MAX_T_BESSEL)
+    check_support(x, _INTERIOR_MARGIN)
+    theta = acos(x / 2.0)
     if t == 0.0:
         return 1.0 + 0j
     integral = pv_integral_angle(lambda p: np.cos(2.0 * t * np.sin(p)), theta)
@@ -275,7 +261,9 @@ def evolved_phi1_closed_form(t: float, x: float) -> complex:
         2 J_1(2t) + x cos(2t sin theta)
                   - (x/pi) p.v. int_0^pi sin(2t sin phi) sin(phi)/(cos theta - cos phi) dphi
     """
-    theta = _interior_theta(x)
+    check_finite("t", t, _MAX_T_BESSEL)
+    check_support(x, _INTERIOR_MARGIN)
+    theta = acos(x / 2.0)
     if t == 0.0:
         return complex(x)
     integral = pv_integral_angle(lambda p: np.sin(2.0 * t * np.sin(p)) * np.sin(p), theta)
@@ -284,9 +272,6 @@ def evolved_phi1_closed_form(t: float, x: float) -> complex:
 
 
 def spectral_identity_table(n_max: int, x: float) -> list[tuple[int, float, float]]:
-    """Rows (n, (H Phi_n)(x) by PV quadrature, T_{n+1}(x)) for display."""
-    rows = []
-    for n in range(n_max + 1):
-        pv = hilbert_mu_pv(lambda y, n=n: phi_all(n, y)[n], x)
-        rows.append((n, pv, t_cheb(n + 1, x)))
-    return rows
+    """Rows (n, (H Phi_n)(x) by PV quadrature, T_{n+1}(x)) for display, from one stacked PV call."""
+    pv = hilbert_mu_pv(lambda y: phi_all(n_max, y), x)
+    return [(n, float(pv[n]), t_cheb(n + 1, x)) for n in range(n_max + 1)]

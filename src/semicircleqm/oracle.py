@@ -18,7 +18,7 @@ from math import ceil, exp, log2
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DimensionError, DomainError
+from .exceptions import ConvergenceError, DimensionError, DomainError, check_finite, check_index, check_positive
 from .fock import FockOperator, FockVector, build_momentum, build_position
 from .orthopoly import quadrature_rule
 from .specfun import bessel_tail_index
@@ -55,10 +55,10 @@ def _scaled(op: FockOperator | np.ndarray, z: complex) -> tuple[np.ndarray, floa
         raise DimensionError("matrix must be square")
     if mat.shape[0] > _MAX_DIM:
         raise DimensionError(f"dimension {mat.shape[0]} exceeds the dense cap {_MAX_DIM}")
+    check_finite("z", z)
     za = z * mat
     nrm = _norm2_upper(za)
-    if not np.isfinite(nrm):
-        raise DomainError("non-finite scaled operator norm")
+    check_finite("||zA||", nrm)
     return za, nrm, _norm2_upper(za + za.conj().T) <= 1e-12 * max(1.0, nrm)
 
 
@@ -94,6 +94,7 @@ def expm_matrix(op: FockOperator | np.ndarray, z: complex, tol: float = 1e-13) -
     with e^(||B|| 2^j) growth factors; for skew-Hermitian arguments the
     intermediate exponentials have norm 1 and the bound is tight).
     """
+    check_positive("tol", tol)
     za, nrm, skew = _scaled(op, z)
     squarings = max(0, ceil(log2(nrm / 0.5))) if nrm > 0.5 else 0
     b = za / (2**squarings)
@@ -123,6 +124,7 @@ def expm_apply(op: FockOperator, z: complex, v: FockVector, tol: float = 1e-12) 
     """
     if v.dim != op.dim:
         raise DimensionError(f"operator dim {op.dim} vs vector dim {v.dim}")
+    check_positive("tol", tol)
     za, nrm, skew = _scaled(op, z)
     steps = max(1, ceil(nrm / _STEP_NORM))
     b, w = za / steps, v.coeffs
@@ -167,10 +169,8 @@ def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
     N only at series order ~N and the comparison certifies the tail).
     For t = 0 the evolution is the identity and k + 2 suffices.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if k < 0:
-        raise DomainError("source level must be >= 0")
+    check_positive("tol", tol)
+    check_index("k", k)
     if t == 0.0:
         return k + 2
 
@@ -196,6 +196,7 @@ def semicircle_expectation(f, m: int = 256) -> float:
 
 
 def char_function_quadrature(t: float, m: int = 256) -> complex:
-    """Characteristic function of the semicircle law by Gauss quadrature."""
+    """Characteristic function of the semicircle law by Gauss quadrature; any finite t."""
+    check_finite("t", t)
     nodes, weights = quadrature_rule(m)
     return complex(np.sum(weights * np.exp(1j * t * nodes)))

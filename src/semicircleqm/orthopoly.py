@@ -18,17 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import check_index, check_support
 from .report import CheckReport
 
 _INTERIOR_MARGIN = 1e-6
-
-
-def _check_support(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 2.0):
-        raise DomainError(f"{name} must lie in [-2, 2]")
-    return arr
 
 
 def phi(n: int, x):
@@ -36,9 +29,8 @@ def phi(n: int, x):
 
     Accepts a scalar or array x in [-2, 2]; returns the same shape.
     """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    arr = _check_support(x)
+    check_index("n", n)
+    arr = check_support(x)
     prev = np.zeros_like(arr)
     cur = np.ones_like(arr)
     for _ in range(n):
@@ -48,9 +40,8 @@ def phi(n: int, x):
 
 def phi_all(n_max: int, x) -> np.ndarray:
     """Values Phi_0(x), ..., Phi_{n_max}(x) stacked along the first axis."""
-    if n_max < 0:
-        raise DomainError(f"degree must be >= 0, got {n_max}")
-    arr = _check_support(x)
+    check_index("n_max", n_max)
+    arr = check_support(x)
     out = np.empty((n_max + 1,) + arr.shape, dtype=float)
     out[0] = 1.0
     if n_max >= 1:
@@ -66,9 +57,8 @@ def phi_closed_form(n: int, x) -> float:
     Valid only away from the endpoints (|x| <= 2 - 1e-6); used as a test
     oracle for the recurrence.
     """
-    arr = _check_support(x)
-    if np.any(np.abs(arr) > 2.0 - _INTERIOR_MARGIN):
-        raise DomainError("closed form restricted to the interior |x| <= 2 - 1e-6")
+    check_index("n", n)
+    arr = check_support(x, _INTERIOR_MARGIN)
     theta = np.arccos(arr / 2.0)
     val = np.sin((n + 1) * theta) / np.sin(theta)
     return val if val.shape else float(val)
@@ -76,9 +66,8 @@ def phi_closed_form(n: int, x) -> float:
 
 def t_cheb(n: int, x):
     """Monic first-kind polynomial T_n(x) = 2 cos(n arccos(x/2)); T_0 = 2."""
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    arr = _check_support(x)
+    check_index("n", n)
+    arr = check_support(x)
     val = 2.0 * np.cos(n * np.arccos(arr / 2.0))
     return val if val.shape else float(val)
 
@@ -92,8 +81,7 @@ def quadrature_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     of degree <= 2m - 1.  Computed once per m; the arrays are read-only
     because every caller shares them.
     """
-    if m < 1:
-        raise DomainError(f"node count must be >= 1, got {m}")
+    check_index("m", m, least=1)
     k = np.arange(1, m + 1)
     angles = k * np.pi / (m + 1)
     nodes = 2.0 * np.cos(angles)
@@ -104,6 +92,7 @@ def quadrature_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    check_index("order", order, least=1)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return _read_only(nodes), _read_only(weights)
 
@@ -124,9 +113,8 @@ def connection_checks(n_max: int, x_grid) -> list[CheckReport]:
     max(1, |T_{n+1}|).  T_0 .. T_{n_max+1} are one array 2 cos(n theta),
     x = 2 cos(theta), entry for entry the values of `t_cheb`.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    xs = _check_support(np.asarray(x_grid, dtype=float))
+    check_index("n_max", n_max, least=1)
+    xs = check_support(x_grid)
     pv = phi_all(n_max + 1, xs)
     phim1 = np.vstack([np.zeros_like(xs)[None, :], pv[:-2]])  # Phi_{n-1}, row n
     t_all = 2.0 * np.cos(np.arange(n_max + 2)[:, None] * np.arccos(xs / 2.0))

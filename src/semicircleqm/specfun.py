@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import ceil, exp, factorial, fsum, inf, isfinite, log, log1p
+from math import ceil, exp, factorial, fsum, inf, lgamma, log, log1p
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, PoleError
+from .exceptions import ConvergenceError, PoleError, check_finite, check_index, check_positive
 
 _MAX_ABS_ARGUMENT = 64.0
 _SERIES_TERM_CAP = 1000
@@ -148,13 +148,6 @@ def _exact_series(
     raise ConvergenceError(f"defining series did not converge in {_SERIES_TERM_CAP} terms")
 
 
-def _check_bessel_domain(n: int, x: float) -> None:
-    if n < 0:
-        raise DomainError(f"bessel order must be >= 0, got {n}")
-    if not abs(x) <= _MAX_ABS_ARGUMENT:  # also rejects nan
-        raise DomainError(f"|x| <= {_MAX_ABS_ARGUMENT} required, got {x}")
-
-
 def _miller(x: float, start: int) -> tuple[np.ndarray, float]:
     """J_0(x) .. J_start(x) recurred down from f_{start+1} = 0, f_start = 1.
 
@@ -198,7 +191,8 @@ def bessel_j_all(n_max: int, x: float) -> BesselOrders:
         DomainError: for n_max < 0 or |x| > 64.
         ConvergenceError: if the two runs differ beyond the rounding bound.
     """
-    _check_bessel_domain(n_max, x)
+    check_index("n_max", n_max)
+    check_finite("x", x, _MAX_ABS_ARGUMENT)
     if abs(x) < _TINY_ARGUMENT:
         values = np.zeros(n_max + 1)
         term = 1.0
@@ -230,6 +224,7 @@ def bessel_j(n: int, x: float) -> SeriesResult:
         SeriesResult whose terms_used is the recurrence's start order and
         whose tail_bound + rounding_bound bounds the absolute error.
     """
+    check_index("n", n)
     orders = bessel_j_all(n, x)
     return SeriesResult(
         value=float(orders.values[n]),
@@ -253,7 +248,8 @@ def bessel_j_series(n: int, x: float) -> SeriesResult:
         SeriesResult whose tail_bound is at most eps times the exact
         partial sum and whose value is that sum correctly rounded.
     """
-    _check_bessel_domain(n, x)
+    check_index("n", n)
+    check_finite("x", x, _MAX_ABS_ARGUMENT)
     a, b = float(x).as_integer_ratio()
     a2, b2 = -a * a, 4 * b * b
     hh = 0.25 * x * x
@@ -278,13 +274,12 @@ def hyp1f1(a: float, b: float, z: complex) -> SeriesResult:
         DomainError: for |z| > 64, or a or b not finite.
         ConvergenceError: past 1000 terms.
     """
-    if not (isfinite(a) and isfinite(b)):
-        raise DomainError(f"1F1 parameters must be finite, got a = {a}, b = {b}")
+    check_finite("a", a)
+    check_finite("b", b)
     if b <= 0 and float(b).is_integer():
         raise PoleError(f"1F1 pole: b = {b} is a non-positive integer")
     z = complex(z)
-    if not abs(z) <= _MAX_ABS_ARGUMENT:  # also rejects nan
-        raise DomainError(f"|z| <= {_MAX_ABS_ARGUMENT} required, got |z| = {abs(z)}")
+    check_finite("z", z, _MAX_ABS_ARGUMENT)
     a_num, a_den = float(a).as_integer_ratio()
     b_num, b_den = float(b).as_integer_ratio()
     re_num, re_den = z.real.as_integer_ratio()
@@ -308,30 +303,36 @@ def hyp1f1(a: float, b: float, z: complex) -> SeriesResult:
     return SeriesResult(*_exact_series((1, 0, 1), ratio, ratio_bound))
 
 
+def _tail_index(log_c: float, a: float, tol: float) -> int:
+    """Smallest n >= 1 with n + 2 > a and C a^(n+1)/(n+1)! / (1 - a/(n+2)) < tol.
+
+    That is the geometric bound on the tail sum_{m > n} C a^m/m!, taken in
+    logs from log C so that it cannot overflow.  a is |t| times a constant.
+    """
+    check_finite("t", a)
+    check_positive("tol", tol)
+    if a == 0.0:
+        return 1
+    log_limit = log(tol) - log_c
+    log_a = log(a)
+    n = max(1, int(a) - 1)
+    log_lead = (n + 1) * log_a - lgamma(n + 2)  # log a^(n+1)/(n+1)!
+    # the geometric factor is at least 1, so its log1p is needed only once the lead is below the limit
+    while log_lead >= log_limit or log_lead - log1p(-a / (n + 2)) >= log_limit:
+        n += 1
+        log_lead += log_a - log(n + 1)
+        if n > 100_000:
+            raise ConvergenceError("tail index search did not terminate")
+    return n
+
+
 def bessel_tail_index(t: float, tol: float) -> int:
     """Smallest level n* >= 1 past which the coefficient tail is below tol.
 
     The order-n expansion coefficient of the translation group satisfies
-        |c_n(t)| <= (|t|^n / n!) e^(t^2) (1 + t^2/2),
-    so the tail sum over n > n* is bounded by the geometric estimate
-        e^(t^2) (1 + t^2/2) * |t|^(n*+1)/(n*+1)! / (1 - |t|/(n*+2)).
-    Returns the smallest n* making that bound < tol.  The bound is
-    evaluated in logs, so it cannot overflow at large |t|.
+    |c_n(t)| <= (|t|^n / n!) e^(t^2) (1 + t^2/2), so n* is `_tail_index`
+    at C = e^(t^2) (1 + t^2/2) and a = |t|.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     at = abs(t)
-    if at == 0.0:
-        return 1
-    log_limit = log(tol) - at * at - log1p(at * at / 2.0)  # log of tol over the prefactor
-    log_at = log(at)
-    n = 1
-    log_lead = 2.0 * log_at - log(2.0)  # log |t|^(n+1)/(n+1)! at n = 1
-    while True:
-        # the geometric factor is at least 1, so its log1p is needed only once the lead is below the limit
-        if n + 2 > at and log_lead < log_limit and log_lead - log1p(-at / (n + 2)) < log_limit:
-            return n
-        n += 1
-        log_lead += log_at - log(n + 1)
-        if n > 100_000:
-            raise ConvergenceError("tail index search did not terminate")
+    tt = at * at
+    return _tail_index(tt + log1p(tt / 2.0), at, tol)

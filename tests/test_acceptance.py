@@ -2,8 +2,9 @@
 
 Each line evaluates one criterion of `semicircleqm.checks` on the gate's
 grid and prints one PASS/FAIL line (run with -s to see them on
-success); it computes no residual itself.  Criteria 6, 10 and 12 reach
-the domain edges, |t| = 16 for P and X and |t| = 8 for P^2.  A grid's
+success); it computes no residual itself.  Criteria 6, 10 and 12, and
+the position line of 8, reach the domain edges, |t| = 16 for P and X
+and |t| = 8 for P^2.  A grid's
 `tol` is the tolerance the engine evolves to; a line's `tol` bounds its
 residual.
 """
@@ -56,7 +57,8 @@ GATE = [
     Line(7, "characteristic function equals J_1(2t)/t", 1e-12, checks.char_function_routes, CHAR, 0),
     Line(7, "characteristic function vs quadrature (21 points)", 1e-10, checks.char_function_routes, CHAR, 1),
     Line(7, "characteristic function vs Catalan series", 1e-12, checks.char_function_routes, CHAR, 2),
-    Line(8, "position-group vacuum law e^{itx} - ixJ_1(2t)", 1e-10, checks.position_vacuum_law, POINTWISE),
+    Line(8, "position-group vacuum law e^{itx} - ixJ_1(2t)", 1e-10, checks.position_vacuum_law,
+         dict(POINTWISE, ts=POINTWISE["ts"] + T_EDGE, tol=1e-10)),
     Line(8, "translation-group PV closed forms vs series", 1e-6, checks.pointwise_closed_forms, POINTWISE),
     Line(9, "Bessel trigonometric sums vs PV integrals", 1e-6, checks.kapteyn,
          dict(ts=(0.5, 1.0, 2.0, 4.0), thetas=(pi / 6, pi / 3, pi / 2, 2 * pi / 3))),

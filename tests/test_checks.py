@@ -267,3 +267,12 @@ def test_gate_reaches_the_domain_edges(monkeypatch):
     for num in (6, 10, 12):
         assert any(residual(past_twelve(line)) > line.tol for line in GATE if line.num == num), num
     assert all(r.passed for _, r in verify_rows())
+
+
+def test_position_vacuum_law_catches_a_moved_closed_form(monkeypatch):
+    true_pointwise = evolution.evolve_X_vacuum_pointwise
+    monkeypatch.setattr(evolution, "evolve_X_vacuum_pointwise", lambda t, x: true_pointwise(t, x) + 1e-9)
+    line = next(line for line in GATE if line.criterion is checks.position_vacuum_law)
+    assert residual(line) > line.tol
+    # no verify row reads the closed form
+    assert all(r.passed for _, r in verify_rows())

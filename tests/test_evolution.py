@@ -474,6 +474,16 @@ class TestSineTransformEngine:
         assert np.max(np.abs(state.amplitudes - want)) <= 1e-12
         assert state.norm_defect() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "call, rows",
+        [(lambda: evolve_P(0, 16.0), 191), (lambda: evolve_P2_vacuum(8.0), 261), (lambda: evolve_P2_vacuum(2.0), 85),
+         (lambda: evolve_X(3, -11.0), 114), (lambda: evolve_P2_level1(-5.5), 190)],
+        ids=["P-16", "P2-vacuum-8", "P2-vacuum-2", "X-3-minus-11", "P2-level1-minus-5.5"],
+    )
+    def test_default_rows_are_pinned(self, call, rows):
+        # the tail levels of both generators come from one search; their row counts stay put
+        assert call().amplitudes.size == rows
+
     def test_truncation_grows_past_a_short_start(self, monkeypatch):
         # a tail level of 1 starts the truncation far too small; the
         # agreement check must keep growing it

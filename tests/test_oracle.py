@@ -4,7 +4,7 @@ import pytest
 
 from semicircleqm import oracle
 from semicircleqm.combinatorics import catalan
-from semicircleqm.exceptions import ConvergenceError, DimensionError, DomainError
+from semicircleqm.exceptions import ConvergenceError, DimensionError
 from semicircleqm.fock import (
     FockOperator,
     FockVector,
@@ -162,10 +162,6 @@ class TestTruncationLevel:
         assert oracle.truncation_level(1.0, 0, 1e-8, generator="P2") >= oracle.truncation_level(
             1.0, 0, 1e-8, generator="P"
         )
-
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            oracle.truncation_level(1.0, 0, -1e-8)
 
     def test_dimension_cap_past_the_translation_cap(self):
         with pytest.raises(ConvergenceError):
