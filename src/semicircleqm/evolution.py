@@ -130,6 +130,12 @@ def _vacuum_column(gen: Generator, t: float, top: int) -> np.ndarray:
     return column
 
 
+@lru_cache(maxsize=1024)
+def _column_tail(gen: Generator, t: float) -> int:
+    """Levels the tail of e^{itG}|0> spans at _COLUMN_TOL, searched once per (gen, t)."""
+    return _tail_span(gen, t, _COLUMN_TOL)[1]
+
+
 def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
     """Vacuum column behind the coefficients of kind at t, through level max(s, tail level).
 
@@ -137,7 +143,7 @@ def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
     """
     gen = Generator.P2 if kind is CoeffKind.KINETIC_I2 else Generator.P
     check_finite("t", t, _MAX_T[gen])
-    return _vacuum_column(gen, float(t), max(s, _tail_span(gen, t, _COLUMN_TOL)[1]))
+    return _vacuum_column(gen, float(t), max(s, _column_tail(gen, float(t))))
 
 
 @lru_cache(maxsize=1024)

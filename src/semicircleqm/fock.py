@@ -6,12 +6,15 @@ maps e_n -> e_{n-1} (e_0 -> 0) and is exact on the truncated space; the
 raising operator maps e_n -> e_{n+1} and must send the top vector to 0,
 so operator identities involving it hold only on the interior block
 (row/column indices < N-1).  Algebraic identity checks run in exact
-integer arithmetic: the multiplication-table and bracket checks on
-np.int64 matrices, which cannot overflow because every matrix they form
+integer arithmetic on the program's own operators, cast to np.int64
+(exact, since every entry is 0 or 1): the multiplication table on the
+matrices of `build_annihilation` and `build_creation`, and the bracket
+checks on a = (X + iP)/2 and a+ = (X - iP)/2 from `build_position` and
+`build_momentum`.  No product overflows, because every matrix they form
 is a 0/1 partial permutation (a, a+, P0, their powers and products), a
-level diagonal, or a small sum of these, so no entry exceeds N; the
-vacuum moments on vectors of Python ints, since C_40 > 2^63.  Evolutions
-use complex floating matrices.
+level diagonal, or a small sum of these, so no entry exceeds N.  The
+vacuum moments run on vectors of Python ints, since C_40 > 2^63.
+Evolutions use complex floating matrices.
 """
 
 from __future__ import annotations
@@ -118,19 +121,13 @@ def _require_dim(n: int, minimum: int = 2) -> None:
 def build_annihilation(dim: int) -> FockOperator:
     """Lowering operator: e_n -> e_{n-1}, e_0 -> 0.  Exact under truncation."""
     _require_dim(dim)
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = 1.0
-    return FockOperator(a, dim, Boundary.EXACT_INTERIOR)
+    return FockOperator(np.eye(dim, k=1, dtype=complex), dim, Boundary.EXACT_INTERIOR)
 
 
 def build_creation(dim: int) -> FockOperator:
     """Raising operator: e_n -> e_{n+1}, with the top vector sent to 0."""
     _require_dim(dim)
-    ap = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        ap[n + 1, n] = 1.0
-    return FockOperator(ap, dim, Boundary.TRUNCATED)
+    return FockOperator(np.eye(dim, k=-1, dtype=complex), dim, Boundary.TRUNCATED)
 
 
 def build_number_function(dim: int, f) -> FockOperator:
@@ -165,17 +162,6 @@ def commutator(op_a: FockOperator, op_b: FockOperator) -> FockOperator:
 # ---------------------------------------------------------------------------
 # exact-integer arithmetic backend for algebraic identity checks
 
-def _int_shift_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering/raising matrices over np.int64.
-
-    Both are 0/1 partial permutations, so every product of them, and of
-    P0, is one too; the checks add at most a level diagonal (entries
-    < N) and small multiples of these, so int64 arithmetic stays exact.
-    """
-    a = np.eye(dim, k=1, dtype=np.int64)
-    return a, a.T.copy()
-
-
 def _int_unit(dim: int, i: int, j: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=np.int64)
     out[i, j] = 1
@@ -195,7 +181,8 @@ def multiplication_table_checks(dim: int) -> list[CheckReport]:
     [X, P] = 2i P0 (checked through the integer matrix i^-1 [X, P]/2).
     """
     _require_dim(dim, minimum=3)
-    a, ap = _int_shift_matrices(dim)
+    # the program's own a and a+, whose entries are all 0 or 1, so the cast is exact
+    a, ap = (op.entries.real.astype(np.int64) for op in (build_annihilation(dim), build_creation(dim)))
     eye = np.eye(dim, dtype=np.int64)
     p0 = _int_unit(dim, 0, 0)
     defect = _interior_defect
@@ -257,12 +244,17 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
     The diagonal correction -delta_{mn} P0 in the third relation is
     forced by direct matrix multiplication: both products are rank one
     and their difference picks up the vacuum projection exactly when
-    m = n.
+    m = n.  a = (X + iP)/2 and a+ = (X - iP)/2 come from the program's
+    `build_position` and `build_momentum`: on the interior the brackets
+    follow from the multiplication table, so on the matrices that table
+    reads they could never fail without it.
     """
     check_index("m_max, n_max", m_max, n_max)
     if m_max + n_max + 2 > dim:
         raise DimensionError("need m_max + n_max + 2 <= dim")
-    a, ap = _int_shift_matrices(dim)
+    # X and iP have entries 0 and +-1, so (X +- iP)/2 is exact and its cast too
+    x, ip = build_position(dim).entries, 1j * build_momentum(dim).entries
+    a, ap = (((x + sign * ip) / 2).real.astype(np.int64) for sign in (1, -1))
     p0 = _int_unit(dim, 0, 0)
     defect = _interior_defect
     top = max(m_max, n_max) + 1

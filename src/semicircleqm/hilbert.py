@@ -168,9 +168,12 @@ def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> flo
 
     Subtracts g(theta) (the subtracted kernel integrates to zero in the
     principal-value sense) and integrates the now-removable integrand by
-    composite Gauss-Legendre panels split at the singular angle.  All
-    panels are evaluated as one (panels x order) array; their sums are
-    added in panel order.
+    composite Gauss-Legendre panels split at the singular angle.  The
+    denominator is taken as 2 sin((phi + theta)/2) sin((phi - theta)/2),
+    which does not cancel near the edges of (0, pi); a node that rounds
+    onto theta there lies in a panel narrower than theta or pi - theta
+    and is dropped.  All panels are evaluated as one (panels x order)
+    array; their sums are added in panel order.
     """
     check_theta(theta)
     xg, wg = gauss_legendre(order)
@@ -180,7 +183,9 @@ def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> flo
     a, b = edges[:-1, None], edges[1:, None]
     xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
     ws = 0.5 * (b - a) * wg
-    panel_sums = np.sum(ws * (g(xs) - g_theta) / (cos(theta) - np.cos(xs)), axis=1)
+    gap = 2.0 * np.sin(0.5 * (xs + theta)) * np.sin(0.5 * (xs - theta))
+    terms = np.divide(ws * (g(xs) - g_theta), gap, out=np.zeros(xs.shape), where=gap != 0.0)
+    panel_sums = np.sum(terms, axis=1)
     total = 0.0
     for panel in panel_sums:
         total += float(panel)

@@ -56,6 +56,8 @@ def _scaled(op: FockOperator | np.ndarray, z: complex) -> tuple[np.ndarray, floa
     if mat.shape[0] > _MAX_DIM:
         raise DimensionError(f"dimension {mat.shape[0]} exceeds the dense cap {_MAX_DIM}")
     check_finite("z", z)
+    # every sum over |zA| and |zA + (zA)*| is at most 2 |z| sum |A|, so none can overflow past this guard
+    check_finite("|z| ||A||", 2.0 * abs(z) * float(np.sum(np.abs(mat))))
     za = z * mat
     nrm = _norm2_upper(za)
     check_finite("||zA||", nrm)

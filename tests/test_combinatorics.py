@@ -187,7 +187,7 @@ class TestNormalForms:
 
     @pytest.mark.parametrize("k", [15, 16])
     def test_histogram_spanning_blocks_equals_formula(self, k):
-        assert checks.enumeration([k]) == (0, 0, 0)
+        assert checks.enumeration([k]) == (0, 0)
 
     def test_compact_dtypes(self):
         forms = normal_forms(6)

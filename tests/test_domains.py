@@ -45,6 +45,7 @@ COUNT = Domain(NON_FINITE + (0, 0.5), ())  # node counts and grids that start at
 THETA = Domain(NON_FINITE + (0.0, -0.0, math.pi), (1.0,))
 SUPPORT = capped(2.0)
 OPEN_SUPPORT = capped(math.nextafter(2.0, 0.0))
+SCALAR = Domain(NON_FINITE + (1e308j,), FINITE.inside)  # z of the oracle: 1e308j overflows |z| ||A||
 UNIT_DISC = Domain(NON_FINITE + (1.0, -1.0), (-0.0, TINY, math.nextafter(1.0, 0.0)))
 
 # argument names that a guard covers: t, x, z, theta, omega, tol, orders and levels
@@ -202,9 +203,9 @@ ROWS = [
     Row(fock.harmonic_char_from_state, "t", lambda t: fock.harmonic_char_from_state(t, XI, 1.0), FINITE),
     Row(fock.harmonic_char_from_state, "omega1", lambda w: fock.harmonic_char_from_state(0.5, XI, w), POSITIVE),
     # oracle
-    Row(oracle.expm_matrix, "z", lambda z: oracle.expm_matrix(OP, z)[0], FINITE),
+    Row(oracle.expm_matrix, "z", lambda z: oracle.expm_matrix(OP, z)[0], SCALAR),
     Row(oracle.expm_matrix, "tol", lambda tol: oracle.expm_matrix(OP, 0.5j, tol), POSITIVE),
-    Row(oracle.expm_apply, "z", lambda z: oracle.expm_apply(OP, z, VEC).vector, FINITE),
+    Row(oracle.expm_apply, "z", lambda z: oracle.expm_apply(OP, z, VEC).vector, SCALAR),
     Row(oracle.expm_apply, "tol", lambda tol: oracle.expm_apply(OP, 0.5j, VEC, tol), POSITIVE),
     Row(oracle.truncation_level, "t", lambda t: oracle.truncation_level(t, 0, 1e-10), FINITE),
     Row(oracle.truncation_level, "k", lambda k: oracle.truncation_level(1.0, k, 1e-10), INDEX),

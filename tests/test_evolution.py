@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from semicircleqm import checks, evolution, oracle
+from semicircleqm import checks, evolution, oracle, specfun
 from semicircleqm.evolution import (
     CoeffKind,
     Generator,
@@ -91,6 +91,19 @@ class TestCoeffI:
         offset_engine_column(monkeypatch, 1e-10)
         with pytest.raises(CrossCheckError):
             build_coeff_table(CoeffKind.MOMENTUM_I, 15.9, 20)
+
+    def test_repeated_coefficient_searches_no_tail(self, monkeypatch):
+        first = coeff_I(3, 2, 16.0)
+        true_search, searches = specfun._tail_index, []
+
+        def counted(*args):
+            searches.append(args)
+            return true_search(*args)
+
+        monkeypatch.setattr(specfun, "_tail_index", counted)  # reached through bessel_tail_index
+        monkeypatch.setattr(evolution, "_tail_index", counted)
+        assert coeff_I(3, 2, 16.0) == first
+        assert not searches
 
 
 class TestMatrixElements:
