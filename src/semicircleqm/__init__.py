@@ -37,7 +37,6 @@ from .evolution import (
     state_char_function,
 )
 from .fock import (
-    Boundary,
     FockOperator,
     FockVector,
     build_annihilation,
@@ -69,7 +68,6 @@ from .specfun import SeriesResult, bessel_j, bessel_tail_index, hyp1f1
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary",
     "ChebSeries",
     "CoeffKind",
     "CoeffTable",

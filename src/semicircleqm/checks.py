@@ -16,7 +16,7 @@ checks only its own definition, and is not kept.
 Exactness-class identities are compared against the caller-supplied
 tolerance; quadrature-limited identities keep their intrinsic
 tolerances, which are part of the numerical contract.  The enumeration
-criterion visits every sign word of length <= k_max through the
+criterion visits every sign word of length <= 14 through the
 prefix-sum normal forms of `combinatorics.normal_forms`, one vectorised
 pass per length.
 """
@@ -29,12 +29,13 @@ import numpy as np
 
 from . import combinatorics as comb_mod
 from . import evolution, fock, hilbert, oracle, orthopoly, specfun
-from .exceptions import check_index
+from .exceptions import check_index, check_positive
 from .report import CheckReport
 
 _QUAD_TOL_PV = 1e-6
 _PV_NODES = 2048  # nodes of every principal-value quadrature
 _THETAS = np.linspace(0.03, pi - 0.03, 101)  # interior angles of the polynomial identities
+_K_MAX = 14  # longest sign word of the enumeration criterion
 
 
 def enumeration(ks) -> tuple[int, int]:
@@ -74,11 +75,11 @@ def catalan_counts() -> int:
     return max(abs(comb_mod.theta_count(0, 0, p) - comb_mod.catalan(p)) for p in range(11))
 
 
-def combinatorics_suite(k_max: int = 14, tol: float = 1e-8) -> list[CheckReport]:
+def combinatorics_suite(tol: float = 1e-8) -> list[CheckReport]:
     del tol  # exact integer checks
-    formula, raising = enumeration(range(k_max + 1))
+    formula, raising = enumeration(range(_K_MAX + 1))
     return [
-        CheckReport(f"counting formula vs enumeration (k <= {k_max})", float(formula), 0.0),
+        CheckReport(f"counting formula vs enumeration (k <= {_K_MAX})", float(formula), 0.0),
         CheckReport("empty normal form counts are Catalan (p <= 10)", float(catalan_counts()), 0.0),
         CheckReport("raising count is p + m_plus on every class", float(raising), 0.0),
     ]
@@ -520,6 +521,8 @@ CRITERIA = (
 
 def run_all(tol: float = 1e-8, seed: int = 0) -> dict[str, list[CheckReport]]:
     """Every module's invariant suite, keyed by module name."""
+    check_positive("tol", tol)
+    check_index("seed", seed)
     return {
         "combinatorics": combinatorics_suite(tol=tol),
         "specfun": specfun_suite(tol),

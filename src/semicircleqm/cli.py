@@ -10,13 +10,13 @@ invariant suite and fails the process on any violated identity; `table`
 prints the transform/first-kind identity and the Catalan moments as
 human-checkable tables.
 
-Output is CSV (default) or JSON; floats are printed with 17 significant
-digits so values round-trip exactly.  Exit codes: 0 success, 1
-verification failure, 2 configuration error: an argument outside its
-domain (a non-finite `--t`, `--tol` or `--omega`, a `--tol` <= 0, |t|
-beyond its cap of 16 for P and X and 8 for P2, a negative `--k` or
-`--max-order`, a `--block` below 1), `--l-max` below the tail level, a
-`--tol` below rounding, or a Heisenberg quadrature that misses `--tol`.
+Each subcommand takes only the flags it reads (`_SUBCOMMANDS`;
+`--format` and `--output` belong to all).  Output is CSV (default) or
+JSON; floats are printed with 17 significant digits so values
+round-trip exactly.  Exit codes: 0 success, 1 verification failure, 2
+configuration error: a flag the subcommand does not read (refused by
+argparse), or a value outside its domain, refused by the library
+function that reads it or by `RunConfig.validate` where none does.
 For CSV output the per-run residuals (e.g. the norm defect) go to
 stderr as `#`-prefixed comments so stdout stays a clean table; JSON
 carries them inline.
@@ -62,30 +62,29 @@ class RunConfig:
     output_format: OutputFormat = OutputFormat.CSV
     output_path: str = "-"
 
+    def __post_init__(self) -> None:
+        self.output_format = OutputFormat(self.output_format)
+
     def validate(self) -> None:
-        if self.command not in ("coeffs", "evolve", "char", "heisenberg", "verify", "table"):
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.generator not in ("P", "X", "P2", "H1"):
-            raise ConfigError(f"unknown generator {self.generator!r}")
+        """The rules no library function holds; each value a library function reads, it checks itself."""
         if not self.t_values:
             raise ConfigError("at least one t value is required")
-        for t in self.t_values:
-            check_finite("t", t)
-        check_positive("tol", self.tol)
-        check_finite("omega", self.omega)
-        check_index("k", self.k)
-        if self.l_max is not None and self.l_max < self.k:
-            raise ConfigError("l_max must be >= k")
         if self.command in ("evolve", "heisenberg") and len(self.t_values) != 1:
             raise ConfigError(f"{self.command} takes exactly one t value")
         if self.command == "heisenberg":
-            check_index("block", self.block, least=1)
-        if self.command in ("coeffs", "table"):
-            check_index("max_order", self.max_order)
+            check_index("block", self.block, least=1)  # read as m_max = block - 1
         if self.command == "table" and self.max_order > _CATALAN_MAX_P:
             raise ConfigError(f"table max_order must be <= {_CATALAN_MAX_P}, the exact Catalan range")
         if self.command == "char" and self.generator == "X" and self.k != 0:
             raise ConfigError("the position characteristic function is available for k = 0 only")
+        # evolve and char take --omega for every generator but read it for H1 alone; H1 reads
+        # --k of char only as k == 0, and --tol of evolve only in the norm gate
+        if self.command in ("evolve", "char") and self.generator != "H1":
+            check_finite("omega", self.omega)
+        if self.command == "char" and self.generator == "H1":
+            check_index("k", self.k)
+        if self.command == "evolve" and self.generator == "H1":
+            check_positive("tol", self.tol)
 
 
 def _fmt(v: float) -> str:
@@ -242,68 +241,52 @@ def run(config: RunConfig) -> int:
         return 2
 
 
+_FLAGS = {  # add_argument keywords of each flag in the table below
+    "--t": dict(dest="t_values", type=float, nargs="+", default=[1.0], help="one or more group parameters"),
+    "--k": dict(type=int, default=0, help="source basis level"),
+    "--l-max": dict(type=int, default=None, help="highest emitted level"),
+    "--tol": dict(type=float, default=1e-8),
+    "--seed": dict(type=int, default=0, help="seed for randomized identity checks"),
+    "--max-order": dict(type=int, default=8, help="highest order: m + n for coeffs, n (<= 30) for table"),
+    "--block": dict(type=int, default=8, help="square block size to emit"),
+}
+_H1_FREQUENCY = "frequency omega_1 of the quadratic well H1 (> 0); read for H1 only"
+
+# subcommand: (help, the generators it takes, the flags it reads, what --omega means to it)
+_SUBCOMMANDS = {
+    "coeffs": ("normally-ordered coefficient tables", ("P", "X", "P2"), ("--t", "--max-order"), None),
+    "evolve": ("amplitudes of one evolved basis level", ("P", "X", "P2", "H1"), ("--t", "--k", "--l-max", "--tol"),
+               _H1_FREQUENCY),
+    "char": ("characteristic-function values", ("P", "X", "H1"), ("--t", "--k"), _H1_FREQUENCY),
+    "heisenberg": ("raising-operator correction blocks", ("P", "P2"), ("--t", "--block", "--tol"),
+                   "variance scale of the correction kernels"),
+    "verify": ("run every module's invariant suite", (), ("--tol", "--seed"), None),
+    "table": ("printable identity tables", (), ("--max-order",), None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semicircle-qm",
         description="Semicircle quantum mechanics: coefficient tables, evolutions, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, generators: tuple[str, ...] = ("P", "X", "P2", "H1")) -> None:
-        p.add_argument("--generator", choices=generators, default="P")
-        p.add_argument("--t", dest="t_values", type=float, nargs="+", default=[1.0],
-                       help="one or more group parameters")
-        p.add_argument("--k", type=int, default=0, help="source basis level")
-        p.add_argument("--l-max", type=int, default=None, help="highest emitted level")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--omega", type=float, default=1.0, help="variance scale of the correction kernels")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized identity checks")
+    for name, (help_text, generators, flags, omega) in _SUBCOMMANDS.items():
+        # no abbreviations: `verify --t` would otherwise be read as `--tol`
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if generators:
+            p.add_argument("--generator", choices=generators, default="P")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if omega:
+            p.add_argument("--omega", type=float, default=1.0, help=omega)
         p.add_argument("--format", dest="output_format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", dest="output_path", default="-", help="file path or - for stdout")
-
-    p_coeffs = sub.add_parser("coeffs", help="normally-ordered coefficient tables")
-    add_common(p_coeffs, ("P", "X", "P2"))
-    p_coeffs.add_argument("--max-order", type=int, default=8, help="emit entries with m + n <= this")
-
-    p_evolve = sub.add_parser("evolve", help="amplitudes of one evolved basis level")
-    add_common(p_evolve)
-
-    p_char = sub.add_parser("char", help="characteristic-function values")
-    add_common(p_char, ("P", "X", "H1"))
-
-    p_heis = sub.add_parser("heisenberg", help="raising-operator correction blocks")
-    add_common(p_heis, ("P", "P2"))
-    p_heis.add_argument("--block", type=int, default=8, help="square block size to emit")
-
-    p_verify = sub.add_parser("verify", help="run every module's invariant suite")
-    add_common(p_verify)
-
-    p_table = sub.add_parser("table", help="printable identity tables")
-    add_common(p_table)
-    p_table.add_argument("--max-order", type=int, default=8)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    kwargs = {
-        "command": args.command,
-        "generator": args.generator,
-        "t_values": list(args.t_values),
-        "k": args.k,
-        "l_max": args.l_max,
-        "tol": args.tol,
-        "omega": args.omega,
-        "seed": args.seed,
-        "output_format": OutputFormat(args.output_format),
-        "output_path": args.output_path,
-    }
-    if hasattr(args, "max_order"):
-        kwargs["max_order"] = args.max_order
-    if hasattr(args, "block"):
-        kwargs["block"] = args.block
-    return run(RunConfig(**kwargs))
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -348,10 +348,10 @@ def evolve_P2_level1(t: float, l_max: int | None = None, tol: float = 1e-10) -> 
 
 
 def evolve_H1(k: int, t: float, omega1: float = 1.0, l_max: int | None = None) -> EvolvedState:
-    """Quadratic-well group: a pure phase on each level (diagonal generator); any finite t and omega1."""
+    """Quadratic-well group: a pure phase on each level (diagonal generator); any finite t, omega1 > 0."""
     check_index("k", k)
     check_finite("t", t)
-    check_finite("omega1", omega1)
+    check_positive("omega1", omega1)
     top = k if l_max is None else l_max
     check_index("l_max", top)
     if top < k:

@@ -6,32 +6,28 @@ maps e_n -> e_{n-1} (e_0 -> 0) and is exact on the truncated space; the
 raising operator maps e_n -> e_{n+1} and must send the top vector to 0,
 so operator identities involving it hold only on the interior block
 (row/column indices < N-1).  Algebraic identity checks run in exact
-integer arithmetic on the program's own operators, cast to np.int64
-(exact, since every entry is 0 or 1): the multiplication table on the
-matrices of `build_annihilation` and `build_creation`, and the bracket
-checks on a = (X + iP)/2 and a+ = (X - iP)/2 from `build_position` and
-`build_momentum`.  No product overflows, because every matrix they form
-is a 0/1 partial permutation (a, a+, P0, their powers and products), a
-level diagonal, or a small sum of these, so no entry exceeds N.  The
-vacuum moments run on vectors of Python ints, since C_40 > 2^63.
-Evolutions use complex floating matrices.
+integer arithmetic on the program's own operators, rounded to np.int64
+(each row adds the largest gap of an entry to its integer, 0 on the
+program's 0/1 operators, so a moved entry fails it): the multiplication
+table on the matrices of `build_annihilation` and `build_creation`, and
+the bracket checks on a = (X + iP)/2 and a+ = (X - iP)/2 from
+`build_position` and `build_momentum`.  No product overflows, because
+every matrix they form is a 0/1 partial permutation (a, a+, P0, their
+powers and products), a level diagonal, or a small sum of these, so no
+entry exceeds N.  The vacuum moments run on vectors of Python ints,
+since C_40 > 2^63.  Evolutions use complex floating matrices.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, DomainError, TruncationError, check_finite, check_index, check_positive
 from .report import CheckReport
-
-
-class Boundary(enum.Enum):
-    EXACT_INTERIOR = "exact_interior"  # truncation introduces no defect
-    TRUNCATED = "truncated"            # top row/column carries a defect
 
 
 @dataclass(frozen=True)
@@ -66,17 +62,16 @@ class FockOperator:
 
     entries: np.ndarray
     dim: int
-    boundary: Boundary
 
     @staticmethod
-    def from_matrix(entries, boundary: Boundary = Boundary.TRUNCATED) -> "FockOperator":
+    def from_matrix(entries) -> "FockOperator":
         arr = np.asarray(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError("operator matrix must be square")
-        return FockOperator(entries=arr, dim=arr.shape[0], boundary=boundary)
+        return FockOperator(entries=arr, dim=arr.shape[0])
 
     def adjoint(self) -> "FockOperator":
-        return FockOperator(self.entries.conj().T.copy(), self.dim, self.boundary)
+        return FockOperator(self.entries.conj().T.copy(), self.dim)
 
     def apply(self, v: FockVector) -> FockVector:
         if v.dim != self.dim:
@@ -87,28 +82,23 @@ class FockOperator:
         """Entries with both indices < N-1, where identities are exact."""
         return self.entries[: self.dim - 1, : self.dim - 1]
 
-    def _combine(self, other: "FockOperator") -> Boundary:
-        if self.boundary is Boundary.TRUNCATED or other.boundary is Boundary.TRUNCATED:
-            return Boundary.TRUNCATED
-        return Boundary.EXACT_INTERIOR
-
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if other.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries @ other.entries, self.dim, self._combine(other))
+        return FockOperator(self.entries @ other.entries, self.dim)
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         if other.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries + other.entries, self.dim, self._combine(other))
+        return FockOperator(self.entries + other.entries, self.dim)
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
         if other.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries - other.entries, self.dim, self._combine(other))
+        return FockOperator(self.entries - other.entries, self.dim)
 
     def __mul__(self, scalar: complex) -> "FockOperator":
-        return FockOperator(self.entries * scalar, self.dim, self.boundary)
+        return FockOperator(self.entries * scalar, self.dim)
 
     __rmul__ = __mul__
 
@@ -121,20 +111,20 @@ def _require_dim(n: int, minimum: int = 2) -> None:
 def build_annihilation(dim: int) -> FockOperator:
     """Lowering operator: e_n -> e_{n-1}, e_0 -> 0.  Exact under truncation."""
     _require_dim(dim)
-    return FockOperator(np.eye(dim, k=1, dtype=complex), dim, Boundary.EXACT_INTERIOR)
+    return FockOperator(np.eye(dim, k=1, dtype=complex), dim)
 
 
 def build_creation(dim: int) -> FockOperator:
     """Raising operator: e_n -> e_{n+1}, with the top vector sent to 0."""
     _require_dim(dim)
-    return FockOperator(np.eye(dim, k=-1, dtype=complex), dim, Boundary.TRUNCATED)
+    return FockOperator(np.eye(dim, k=-1, dtype=complex), dim)
 
 
 def build_number_function(dim: int, f) -> FockOperator:
     """Diagonal operator diag(f(0), ..., f(N-1)) for a scalar function f."""
     _require_dim(dim, minimum=1)
     diag = np.array([complex(f(n)) for n in range(dim)])
-    return FockOperator(np.diag(diag), dim, Boundary.EXACT_INTERIOR)
+    return FockOperator(np.diag(diag), dim)
 
 
 def vacuum_projection(dim: int) -> FockOperator:
@@ -145,13 +135,13 @@ def vacuum_projection(dim: int) -> FockOperator:
 def build_position(dim: int) -> FockOperator:
     """Position operator: raising plus lowering (zero diagonal, Hermitian)."""
     a = build_annihilation(dim)
-    return FockOperator(a.entries + a.entries.T, dim, Boundary.TRUNCATED)
+    return FockOperator(a.entries + a.entries.T, dim)
 
 
 def build_momentum(dim: int) -> FockOperator:
     """Momentum operator i (raising - lowering); Hermitian on the truncation."""
     a = build_annihilation(dim)
-    return FockOperator(1j * (a.entries.T - a.entries), dim, Boundary.TRUNCATED)
+    return FockOperator(1j * (a.entries.T - a.entries), dim)
 
 
 def commutator(op_a: FockOperator, op_b: FockOperator) -> FockOperator:
@@ -168,10 +158,17 @@ def _int_unit(dim: int, i: int, j: int) -> np.ndarray:
     return out
 
 
-def _interior_defect(mat: np.ndarray) -> float:
-    """Largest absolute entry on the interior block (indices < N-1)."""
-    cut = mat.shape[0] - 1
-    return float(np.max(np.abs(mat[:cut, :cut])))
+def _exact(a: np.ndarray, ap: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], float]]:
+    """(a, a+) rounded to int64, and the defect of an identity on them: its largest
+    interior entry (indices < N-1) plus the largest gap of an entry of a or a+ to an integer."""
+    rounded = [np.rint(mat.real) for mat in (a, ap)]
+    gap = max(float(np.max(np.abs(mat - r))) for mat, r in zip((a, ap), rounded))
+
+    def defect(mat: np.ndarray) -> float:
+        cut = mat.shape[0] - 1
+        return float(np.max(np.abs(mat[:cut, :cut]))) + gap
+
+    return rounded[0].astype(np.int64), rounded[1].astype(np.int64), defect
 
 
 def multiplication_table_checks(dim: int) -> list[CheckReport]:
@@ -181,11 +178,9 @@ def multiplication_table_checks(dim: int) -> list[CheckReport]:
     [X, P] = 2i P0 (checked through the integer matrix i^-1 [X, P]/2).
     """
     _require_dim(dim, minimum=3)
-    # the program's own a and a+, whose entries are all 0 or 1, so the cast is exact
-    a, ap = (op.entries.real.astype(np.int64) for op in (build_annihilation(dim), build_creation(dim)))
+    a, ap, defect = _exact(build_annihilation(dim).entries, build_creation(dim).entries)
     eye = np.eye(dim, dtype=np.int64)
     p0 = _int_unit(dim, 0, 0)
-    defect = _interior_defect
 
     reports = [
         CheckReport("a a+ = 1 (interior)", defect(a @ ap - eye), 0.0),
@@ -252,11 +247,10 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
     check_index("m_max, n_max", m_max, n_max)
     if m_max + n_max + 2 > dim:
         raise DimensionError("need m_max + n_max + 2 <= dim")
-    # X and iP have entries 0 and +-1, so (X +- iP)/2 is exact and its cast too
+    # X and iP have entries 0 and +-1, so (X +- iP)/2 is exact
     x, ip = build_position(dim).entries, 1j * build_momentum(dim).entries
-    a, ap = (((x + sign * ip) / 2).real.astype(np.int64) for sign in (1, -1))
+    a, ap, defect = _exact((x + ip) / 2, (x - ip) / 2)
     p0 = _int_unit(dim, 0, 0)
-    defect = _interior_defect
     top = max(m_max, n_max) + 1
     a_pow = [np.linalg.matrix_power(a, k) for k in range(top + 1)]
     ap_pow = [np.linalg.matrix_power(ap, k) for k in range(top + 1)]

@@ -34,6 +34,9 @@ from .orthopoly import _INTERIOR_MARGIN, gauss_legendre, phi_all, quadrature_rul
 from .specfun import _MAX_ABS_ARGUMENT, bessel_j, bessel_j_all, bessel_tail_index
 
 _MAX_T_BESSEL = _MAX_ABS_ARGUMENT / 2  # the Bessel argument is 2t
+_ANGLE_PANELS = 24  # Gauss-Legendre panels of `pv_integral_angle`, half on each side of theta
+_ANGLE_ORDER = 16  # nodes per panel
+_KAPTEYN_TOL = 1e-12  # truncation of the Kapteyn series
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def rho_weight(x):
 # ---------------------------------------------------------------------------
 # principal-value integrals over the angle variable
 
-def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> float:
+def pv_integral_angle(g, theta: float) -> float:
     """p.v. integral of g(phi) / (cos(theta) - cos(phi)) over [0, pi].
 
     Subtracts g(theta) (the subtracted kernel integrates to zero in the
@@ -172,13 +175,13 @@ def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> flo
     denominator is taken as 2 sin((phi + theta)/2) sin((phi - theta)/2),
     which does not cancel near the edges of (0, pi); a node that rounds
     onto theta there lies in a panel narrower than theta or pi - theta
-    and is dropped.  All panels are evaluated as one (panels x order)
-    array; their sums are added in panel order.
+    and is dropped.  All `_ANGLE_PANELS` panels of `_ANGLE_ORDER` nodes
+    are evaluated as one array; their sums are added in panel order.
     """
     check_theta(theta)
-    xg, wg = gauss_legendre(order)
+    xg, wg = gauss_legendre(_ANGLE_ORDER)
     g_theta = g(np.array([theta]))[0]
-    half = max(2, panels // 2)
+    half = _ANGLE_PANELS // 2
     edges = np.concatenate([np.linspace(0.0, theta, half + 1)[:-1], np.linspace(theta, pi, half + 1)])
     a, b = edges[:-1, None], edges[1:, None]
     xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
@@ -192,20 +195,20 @@ def pv_integral_angle(g, theta: float, panels: int = 24, order: int = 16) -> flo
     return total
 
 
-def kapteyn_sum_sin(t: float, theta: float, tol: float = 1e-12) -> float:
+def kapteyn_sum_sin(t: float, theta: float) -> float:
     """Alternating Bessel sine sum  sum_{m>=1} (-1)^m J_m(2t) sin(m theta)."""
-    return _kapteyn_series(t, theta, tol, np.sin)
+    return _kapteyn_series(t, theta, np.sin)
 
 
-def kapteyn_sum_cos(t: float, theta: float, tol: float = 1e-12) -> float:
+def kapteyn_sum_cos(t: float, theta: float) -> float:
     """Alternating Bessel cosine sum  sum_{m>=1} (-1)^m J_m(2t) cos(m theta)."""
-    return _kapteyn_series(t, theta, tol, np.cos)
+    return _kapteyn_series(t, theta, np.cos)
 
 
-def _kapteyn_series(t: float, theta: float, tol: float, trig) -> float:
+def _kapteyn_series(t: float, theta: float, trig) -> float:
     check_theta(theta)
     check_finite("t", t, 8.0)
-    n_max = bessel_tail_index(t, tol)  # at most 305 terms for |t| <= 8 and any tol > 0
+    n_max = bessel_tail_index(t, _KAPTEYN_TOL)
     jv = bessel_j_all(n_max, 2.0 * t).values
     ms = np.arange(1, n_max + 1)
     return float(np.sum(((-1.0) ** ms) * jv[1:] * trig(ms * theta)))

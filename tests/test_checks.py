@@ -45,6 +45,10 @@ ORACLE = (
     "doubling the dimension leaves amplitudes fixed",
     "z = 0 returns the input vector",
 )
+MULTIPLICATION = (
+    "a a+ = 1 (interior)", "a+ a = 1 - P0", "[a, a+] = P0 (interior)", "[X, P] = 2i P0 (interior)",
+    "F a+ = a+ F(.+1) (interior)", "a F = F(.+1) a (interior)",
+)
 BRACKETS = [
     *(name for m in range(4) for name in (f"[a, P0 a^{m}] = -P0 a^{m + 1}", f"[a+^{m} P0, a+] = -a+^{m + 1} P0")),
     *(f"[a+^{m} P0, P0 a^{n}] = e{m} e{n}* {'- P0' if m == n else ''}" for m in range(4) for n in range(4)),
@@ -111,6 +115,12 @@ MUTANTS = [
            moved(1, (6, 2), "entries", lambda a: a["dim"] == 12),
            ("a a+ = 1 (interior)", "a+ a = 1 - P0", "[a, a+] = P0 (interior)", "[X, P] = 2i P0 (interior)",
             "a F = F(.+1) a (interior)")),
+    # entries moved off 0 and 1 by less than 1, which an int64 cast toward zero would hide;
+    # build_position and build_momentum are built from build_annihilation, so the brackets see them too
+    *(Mutant(fock.multiplication_table_checks, (fock, "build_annihilation"),
+             moved(amount, ([0, 3], [1, 7]), "entries", lambda a: a["dim"] == 12),
+             (*MULTIPLICATION, *BRACKETS), label=label)
+      for amount, label in ((0.5, "half"), (1e-9, "nudge"))),
     # P of the wrong sign swaps a = (X + iP)/2 and a+; the swapped pair satisfies seven of the brackets
     Mutant(fock.lie_bracket_checks, (fock, "build_momentum"),
            lambda true: lambda dim: true(dim) * (-1 if dim == 12 else 1),
@@ -240,9 +250,7 @@ VERIFY_ROWS = [
     ("specfun", "plane-wave (Jacobi-Anger) expansion at 2t", 1e-08),
     ("specfun", "Bessel normalization sum", 1e-08),
     ("specfun", "1F1(1;2;z) = (e^z - 1)/z", 1e-08),
-    *(("fock", name, 0.0) for name in (
-        "a a+ = 1 (interior)", "a+ a = 1 - P0", "[a, a+] = P0 (interior)", "[X, P] = 2i P0 (interior)",
-        "F a+ = a+ F(.+1) (interior)", "a F = F(.+1) a (interior)", *BRACKETS, CATALAN)),
+    *(("fock", name, 0.0) for name in (*MULTIPLICATION, *BRACKETS, CATALAN)),
     ("fock", "position norm is 2 cos(pi/(N+1))", 1e-08),
     ("fock", "coherent kernel geometric series", 1e-08),
     ("fock", "two-point characteristic function vs diagonal state", 1e-08),

@@ -10,6 +10,17 @@ from semicircleqm.cli import OutputFormat, RunConfig, main, run
 from semicircleqm.fock import build_creation, build_momentum
 
 
+# the (subcommand, flag) pairs of the flags each subcommand takes but does not read
+UNREAD_FLAGS = [
+    *(("coeffs", flag) for flag in ("--k", "--l-max", "--tol", "--omega", "--seed")),
+    ("evolve", "--seed"),
+    *(("char", flag) for flag in ("--l-max", "--tol", "--seed")),
+    *(("heisenberg", flag) for flag in ("--k", "--l-max", "--seed")),
+    *(("verify", flag) for flag in ("--generator", "--t", "--k", "--l-max", "--omega")),
+    *(("table", flag) for flag in ("--generator", "--t", "--k", "--l-max", "--tol", "--omega", "--seed")),
+]
+
+
 def run_capture(capsys, **kwargs):
     status = run(RunConfig(**kwargs))
     captured = capsys.readouterr()
@@ -215,16 +226,41 @@ class TestTable:
 
 class TestConfigValidation:
     def test_bad_tol(self, capsys):
-        status, _, err = run_capture(capsys, command="char", t_values=[1.0], tol=-1.0)
+        status, _, err = run_capture(capsys, command="evolve", t_values=[1.0], tol=-1.0)
         assert status == 2
         assert "tol" in err
+
+    @pytest.mark.parametrize(
+        "command, generator, field",
+        [("evolve", "H1", {"omega": -1.0}), ("evolve", "H1", {"tol": -1.0}), ("char", "H1", {"k": -1})],
+    )
+    def test_negative_h1_settings_exit_two(self, capsys, command, generator, field):
+        # evolve_H1 reads omega1 > 0; --tol of evolve H1 and --k of char H1 no library function reads
+        status, out, err = run_capture(capsys, command=command, generator=generator, **field)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("configuration error:") and any(name in err for name in field)
+
+    def test_negative_seed_exits_two(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: seed: an integer >= 0 required, got -1\n"
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[command + flag for command, flag in UNREAD_FLAGS])
+    def test_flag_the_subcommand_does_not_read_is_refused(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as refusal:
+            main([command, flag, "1"])
+        assert refusal.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, generator, field",
         [("evolve", "P", {"t_values": [float("nan")]}), ("coeffs", "P", {"t_values": [float("nan")]}),
          ("heisenberg", "P", {"t_values": [float("nan")]}), ("char", "P", {"t_values": [float("nan")]}),
          ("char", "H1", {"t_values": [float("inf")]}), ("evolve", "P", {"tol": float("nan")}),
-         ("char", "H1", {"omega": float("nan")})],
+         ("char", "H1", {"omega": float("nan")}), ("evolve", "X", {"omega": float("nan")}),
+         ("char", "P", {"omega": float("inf")}), ("evolve", "H1", {"tol": float("nan")})],
     )
     def test_non_finite_inputs_exit_two(self, capsys, command, generator, field):
         status, out, err = run_capture(capsys, command=command, generator=generator, **{"t_values": [1.0], **field})

@@ -5,7 +5,8 @@ arguments at a fixed valid point, and the argument's domain: values the
 call must refuse with `DomainError` (naming the argument), and values
 inside it at which the call must return finite numbers.  Capped domains
 are probed at NaN, +-inf and just past +-cap, and inside at +-cap, -0.0
-and the least subnormal; every tol at NaN, +-inf, 0, -0.0 and -1e-8;
+and the least subnormal; every tol at NaN, +-inf, 0, -0.0 and -1e-8,
+and the H1 frequency omega1 there too and inside at the least subnormal;
 every order, level and node count at NaN, +-inf, a fraction and one
 below its least value.  `test_every_guarded_argument_has_a_row` finds
 each public function that takes such an argument and fails on any
@@ -40,6 +41,7 @@ def capped(cap: float) -> Domain:
 
 FINITE = Domain(NON_FINITE, (-0.0, TINY))
 POSITIVE = Domain(NON_FINITE + (0.0, -0.0, -1e-8), ())
+FREQUENCY = Domain(POSITIVE.refused, (TINY,))  # omega1 of the quadratic well H1
 INDEX = Domain(NON_FINITE + (-1, 0.5), ())
 COUNT = Domain(NON_FINITE + (0, 0.5), ())  # node counts and grids that start at 1
 THETA = Domain(NON_FINITE + (0.0, -0.0, math.pi), (1.0,))
@@ -127,7 +129,7 @@ ROWS = [
     Row(ev.evolve_P2_level1, "tol", lambda tol: ev.evolve_P2_level1(0.5, tol=tol), POSITIVE),
     Row(ev.evolve_H1, "k", lambda k: ev.evolve_H1(k, 0.5), INDEX),
     Row(ev.evolve_H1, "t", lambda t: ev.evolve_H1(1, t).amplitudes, FINITE),
-    Row(ev.evolve_H1, "omega1", lambda w: ev.evolve_H1(1, 0.5, w).amplitudes, FINITE),
+    Row(ev.evolve_H1, "omega1", lambda w: ev.evolve_H1(1, 0.5, w).amplitudes, FREQUENCY),
     Row(ev.evolve_H1, "l_max", lambda l_max: ev.evolve_H1(0, 0.5, 1.0, l_max), INDEX),
     Row(ev.element_table, "t", lambda t: ev.element_table("P2", t, 3), capped(8.0)),
     Row(ev.element_table, "l_max", lambda l_max: ev.element_table("X", 0.5, l_max), INDEX),
@@ -160,13 +162,10 @@ ROWS = [
     Row(hb.hilbert_mu_pv, "m", lambda m: hb.hilbert_mu_pv(np.cos, 0.3, m), COUNT),
     Row(hb.rho_weight, "x", hb.rho_weight, FINITE),
     Row(hb.pv_integral_angle, "theta", lambda theta: hb.pv_integral_angle(np.cos, theta), THETA),
-    Row(hb.pv_integral_angle, "order", lambda order: hb.pv_integral_angle(np.cos, 1.0, order=order), COUNT),
     Row(hb.kapteyn_sum_sin, "t", lambda t: hb.kapteyn_sum_sin(t, 1.0), capped(8.0)),
     Row(hb.kapteyn_sum_sin, "theta", lambda theta: hb.kapteyn_sum_sin(0.5, theta), THETA),
-    Row(hb.kapteyn_sum_sin, "tol", lambda tol: hb.kapteyn_sum_sin(0.5, 1.0, tol), POSITIVE),
     Row(hb.kapteyn_sum_cos, "t", lambda t: hb.kapteyn_sum_cos(t, 1.0), capped(8.0)),
     Row(hb.kapteyn_sum_cos, "theta", lambda theta: hb.kapteyn_sum_cos(0.5, theta), THETA),
-    Row(hb.kapteyn_sum_cos, "tol", lambda tol: hb.kapteyn_sum_cos(0.5, 1.0, tol), POSITIVE),
     Row(hb.kapteyn_integral_sin, "t", lambda t: hb.kapteyn_integral_sin(t, 1.0), FINITE),
     Row(hb.kapteyn_integral_sin, "theta", lambda theta: hb.kapteyn_integral_sin(0.5, theta), THETA),
     Row(hb.kapteyn_integral_cos, "t", lambda t: hb.kapteyn_integral_cos(t, 1.0), capped(32.0)),
@@ -199,9 +198,9 @@ ROWS = [
     Row(fock.coherent_kernel, "v", lambda v: fock.coherent_kernel(0.5, v), UNIT_DISC),
     Row(fock.coherent_kernel_truncated, "u", lambda u: fock.coherent_kernel_truncated(u, 0.5, 8), UNIT_DISC),
     Row(fock.harmonic_char, "t", lambda t: fock.harmonic_char(t, 0.25, 1.0), FINITE),
-    Row(fock.harmonic_char, "omega1", lambda w: fock.harmonic_char(0.5, 0.25, w), POSITIVE),
+    Row(fock.harmonic_char, "omega1", lambda w: fock.harmonic_char(0.5, 0.25, w), FREQUENCY),
     Row(fock.harmonic_char_from_state, "t", lambda t: fock.harmonic_char_from_state(t, XI, 1.0), FINITE),
-    Row(fock.harmonic_char_from_state, "omega1", lambda w: fock.harmonic_char_from_state(0.5, XI, w), POSITIVE),
+    Row(fock.harmonic_char_from_state, "omega1", lambda w: fock.harmonic_char_from_state(0.5, XI, w), FREQUENCY),
     # oracle
     Row(oracle.expm_matrix, "z", lambda z: oracle.expm_matrix(OP, z)[0], SCALAR),
     Row(oracle.expm_matrix, "tol", lambda tol: oracle.expm_matrix(OP, 0.5j, tol), POSITIVE),

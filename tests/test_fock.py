@@ -6,7 +6,6 @@ import pytest
 from semicircleqm.combinatorics import catalan
 from semicircleqm.exceptions import DimensionError, DomainError, TruncationError
 from semicircleqm.fock import (
-    Boundary,
     FockVector,
     build_annihilation,
     build_creation,
@@ -38,10 +37,6 @@ class TestBuilders:
     def test_raising_truncates_top(self):
         ap = build_creation(4)
         assert np.all(ap.apply(FockVector.basis(3, 4)).coeffs == 0)
-        assert ap.boundary is Boundary.TRUNCATED
-
-    def test_lowering_is_exact(self):
-        assert build_annihilation(4).boundary is Boundary.EXACT_INTERIOR
 
     def test_lower_after_raise_is_identity(self):
         n = 8
