@@ -37,8 +37,7 @@ from .evolution import (
     state_char_function,
 )
 from .fock import (
-    FockOperator,
-    FockVector,
+    basis,
     build_annihilation,
     build_creation,
     build_momentum,
@@ -73,11 +72,10 @@ __all__ = [
     "CoeffTable",
     "EvolvedState",
     "ExpmResult",
-    "FockOperator",
-    "FockVector",
     "Generator",
     "NormalForm",
     "SeriesResult",
+    "basis",
     "bessel_j",
     "bessel_tail_index",
     "brute_force_theta",

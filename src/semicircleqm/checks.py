@@ -144,7 +144,7 @@ def fock_closed_forms() -> tuple[float, float, float]:
     """(position_norm, coherent, two_point) defects against closed forms on fixed grids."""
     norm_defect = 0.0
     for dim in (4, 8, 16, 32):
-        eig = np.linalg.eigvalsh(fock.build_position(dim).entries.real)
+        eig = np.linalg.eigvalsh(fock.build_position(dim).real)
         norm_defect = max(norm_defect, abs(float(np.max(np.abs(eig))) - 2.0 * cos(pi / (dim + 1))))
     coh = 0.0
     for u, v in ((0.3j, 0.4), (0.5, 0.5), (-0.2 + 0.1j, 0.35j)):
@@ -152,7 +152,7 @@ def fock_closed_forms() -> tuple[float, float, float]:
         partial, tail = fock.coherent_kernel_truncated(u, v, 200)
         coh = max(coh, abs(closed - partial) - tail if abs(closed - partial) > tail else 0.0)
     hdef = 0.0
-    xi = fock.FockVector.from_coeffs([0.5, sqrt(0.75), 0.0, 0.0])
+    xi = np.array([0.5, sqrt(0.75), 0.0, 0.0])
     for t in (0.0, 0.7, 2.0):
         hdef = max(hdef, abs(fock.harmonic_char(t, 0.25, 1.0) - fock.harmonic_char_from_state(t, xi, 1.0)))
     return norm_defect, coh, hdef
@@ -231,7 +231,7 @@ def momentum_realization(rng, samples: int, pairs: int) -> tuple[float, float]:
     series, then |<f, H g> + <H f, g>| on `pairs` pairs.
     """
     rng = np.random.default_rng(rng)
-    pmat = fock.build_momentum(18).entries
+    pmat = fock.build_momentum(18)
     action = 0.0
     for _ in range(samples):
         coeffs = _random_series(rng)
@@ -249,7 +249,7 @@ def momentum_realization(rng, samples: int, pairs: int) -> tuple[float, float]:
 def kinetic_action(rng, samples: int) -> float:
     """The series half-square of the momentum against half the squared matrix on `samples` random series."""
     rng = np.random.default_rng(rng)
-    pmat = fock.build_momentum(18).entries
+    pmat = fock.build_momentum(18)
     p2 = pmat @ pmat
     worst = 0.0
     for _ in range(samples):
@@ -401,7 +401,7 @@ def evolutions_vs_oracle(generator: str, ts, ks, tol: float, rows: int | None = 
         dim = oracle.truncation_level(t, max(ks), 1e-10, generator)
         op = oracle._generator(generator, dim)
         for k in ks:
-            ref = oracle.expm_apply(op, 1j * t, fock.FockVector.basis(k, dim), 1e-12).vector
+            ref = oracle.expm_apply(op, 1j * t, fock.basis(k, dim), 1e-12).vector
             state = evolution.evolve(generator, k, t, tol=tol)
             top = min(ref.size, state.amplitudes.size)
             top = top if rows is None else min(top, rows)
@@ -434,7 +434,7 @@ def heisenberg_conjugation(generator: str, ts, size: int) -> float:
     for t in ts:
         dim = oracle.truncation_level(t, max(size, 8), 1e-10, generator)
         u, _, _ = oracle.expm_matrix(oracle._generator(generator, dim), 1j * t)
-        ap = fock.build_creation(dim).entries
+        ap = fock.build_creation(dim)
         conj = u @ ap @ u.conj().T - ap
         block = evolution.heisenberg_block(generator, t, size - 1, size - 1)
         worst = max(worst, float(np.max(np.abs(block - conj[:size, :size]))))
@@ -483,19 +483,19 @@ def expm_identities() -> tuple[float, float, float, float, float]:
     """(unit, diagonal, semigroup, refinement, zero) defects of `oracle.expm_apply` at dim 48."""
     dim = 48
     p = fock.build_momentum(dim)
-    v = fock.FockVector.basis(0, dim)
+    v = fock.basis(0, dim)
     vc = oracle.expm_apply(p, 1j * 1.0, v).vector
     unit = float(abs(vc @ np.conj(vc) - 1.0))
     diag = fock.build_number_function(dim, lambda nn: nn)
-    w = fock.FockVector.from_coeffs(np.ones(dim) / sqrt(dim))
+    w = np.ones(dim) / sqrt(dim)
     got = oracle.expm_apply(diag, 1j * 0.9, w).vector
-    diag_defect = float(np.max(np.abs(got - np.exp(1j * 0.9 * np.arange(dim)) * w.coeffs)))
+    diag_defect = float(np.max(np.abs(got - np.exp(1j * 0.9 * np.arange(dim)) * w)))
     va = oracle.expm_apply(p, 1j * 0.4, v).vector
-    vb = oracle.expm_apply(p, 1j * 0.6, fock.FockVector.from_coeffs(va)).vector
+    vb = oracle.expm_apply(p, 1j * 0.6, va).vector
     grp = float(np.max(np.abs(vb - vc)))
-    ref = oracle.expm_apply(fock.build_momentum(96), 1j * 1.0, fock.FockVector.basis(0, 96)).vector
+    ref = oracle.expm_apply(fock.build_momentum(96), 1j * 1.0, fock.basis(0, 96)).vector
     refine = float(np.max(np.abs(ref[:dim] - vc)))
-    z0 = float(np.max(np.abs(oracle.expm_apply(p, 0.0, v).vector - v.coeffs)))
+    z0 = float(np.max(np.abs(oracle.expm_apply(p, 0.0, v).vector - v)))
     return unit, diag_defect, grp, refine, z0
 
 

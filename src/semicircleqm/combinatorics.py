@@ -81,29 +81,19 @@ def catalan(p: int) -> int:
     return comb(2 * p, p) // (p + 1)
 
 
-def theta_count_unbounded(m_plus: int, m_minus: int, p: int) -> int:
-    """Ballot count without the 64-bit range guard (internal series engine).
+def theta_count(m_plus: int, m_minus: int, p: int) -> int:
+    """Number of words of length m_plus + m_minus + 2p reducing to (m_plus, m_minus).
 
-    Same exact integer as theta_count; Python integers never wrap, so
-    the guard on the public operation is a portability contract, not a
-    correctness requirement.
+    Ballot-type closed form
+        (s+1)/(2p+s+1) * binomial(2p+s+1, p),   s = m_plus + m_minus,
+    which is always an exact integer.  Python integers never wrap; the
+    64-bit range guard is a portability contract.
     """
     check_index("m_plus, m_minus, p", m_plus, m_minus, p)
     s = m_plus + m_minus
     numerator = (s + 1) * comb(2 * p + s + 1, p)
     count, rem = divmod(numerator, 2 * p + s + 1)
     assert rem == 0, "ballot formula must divide exactly"
-    return count
-
-
-def theta_count(m_plus: int, m_minus: int, p: int) -> int:
-    """Number of words of length m_plus + m_minus + 2p reducing to (m_plus, m_minus).
-
-    Ballot-type closed form
-        (s+1)/(2p+s+1) * binomial(2p+s+1, p),   s = m_plus + m_minus,
-    which is always an exact integer.
-    """
-    count = theta_count_unbounded(m_plus, m_minus, p)
     if count > _INT64_MAX:
         raise OverflowError(f"theta_count({m_plus},{m_minus},{p}) exceeds the exact 64-bit range")
     return count

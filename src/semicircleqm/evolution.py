@@ -43,6 +43,7 @@ from .exceptions import (
     check_positive,
     check_support,
 )
+from .hilbert import ChebSeries
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
 from .specfun import _MAX_ABS_ARGUMENT, _exact_series, _tail_index, bessel_j, bessel_j_all, bessel_tail_index
@@ -112,8 +113,7 @@ class EvolvedState:
 
     def evaluate(self, x):
         """Pointwise value sum_l amplitude_l Phi_l(x)."""
-        vals = phi_all(self.amplitudes.size - 1, x)
-        return np.tensordot(self.amplitudes, vals, axes=(0, 0))
+        return ChebSeries(self.amplitudes).evaluate(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Truncated one-mode Fock space with constant Jacobi sequence.
 
 The basis vectors e_0, ..., e_{N-1} stand for the monic orthonormal
-polynomials of the standard semicircle law.  The lowering operator a
+polynomials of the standard semicircle law.  Operators are dense
+complex N x N numpy arrays and states complex vectors of length N
+(`basis` gives e_n).  A dimension that is not an integer, or is below
+2 for the operators built from a and a+ (1 for `basis` and the
+diagonal ones), is refused with `DomainError`.  The lowering operator a
 maps e_n -> e_{n-1} (e_0 -> 0) and is exact on the truncated space; the
 raising operator maps e_n -> e_{n+1} and must send the top vector to 0,
 so operator identities involving it hold only on the interior block
@@ -15,14 +19,13 @@ the bracket checks on a = (X + iP)/2 and a+ = (X - iP)/2 from
 every matrix they form is a 0/1 partial permutation (a, a+, P0, their
 powers and products), a level diagonal, or a small sum of these, so no
 entry exceeds N.  The vacuum moments run on vectors of Python ints,
-since C_40 > 2^63.  Evolutions use complex floating matrices.
+since C_40 > 2^63.
 """
 
 from __future__ import annotations
 
 import cmath
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,122 +33,56 @@ from .exceptions import DimensionError, DomainError, TruncationError, check_fini
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """Coefficient vector over the monic basis, truncation dimension N."""
-
-    coeffs: np.ndarray
-    dim: int
-
-    @staticmethod
-    def from_coeffs(coeffs) -> "FockVector":
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DimensionError("coefficient vector must be 1-d and non-empty")
-        return FockVector(coeffs=arr, dim=arr.size)
-
-    @staticmethod
-    def basis(n: int, dim: int) -> "FockVector":
-        if not 0 <= n < dim:
-            raise DimensionError(f"basis index {n} outside dimension {dim}")
-        arr = np.zeros(dim, dtype=complex)
-        arr[n] = 1.0
-        return FockVector(coeffs=arr, dim=dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+def basis(n: int, dim: int) -> np.ndarray:
+    """Basis vector e_n of the dimension-dim truncation, as a complex array."""
+    check_index("n", n)
+    check_index("dim", dim, least=1)
+    if not n < dim:
+        raise DimensionError(f"basis index {n} outside dimension {dim}")
+    vec = np.zeros(dim, dtype=complex)
+    vec[n] = 1.0
+    return vec
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense N x N complex matrix acting on FockVector coefficients."""
-
-    entries: np.ndarray
-    dim: int
-
-    @staticmethod
-    def from_matrix(entries) -> "FockOperator":
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError("operator matrix must be square")
-        return FockOperator(entries=arr, dim=arr.shape[0])
-
-    def adjoint(self) -> "FockOperator":
-        return FockOperator(self.entries.conj().T.copy(), self.dim)
-
-    def apply(self, v: FockVector) -> FockVector:
-        if v.dim != self.dim:
-            raise DimensionError(f"operator dim {self.dim} vs vector dim {v.dim}")
-        return FockVector(self.entries @ v.coeffs, self.dim)
-
-    def interior_block(self) -> np.ndarray:
-        """Entries with both indices < N-1, where identities are exact."""
-        return self.entries[: self.dim - 1, : self.dim - 1]
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if other.dim != self.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries @ other.entries, self.dim)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        if other.dim != self.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries + other.entries, self.dim)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        if other.dim != self.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries - other.entries, self.dim)
-
-    def __mul__(self, scalar: complex) -> "FockOperator":
-        return FockOperator(self.entries * scalar, self.dim)
-
-    __rmul__ = __mul__
-
-
-def _require_dim(n: int, minimum: int = 2) -> None:
-    if n < minimum:
-        raise DimensionError(f"dimension must be >= {minimum}, got {n}")
-
-
-def build_annihilation(dim: int) -> FockOperator:
+def build_annihilation(dim: int) -> np.ndarray:
     """Lowering operator: e_n -> e_{n-1}, e_0 -> 0.  Exact under truncation."""
-    _require_dim(dim)
-    return FockOperator(np.eye(dim, k=1, dtype=complex), dim)
+    check_index("dim", dim, least=2)
+    return np.eye(dim, k=1, dtype=complex)
 
 
-def build_creation(dim: int) -> FockOperator:
+def build_creation(dim: int) -> np.ndarray:
     """Raising operator: e_n -> e_{n+1}, with the top vector sent to 0."""
-    _require_dim(dim)
-    return FockOperator(np.eye(dim, k=-1, dtype=complex), dim)
+    check_index("dim", dim, least=2)
+    return np.eye(dim, k=-1, dtype=complex)
 
 
-def build_number_function(dim: int, f) -> FockOperator:
+def build_number_function(dim: int, f) -> np.ndarray:
     """Diagonal operator diag(f(0), ..., f(N-1)) for a scalar function f."""
-    _require_dim(dim, minimum=1)
-    diag = np.array([complex(f(n)) for n in range(dim)])
-    return FockOperator(np.diag(diag), dim)
+    check_index("dim", dim, least=1)
+    return np.diag(np.array([complex(f(n)) for n in range(dim)]))
 
 
-def vacuum_projection(dim: int) -> FockOperator:
+def vacuum_projection(dim: int) -> np.ndarray:
     """Rank-one projection onto the vacuum basis vector."""
     return build_number_function(dim, lambda n: 1.0 if n == 0 else 0.0)
 
 
-def build_position(dim: int) -> FockOperator:
+def build_position(dim: int) -> np.ndarray:
     """Position operator: raising plus lowering (zero diagonal, Hermitian)."""
     a = build_annihilation(dim)
-    return FockOperator(a.entries + a.entries.T, dim)
+    return a + a.T
 
 
-def build_momentum(dim: int) -> FockOperator:
+def build_momentum(dim: int) -> np.ndarray:
     """Momentum operator i (raising - lowering); Hermitian on the truncation."""
     a = build_annihilation(dim)
-    return FockOperator(1j * (a.entries.T - a.entries), dim)
+    return 1j * (a.T - a)
 
 
-def commutator(op_a: FockOperator, op_b: FockOperator) -> FockOperator:
-    """A B - B A."""
+def commutator(op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
+    """A B - B A, refused for operands of different shapes."""
+    if np.shape(op_a) != np.shape(op_b):
+        raise DimensionError(f"dimension mismatch: {np.shape(op_a)} vs {np.shape(op_b)}")
     return op_a @ op_b - op_b @ op_a
 
 
@@ -177,8 +114,8 @@ def multiplication_table_checks(dim: int) -> list[CheckReport]:
     On indices < N-1:  a a+ = 1,  a+ a = 1 - P0,  [a, a+] = P0, and
     [X, P] = 2i P0 (checked through the integer matrix i^-1 [X, P]/2).
     """
-    _require_dim(dim, minimum=3)
-    a, ap, defect = _exact(build_annihilation(dim).entries, build_creation(dim).entries)
+    check_index("dim", dim, least=3)
+    a, ap, defect = _exact(build_annihilation(dim), build_creation(dim))
     eye = np.eye(dim, dtype=np.int64)
     p0 = _int_unit(dim, 0, 0)
 
@@ -210,6 +147,7 @@ def vacuum_moment(n: int, which: str, dim: int) -> int:
     of Python ints, so the value is exact for every n.
     """
     check_index("n", n)
+    check_index("dim", dim)
     if which not in ("X", "P"):
         raise DomainError(f"which must be 'X' or 'P', got {which!r}")
     if dim <= 2 * n:
@@ -245,10 +183,11 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
     reads they could never fail without it.
     """
     check_index("m_max, n_max", m_max, n_max)
+    check_index("dim", dim)
     if m_max + n_max + 2 > dim:
         raise DimensionError("need m_max + n_max + 2 <= dim")
     # X and iP have entries 0 and +-1, so (X +- iP)/2 is exact
-    x, ip = build_position(dim).entries, 1j * build_momentum(dim).entries
+    x, ip = build_position(dim), 1j * build_momentum(dim)
     a, ap, defect = _exact((x + ip) / 2, (x - ip) / 2)
     p0 = _int_unit(dim, 0, 0)
     top = max(m_max, n_max) + 1
@@ -283,18 +222,22 @@ def lie_bracket_checks(dim: int, m_max: int, n_max: int) -> list[CheckReport]:
     return reports
 
 
-def coherent_kernel(u: complex, v: complex) -> complex:
-    """Overlap of two coherent vectors: the geometric-series kernel 1/(1 - conj(u) v)."""
+def _coherent_ratio(u: complex, v: complex) -> complex:
+    """conj(u) v, the ratio of the coherent kernel's geometric series; |u| < 1 and |v| < 1 required."""
     if not (abs(u) < 1.0 and abs(v) < 1.0):
         raise DomainError("coherent parameters must satisfy |u| < 1, |v| < 1")
-    return 1.0 / (1.0 - complex(u).conjugate() * complex(v))
+    return complex(u).conjugate() * complex(v)
+
+
+def coherent_kernel(u: complex, v: complex) -> complex:
+    """Overlap of two coherent vectors: the geometric-series kernel 1/(1 - conj(u) v)."""
+    return 1.0 / (1.0 - _coherent_ratio(u, v))
 
 
 def coherent_kernel_truncated(u: complex, v: complex, dim: int) -> tuple[complex, float]:
     """Partial geometric sum over the first dim levels plus a tail bound."""
-    if not (abs(u) < 1.0 and abs(v) < 1.0):
-        raise DomainError("coherent parameters must satisfy |u| < 1, |v| < 1")
-    q = complex(u).conjugate() * complex(v)
+    q = _coherent_ratio(u, v)
+    check_index("dim", dim)
     total = 0j
     term = 1.0 + 0j
     for _ in range(dim):
@@ -318,11 +261,14 @@ def harmonic_char(t: float, p_xi: float, omega1: float) -> complex:
     return p_xi * cmath.exp(1j * t * omega1) + (1.0 - p_xi) * cmath.exp(2j * t * omega1)
 
 
-def harmonic_char_from_state(t: float, xi: FockVector, omega1: float) -> complex:
-    """Same quantity by explicit diagonal exponentiation of a state vector."""
+def harmonic_char_from_state(t: float, xi, omega1: float) -> complex:
+    """Same quantity by explicit diagonal exponentiation of a state vector xi, 1-d and non-empty."""
     check_finite("t", t)
     check_positive("omega1", omega1)
-    levels = np.arange(xi.dim)
+    xi = np.asarray(xi, dtype=complex)
+    if xi.ndim != 1 or xi.size < 1:
+        raise DimensionError("state vector must be 1-d and non-empty")
+    levels = np.arange(xi.size)
     eigenvalues = np.where(levels == 0, omega1, 2.0 * omega1)
     phases = np.exp(1j * t * eigenvalues)
-    return complex(np.vdot(xi.coeffs, phases * xi.coeffs))
+    return complex(np.vdot(xi, phases * xi))

@@ -7,8 +7,10 @@ check.  `expm_apply` applies e^(zA) to one vector in s Taylor steps of
 norm at most 4 (the action of Al-Mohy and Higham, SIAM J. Sci. Comput.
 33, 2011): O(n^2 ||zA||) work, and the n x n exponential is never
 formed.  `expm_matrix` forms the whole matrix by scaling and squaring,
-for callers that need every entry.  Also provides quadrature reference
-integrals against the semicircle measure.
+for callers that need every entry.  Both take the operator as a
+square array, the output of the `fock` builders, and `expm_apply` the
+vector as a 1-d array of its length.  Also provides quadrature
+reference integrals against the semicircle measure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import ceil, exp, log2
 import numpy as np
 
 from .exceptions import ConvergenceError, DimensionError, DomainError, check_finite, check_index, check_positive
-from .fock import FockOperator, FockVector, build_momentum, build_position
+from .fock import basis, build_momentum, build_position
 from .orthopoly import quadrature_rule
 from .specfun import bessel_tail_index
 
@@ -36,7 +38,6 @@ class ExpmResult:
     """e^(zA) v together with a certified bound on the truncation residual."""
 
     vector: np.ndarray
-    dim: int
     series_terms: int
     residual_bound: float
 
@@ -48,11 +49,11 @@ def _norm2_upper(mat: np.ndarray) -> float:
     return float(np.sqrt(n1 * ninf))
 
 
-def _scaled(op: FockOperator | np.ndarray, z: complex) -> tuple[np.ndarray, float, bool]:
+def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool]:
     """z A as an array, an upper bound on its norm, and whether it is skew-Hermitian."""
-    mat = op.entries if isinstance(op, FockOperator) else np.asarray(op, dtype=complex)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionError("matrix must be square")
+    mat = np.asarray(op, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionError(f"operator must be a square matrix, got shape {mat.shape}")
     if mat.shape[0] > _MAX_DIM:
         raise DimensionError(f"dimension {mat.shape[0]} exceeds the dense cap {_MAX_DIM}")
     check_finite("z", z)
@@ -88,7 +89,7 @@ def _taylor_expm(mat: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
     return total, terms, bound
 
 
-def expm_matrix(op: FockOperator | np.ndarray, z: complex, tol: float = 1e-13) -> tuple[np.ndarray, int, float]:
+def expm_matrix(op: np.ndarray, z: complex, tol: float = 1e-13) -> tuple[np.ndarray, int, float]:
     """e^(z A) as a dense matrix, by scaling and squaring with a Taylor core.
 
     Returns (matrix, taylor_terms, residual_bound); the bound covers the
@@ -111,7 +112,7 @@ def expm_matrix(op: FockOperator | np.ndarray, z: complex, tol: float = 1e-13) -
     return result, terms, err
 
 
-def expm_apply(op: FockOperator, z: complex, v: FockVector, tol: float = 1e-12) -> ExpmResult:
+def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) -> ExpmResult:
     """Apply e^(z A) to a vector with a certified residual bound, never forming e^(z A).
 
     With s = ceil(||zA|| / 4) and B = zA / s, the result is s steps
@@ -122,14 +123,16 @@ def expm_apply(op: FockOperator, z: complex, v: FockVector, tol: float = 1e-12) 
     error by that much.  residual_bound is the sum of the step bounds so
     amplified, at most tol ||v||, and series_terms the number of Taylor
     terms over all steps.  For skew-Hermitian z A the result norm is
-    asserted to match the input norm to 1e-12 (relative).
+    asserted to match the input norm to 1e-12 (relative).  The operator
+    must be square and v a vector of its length.
     """
-    if v.dim != op.dim:
-        raise DimensionError(f"operator dim {op.dim} vs vector dim {v.dim}")
     check_positive("tol", tol)
     za, nrm, skew = _scaled(op, z)
+    w = np.asarray(v, dtype=complex)
+    if w.shape != za.shape[:1]:
+        raise DimensionError(f"operator dim {za.shape[0]} vs vector shape {w.shape}")
     steps = max(1, ceil(nrm / _STEP_NORM))
-    b, w = za / steps, v.coeffs
+    b = za / steps
     step_norm = nrm / steps
     log_growth = 0.0 if skew else step_norm  # log of a bound on ||e^B||
     vnorm = float(np.linalg.norm(w))
@@ -148,10 +151,10 @@ def expm_apply(op: FockOperator, z: complex, v: FockVector, tol: float = 1e-12) 
         defect = abs(float(np.linalg.norm(w)) - vnorm)
         if defect > 1e-12 * max(1.0, vnorm) + err:
             raise ConvergenceError(f"norm preservation violated by {defect:.3e}")
-    return ExpmResult(vector=w, dim=op.dim, series_terms=total_terms, residual_bound=err)
+    return ExpmResult(vector=w, series_terms=total_terms, residual_bound=err)
 
 
-def _generator(kind: str, dim: int) -> FockOperator:
+def _generator(kind: str, dim: int) -> np.ndarray:
     if kind == "P":
         return build_momentum(dim)
     if kind == "X":
@@ -177,7 +180,7 @@ def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
         return k + 2
 
     def evolved(dim: int) -> np.ndarray:
-        return expm_apply(_generator(generator, dim), 1j * t, FockVector.basis(k, dim), tol / 10).vector
+        return expm_apply(_generator(generator, dim), 1j * t, basis(k, dim), tol / 10).vector
 
     n = max(k + 2, 8, k + bessel_tail_index(t, tol) // 2)
     small = None

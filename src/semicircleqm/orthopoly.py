@@ -25,17 +25,13 @@ _INTERIOR_MARGIN = 1e-6
 
 
 def phi(n: int, x):
-    """Monic second-kind polynomial Phi_n(x) by forward recurrence.
+    """Monic second-kind polynomial Phi_n(x), row n of `phi_all`.
 
     Accepts a scalar or array x in [-2, 2]; returns the same shape.
     """
     check_index("n", n)
-    arr = check_support(x)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    for _ in range(n):
-        prev, cur = cur, arr * cur - prev
-    return cur if cur.shape else float(cur)
+    val = phi_all(n, x)[n]
+    return val if val.shape else float(val)
 
 
 def phi_all(n_max: int, x) -> np.ndarray:

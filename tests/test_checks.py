@@ -112,13 +112,13 @@ MUTANTS = [
            moved(1e-12, field="value"),
            (MILLER,)),
     Mutant(fock.multiplication_table_checks, (fock, "build_annihilation"),
-           moved(1, (6, 2), "entries", lambda a: a["dim"] == 12),
+           moved(1, (6, 2), when=lambda a: a["dim"] == 12),
            ("a a+ = 1 (interior)", "a+ a = 1 - P0", "[a, a+] = P0 (interior)", "[X, P] = 2i P0 (interior)",
             "a F = F(.+1) a (interior)")),
     # entries moved off 0 and 1 by less than 1, which an int64 cast toward zero would hide;
     # build_position and build_momentum are built from build_annihilation, so the brackets see them too
     *(Mutant(fock.multiplication_table_checks, (fock, "build_annihilation"),
-             moved(amount, ([0, 3], [1, 7]), "entries", lambda a: a["dim"] == 12),
+             moved(amount, ([0, 3], [1, 7]), when=lambda a: a["dim"] == 12),
              (*MULTIPLICATION, *BRACKETS), label=label)
       for amount, label in ((0.5, "half"), (1e-9, "nudge"))),
     # P of the wrong sign swaps a = (X + iP)/2 and a+; the swapped pair satisfies seven of the brackets
@@ -200,7 +200,7 @@ MUTANTS = [
            moved(1e-9, when=lambda a: a["t"] == 0.5),
            lines=(("position-group vacuum law e^{itx} - ixJ_1(2t)", dict(ts=(0.5,))),)),
     Mutant(checks.expm_identities, (oracle, "expm_apply"),
-           moved(1e-6, 1, "vector", lambda a: a["op"].dim == 48),
+           moved(1e-6, 1, "vector", lambda a: len(a["op"]) == 48),
            ORACLE),
 ]
 

@@ -190,7 +190,7 @@ class TestHeisenberg:
         dim = oracle.truncation_level(t, 2, 1e-10, generator="P2")
         p = build_momentum(dim)
         u, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        ap = build_creation(dim).entries
+        ap = build_creation(dim)
         conj = u @ ap @ u.conj().T - ap
         assert np.max(np.abs(got - conj[:2, :2])) <= 1e-8
 

@@ -7,10 +7,10 @@ inside it at which the call must return finite numbers.  Capped domains
 are probed at NaN, +-inf and just past +-cap, and inside at +-cap, -0.0
 and the least subnormal; every tol at NaN, +-inf, 0, -0.0 and -1e-8,
 and the H1 frequency omega1 there too and inside at the least subnormal;
-every order, level and node count at NaN, +-inf, a fraction and one
-below its least value.  `test_every_guarded_argument_has_a_row` finds
-each public function that takes such an argument and fails on any
-argument without a row.
+every order, level, node count and dimension at NaN, +-inf, one below
+its least value and a fraction above it.
+`test_every_guarded_argument_has_a_row` finds each public function that
+takes such an argument and fails on any argument without a row.
 """
 
 import inspect
@@ -42,17 +42,24 @@ def capped(cap: float) -> Domain:
 FINITE = Domain(NON_FINITE, (-0.0, TINY))
 POSITIVE = Domain(NON_FINITE + (0.0, -0.0, -1e-8), ())
 FREQUENCY = Domain(POSITIVE.refused, (TINY,))  # omega1 of the quadratic well H1
-INDEX = Domain(NON_FINITE + (-1, 0.5), ())
-COUNT = Domain(NON_FINITE + (0, 0.5), ())  # node counts and grids that start at 1
+
+
+def index(least: int) -> Domain:
+    """Integers >= least: refused one below and at a fraction above it."""
+    return Domain(NON_FINITE + (least - 1, least + 0.5), ())
+
+
+INDEX = index(0)
+COUNT = index(1)  # node counts, grids and dimensions that start at 1
 THETA = Domain(NON_FINITE + (0.0, -0.0, math.pi), (1.0,))
 SUPPORT = capped(2.0)
 OPEN_SUPPORT = capped(math.nextafter(2.0, 0.0))
 SCALAR = Domain(NON_FINITE + (1e308j,), FINITE.inside)  # z of the oracle: 1e308j overflows |z| ||A||
 UNIT_DISC = Domain(NON_FINITE + (1.0, -1.0), (-0.0, TINY, math.nextafter(1.0, 0.0)))
 
-# argument names that a guard covers: t, x, z, theta, omega, tol, orders and levels
+# argument names that a guard covers: t, x, z, theta, omega, tol, orders, levels and dimensions
 GUARDED = {
-    "t", "x", "z", "theta", "omega", "omega1", "tol",
+    "t", "x", "z", "theta", "omega", "omega1", "tol", "dim",
     "n", "m", "k", "l", "p", "n_max", "m_max", "l_max", "max_order", "m_plus", "m_minus", "order",
 }
 MODULES = (combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun)
@@ -67,8 +74,8 @@ class Row(NamedTuple):
 
 
 OP = fock.build_momentum(8)
-VEC = fock.FockVector.basis(0, 8)
-XI = fock.FockVector.from_coeffs([0.5, math.sqrt(0.75)])
+VEC = fock.basis(0, 8)
+XI = [0.5, math.sqrt(0.75)]
 ev, hb = evolution, hilbert
 
 ROWS = [
@@ -191,12 +198,22 @@ ROWS = [
     Row(orthopoly.connection_checks, "x_grid", lambda x: [r.residual for r in orthopoly.connection_checks(3, [x])],
         SUPPORT, "x"),
     # fock
+    Row(fock.basis, "n", lambda n: fock.basis(n, 8), INDEX),
+    Row(fock.basis, "dim", lambda dim: fock.basis(0, dim), COUNT),
+    *(Row(fn, "dim", fn, index(2))
+      for fn in (fock.build_annihilation, fock.build_creation, fock.build_position, fock.build_momentum)),
+    Row(fock.build_number_function, "dim", lambda dim: fock.build_number_function(dim, float), COUNT),
+    Row(fock.vacuum_projection, "dim", fock.vacuum_projection, COUNT),
+    Row(fock.multiplication_table_checks, "dim", fock.multiplication_table_checks, index(3)),
     Row(fock.vacuum_moment, "n", lambda n: fock.vacuum_moment(n, "X", 16), INDEX),
+    Row(fock.vacuum_moment, "dim", lambda dim: fock.vacuum_moment(2, "X", dim), INDEX),
+    Row(fock.lie_bracket_checks, "dim", lambda dim: fock.lie_bracket_checks(dim, 1, 1), INDEX),
     Row(fock.lie_bracket_checks, "m_max", lambda m: fock.lie_bracket_checks(8, m, 1), INDEX),
     Row(fock.lie_bracket_checks, "n_max", lambda n: fock.lie_bracket_checks(8, 1, n), INDEX),
     Row(fock.coherent_kernel, "u", lambda u: fock.coherent_kernel(u, 0.5), UNIT_DISC),
     Row(fock.coherent_kernel, "v", lambda v: fock.coherent_kernel(0.5, v), UNIT_DISC),
     Row(fock.coherent_kernel_truncated, "u", lambda u: fock.coherent_kernel_truncated(u, 0.5, 8), UNIT_DISC),
+    Row(fock.coherent_kernel_truncated, "dim", lambda dim: fock.coherent_kernel_truncated(0.5, 0.5, dim), INDEX),
     Row(fock.harmonic_char, "t", lambda t: fock.harmonic_char(t, 0.25, 1.0), FINITE),
     Row(fock.harmonic_char, "omega1", lambda w: fock.harmonic_char(0.5, 0.25, w), FREQUENCY),
     Row(fock.harmonic_char_from_state, "t", lambda t: fock.harmonic_char_from_state(t, XI, 1.0), FINITE),
@@ -215,7 +232,7 @@ ROWS = [
     # combinatorics
     Row(combinatorics.catalan, "p", combinatorics.catalan, INDEX),
     *(Row(fn, arg, lambda v, fn=fn, arg=arg: fn(**dict(dict(m_plus=1, m_minus=0, p=2), **{arg: v})), INDEX)
-      for fn in (combinatorics.theta_count, combinatorics.theta_count_unbounded, combinatorics.nu_plus_on_theta)
+      for fn in (combinatorics.theta_count, combinatorics.nu_plus_on_theta)
       for arg in ("m_plus", "m_minus", "p")),
     *(Row(fn, "k", fn, INDEX)
       for fn in (combinatorics.all_sign_words, combinatorics.normal_forms, combinatorics.sign_word_distribution)),
