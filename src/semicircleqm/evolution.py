@@ -28,7 +28,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, log
+from math import factorial
 
 import numpy as np
 
@@ -100,7 +100,13 @@ class CoeffTable:
 
 @dataclass(frozen=True)
 class EvolvedState:
-    """Amplitudes <level l | group element | level k> for l = 0..l_max."""
+    """Amplitudes <level l | group element | level k> for l = 0..l_max.
+
+    tail_index is the tail level of `_tail_span`: by default the
+    amplitudes run to level k + tail_index, and for P^2, which moves
+    two levels at a time, tail_index counts pairs of levels, so they run
+    to k + 2 tail_index.
+    """
 
     t: float
     k: int
@@ -123,9 +129,12 @@ _COLUMN_TOL = 1e-13  # engine tolerance of every coefficient column
 
 
 @lru_cache(maxsize=1024)
-def _vacuum_column(gen: Generator, t: float, top: int) -> np.ndarray:
-    """Read-only <level l | e^{itG} | 0> for l <= top, from the engine at _COLUMN_TOL."""
-    column = _group_block(gen, t, np.array([0]), top, _COLUMN_TOL)[0][:, 0]
+def _vacuum_column(gen: Generator, t: float, top: int, span: int) -> np.ndarray:
+    """Read-only <level l | e^{itG} | 0> for l <= top, from the engine at _COLUMN_TOL.
+
+    span is `_column_tail` at |t| or at a larger time.
+    """
+    column = _group_block(gen, t, np.array([0]), top + 1, span, _COLUMN_TOL)[:, 0]
     column.flags.writeable = False
     return column
 
@@ -143,7 +152,8 @@ def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
     """
     gen = Generator.P2 if kind is CoeffKind.KINETIC_I2 else Generator.P
     check_finite("t", t, _MAX_T[gen])
-    return _vacuum_column(gen, float(t), max(s, _column_tail(gen, float(t))))
+    span = _column_tail(gen, float(t))
+    return _vacuum_column(gen, float(t), max(s, span), span)
 
 
 @lru_cache(maxsize=1024)
@@ -259,39 +269,50 @@ _MAX_T = {Generator.P: 16.0, Generator.X: 16.0, Generator.P2: 8.0}
 
 
 def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
-    """Tail level of e^{itG} at tol and the levels it spans past a source level.
+    """Tail level of e^{itG}, G in {P, X, P2}, at tol and the levels it spans past any source level.
 
-    P^2 counts even levels: |<2m|e^{itP^2}|0>| <= 2 e^(4|t|) (4|t|)^m / m!.
-    """
-    if gen is Generator.P2:
-        tail = _tail_index(log(2.0) + 4.0 * abs(t), 4.0 * abs(t), tol)
-        return tail, 2 * tail
-    tail = bessel_tail_index(t, tol)
-    return tail, tail
+    X is the 0/1 tridiagonal matrix of the half-line and P = D X D* with
+    D = diag(i^l), so |<l|G^n|k>| for G in {X, P} is at most the number
+    of +-1 walks of length n on Z from k to l.  Summing |t|^n/n! over
+    those walks gives
 
+        |<k+-j|e^{itG}|k>| <= I_j(2|t|) <= e^(t^2/(j+1)) |t|^j/j!,
 
-def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, tol: float):
-    """(<level l | e^{itG} | level k> for l <= l_max, k in cols; tail index; top), G in {X, P, P2}.
+    and X^2 on Z is 2 + S^2 + S^-2 with S the shift, so
 
-    top is max(cols) plus the levels the tail spans (`_tail_span`);
-    l_max defaults to it.  The DST-I
-    diagonalises X on m levels: eigenvalues 2 cos(j pi/(m+1)), the
-    `orthopoly.quadrature_rule` nodes, and eigenvectors
-    sqrt(2/(m+1)) sin((l+1) j pi/(m+1)); P = D X D* with D = diag(i^l).
-    m starts past l_max plus the tail level and grows to 2m+1, which
-    keeps every node, until two truncations agree within tol/10.
+        |<k+-2h|e^{itP^2}|k>| <= e^(2|t|) I_h(2|t|) <= e^(2|t| + t^2/(h+1)) |t|^h/h!.
+
+    `_tail_index` searches only n + 2 > |t|, where every later j + 1
+    exceeds |t|, so the prefactors are at most e^|t| and e^(3|t|): the
+    levels past the tail carry at most tol in total, from every source
+    level k.  For P^2 the tail counts pairs of levels and spans twice
+    as many.  The bound grows with |t|, so the span at |t| covers every
+    time in [-|t|, |t|].
     """
     if gen not in _MAX_T:
         raise DomainError(f"sine-transform evolutions cover generators P, X, P2, got {gen.value}")
     check_finite("t", t, _MAX_T[gen])
-    if l_max is not None:
-        check_index("l_max", l_max)
-    tail, span = _tail_span(gen, t, tol)
-    top = int(cols.max()) + span
-    rows = (top if l_max is None else l_max) + 1
+    at = abs(t)
+    if gen is Generator.P2:
+        tail = _tail_index(3.0 * at, at, tol)
+        return tail, 2 * tail
+    tail = _tail_index(at, at, tol)
+    return tail, tail
+
+
+def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: int, tol: float) -> np.ndarray:
+    """<level l | e^{itG} | level k> for l < rows and k in cols, G in {X, P, P2}.
+
+    span is `_tail_span` at tol and at |t| or a larger time.  The DST-I
+    diagonalises X on m levels: eigenvalues 2 cos(j pi/(m+1)), the
+    `orthopoly.quadrature_rule` nodes, and eigenvectors
+    sqrt(2/(m+1)) sin((l+1) j pi/(m+1)); P = D X D* with D = diag(i^l).
+    m starts at rows plus span and grows to 2m+1, which keeps every
+    node, until two truncations agree within tol/10.
+    """
     d = np.arange(rows)[:, None] - cols
     if t == 0.0:
-        return (d == 0).astype(complex), tail, top
+        return (d == 0).astype(complex)
     m = rows + span
     prev = None
     while m <= _DIM_CAP:
@@ -309,10 +330,10 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, l_max: int | None, 
         raise TruncationError(f"no agreement within {tol / 10.0:.1e} below dimension {_DIM_CAP}")
     i_d = np.array([1, 1j, -1, -1j])[d % 4]
     if gen is Generator.P2:  # P^2 keeps parity
-        return np.where(d % 2 == 1, 0.0, block * i_d), tail, top
+        return np.where(d % 2 == 1, 0.0, block * i_d)
     if gen is Generator.P:  # e^{itX} is real at even d and imaginary at odd d
-        return (block * i_d).real.astype(complex), tail, top
-    return np.where(d % 2 == 1, 1j * block.imag, block.real), tail, top
+        return (block * i_d).real.astype(complex)
+    return np.where(d % 2 == 1, 1j * block.imag, block.real)
 
 
 def evolve(
@@ -321,9 +342,14 @@ def evolve(
     """Amplitudes <level l | e^{itG} | level k>, G in {P, X, P2}, up to l_max or k plus the tail level."""
     gen = Generator(generator)
     check_index("k", k)
-    block, tail, top = _group_block(gen, t, np.array([k]), l_max, tol)
-    if l_max is not None and l_max < top:
-        raise TruncationError(f"l_max={l_max} below the required tail level {top}")
+    tail, span = _tail_span(gen, t, tol)
+    top = k + span
+    if l_max is not None:
+        check_index("l_max", l_max)
+        if l_max < top:
+            raise TruncationError(f"l_max={l_max} below the required tail level {top}")
+        top = l_max
+    block = _group_block(gen, t, np.array([k]), top + 1, span, tol)
     return EvolvedState(t=t, k=k, amplitudes=block[:, 0], generator=gen, tail_index=tail)
 
 
@@ -507,7 +533,8 @@ def heisenberg_block(
     for P2, with w_s the evolved first level, w[2j+1] = u[2j] - u[2j+2].
     The block integrates the kernel over [0, t] by Gauss-Legendre
     doubling to tol, reading u from the engine's cached vacuum column at
-    each node.  Hermitian when m_max = n_max.  Raises DomainError for
+    each node, sized by one tail search at |t|, which covers every node.
+    Hermitian when m_max = n_max.  Raises DomainError for
     |t| above 16 (P) or 8 (P2).
     """
     gen = Generator(generator)
@@ -519,11 +546,12 @@ def heisenberg_block(
     check_positive("tol", tol)
     if t == 0.0:
         return np.zeros((m_max + 1, n_max + 1), dtype=complex)
-    kind = CoeffKind.KINETIC_I2 if gen is Generator.P2 else CoeffKind.MOMENTUM_I
     top = max(m_max, n_max)
+    span = _column_tail(gen, float(t))
+    level = max(top, span) + 1  # u[top + 1] is read; past the tail, blocks of every size share the columns
 
     def kernel(s: float) -> np.ndarray:
-        u = _coeff_column(kind, s, top + 1)
+        u = _vacuum_column(gen, float(s), level, span)
         um, un = u[: m_max + 1], u[: n_max + 1]
         if gen is Generator.P:
             return np.outer(um, un.conj())
@@ -557,7 +585,8 @@ def heisenberg_aplus_P2(
 def element_table(generator: Generator | str, t: float, l_max: int, tol: float = 1e-10) -> np.ndarray:
     """Matrix of group elements <level l | e^{itG} | level k> for l, k <= l_max, G in {P, X, P2}."""
     check_index("l_max", l_max)
-    return _group_block(Generator(generator), t, np.arange(l_max + 1), l_max, tol)[0]
+    gen = Generator(generator)
+    return _group_block(gen, t, np.arange(l_max + 1), l_max + 1, _tail_span(gen, t, tol)[1], tol)
 
 
 def build_coeff_table(kind: CoeffKind | str, t: float, max_order: int) -> CoeffTable:

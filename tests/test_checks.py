@@ -58,6 +58,9 @@ SWAP_INVARIANT = (
     *(f"[a+^{m} P0, a+] = -a+^{m + 1} P0" for m in (1, 2, 3)),
     "[a+^0 P0, P0 a^0] = e0 e0* - P0",
 )
+BESSEL_RECURRENCE = "Bessel three-term recurrence"
+# the order of the plane-wave sum at t = 0.25; the normalization sum at x = 0.5 takes one order more
+PLANE_WAVE_ORDER = specfun.bessel_tail_index(0.25, 1e-14)
 CHAR_LINES = (
     "characteristic function equals J_1(2t)/t",
     "characteristic function vs quadrature (21 points)",
@@ -111,6 +114,20 @@ MUTANTS = [
     Mutant(checks.bessel_identities, (specfun, "bessel_j_series"),
            moved(1e-12, field="value"),
            (MILLER,)),
+    # every series value the recurrence reads is also compared with the backward recurrence at
+    # 1e-13, so no move of the series fails the recurrence (tol 1e-8) without that row
+    Mutant(checks.bessel_identities, (specfun, "bessel_j_series"),
+           moved(1e-6, field="value", when=lambda a: (a["n"], a["x"]) == (5, 0.25)),
+           (BESSEL_RECURRENCE, MILLER), label="recurrence"),
+    Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
+           moved(1e-6, 1, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER, 0.5)),
+           ("plane-wave (Jacobi-Anger) expansion at 2t",), label="plane-wave"),
+    Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
+           moved(1e-6, 1, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER + 1, 0.5)),
+           ("Bessel normalization sum",), label="normalization"),
+    Mutant(checks.bessel_identities, (specfun, "hyp1f1"),
+           moved(1e-6, field="value", when=lambda a: (a["a"], a["b"], a["z"]) == (1.0, 2.0, 0.5)),
+           ("1F1(1;2;z) = (e^z - 1)/z",), label="hyp1f1"),
     Mutant(fock.multiplication_table_checks, (fock, "build_annihilation"),
            moved(1, (6, 2), when=lambda a: a["dim"] == 12),
            ("a a+ = 1 (interior)", "a+ a = 1 - P0", "[a, a+] = P0 (interior)", "[X, P] = 2i P0 (interior)",
@@ -134,6 +151,9 @@ MUTANTS = [
     Mutant(checks.polynomial_identities, (orthopoly, "phi_all"),
            moved(1e-6, 200, when=lambda a: a["n_max"] == 200),
            ("recurrence vs trigonometric closed form (n <= 200)",)),
+    Mutant(checks.polynomial_identities, (orthopoly, "phi_all"),
+           moved(1e-4, (20, 5), when=lambda a: a["n_max"] == 20 and np.size(a["x"]) == 64),
+           ("orthonormality under the Gauss rule (degree <= 20)",), label="orthonormality"),
     Mutant(orthopoly.connection_checks, (orthopoly, "phi_all"),
            moved(1e-9, 50, when=lambda a: a["n_max"] == 101),
            CONNECTIONS),
@@ -151,6 +171,13 @@ MUTANTS = [
     Mutant(checks.momentum_realization, (hilbert, "momentum_apply"),
            moved(1e-6, 17, "coeffs", lambda a: a["f"].coeffs.size == 17),
            (SPECTRAL[0],), (("momentum action equals tridiagonal matrix", {}),)),
+    # 1e-9 f_0 along (1, 0, 1, ..., 1, 0) on the image of 17 coefficients: a move that is not
+    # skew-adjoint, below the action's 1e-8, and one that the 16 rows the kinetic check reads
+    # of the second application annihilate
+    Mutant(checks.momentum_realization, (hilbert, "t_to_phi"),
+           lambda true: lambda series: true(series) if series.coeffs.size != 18 else hilbert.ChebSeries(
+               true(series).coeffs + 1e-9 * series.coeffs[1] * (np.arange(18) % 2 == 0)),
+           (SPECTRAL[1],), (("transform skew-adjointness (50 pairs)", {}),), "skew"),
     Mutant(checks.kinetic_action, (hilbert, "kinetic_apply"),
            moved(1e-9, 0, "coeffs"),
            (SPECTRAL[2],)),
@@ -245,7 +272,7 @@ def test_backward_recurrence_criterion_passes_on_working_code():
 VERIFY_ROWS = [
     *(("combinatorics", name, 0.0) for name in (
         FORMULA, "empty normal form counts are Catalan (p <= 10)", RAISING)),
-    ("specfun", "Bessel three-term recurrence", 1e-08),
+    ("specfun", BESSEL_RECURRENCE, 1e-08),
     ("specfun", MILLER, 1e-13),
     ("specfun", "plane-wave (Jacobi-Anger) expansion at 2t", 1e-08),
     ("specfun", "Bessel normalization sum", 1e-08),

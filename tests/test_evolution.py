@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicircleqm import checks, evolution, oracle, specfun
 from semicircleqm.evolution import (
@@ -29,7 +30,7 @@ from semicircleqm.evolution import (
     state_char_function,
 )
 from semicircleqm.exceptions import CrossCheckError, DomainError, TruncationError
-from semicircleqm.fock import build_momentum, build_position
+from semicircleqm.fock import basis, build_momentum, build_position
 from semicircleqm.specfun import bessel_j, bessel_j_all
 
 NAN = float("nan")
@@ -38,6 +39,25 @@ NAN = float("nan")
 def momentum_oracle_column(t, k, dim):
     mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
     return mat[:, k]
+
+
+def count_tail_searches(monkeypatch) -> list:
+    """Record every `_tail_index` search the engine makes, through evolution or specfun."""
+    true_search, searches = specfun._tail_index, []
+
+    def counted(*args):
+        searches.append(args)
+        return true_search(*args)
+
+    monkeypatch.setattr(specfun, "_tail_index", counted)
+    monkeypatch.setattr(evolution, "_tail_index", counted)
+    return searches
+
+
+def times_up_to_the_cap(gen):
+    """t anywhere in [-cap, cap], and the two edges themselves."""
+    cap = evolution._MAX_T[gen]
+    return st.floats(-cap, cap) | st.sampled_from((-cap, cap))
 
 
 def offset_engine_column(monkeypatch, offset):
@@ -94,14 +114,7 @@ class TestCoeffI:
 
     def test_repeated_coefficient_searches_no_tail(self, monkeypatch):
         first = coeff_I(3, 2, 16.0)
-        true_search, searches = specfun._tail_index, []
-
-        def counted(*args):
-            searches.append(args)
-            return true_search(*args)
-
-        monkeypatch.setattr(specfun, "_tail_index", counted)  # reached through bessel_tail_index
-        monkeypatch.setattr(evolution, "_tail_index", counted)
+        searches = count_tail_searches(monkeypatch)
         assert coeff_I(3, 2, 16.0) == first
         assert not searches
 
@@ -385,6 +398,15 @@ class TestHeisenbergP:
         with pytest.raises(DomainError):
             heisenberg_block(generator, 0.5, 2, 2)
 
+    @pytest.mark.parametrize("generator, t", [("P", 16.0), ("P2", -8.0)])
+    def test_block_searches_one_tail(self, monkeypatch, generator, t):
+        # the tail bound grows with |t|, so the search at t sizes the column at
+        # every node; a search per node would make at least 24 + 48
+        evolution._column_tail.cache_clear()
+        searches = count_tail_searches(monkeypatch)
+        heisenberg_block(generator, t, 3, 3)
+        assert len(searches) == 1
+
 
 class TestHeisenbergP2:
     def test_zero_time(self):
@@ -489,20 +511,38 @@ class TestSineTransformEngine:
 
     @pytest.mark.parametrize(
         "call, rows",
-        [(lambda: evolve_P(0, 16.0), 191), (lambda: evolve_P2_vacuum(8.0), 261), (lambda: evolve_P2_vacuum(2.0), 85),
-         (lambda: evolve_X(3, -11.0), 114), (lambda: evolve_P2_level1(-5.5), 190)],
-        ids=["P-16", "P2-vacuum-8", "P2-vacuum-2", "X-3-minus-11", "P2-level1-minus-5.5"],
+        [(lambda: evolve_P(0, 16.0), 72), (lambda: evolve_P2_vacuum(8.0), 103), (lambda: evolve_P2_vacuum(2.0), 41),
+         (lambda: evolve_X(3, -11.0), 57), (lambda: evolve_P2_level1(-5.5), 78), (lambda: evolve_P(0, 1.0), 14)],
+        ids=["P-16", "P2-vacuum-8", "P2-vacuum-2", "X-3-minus-11", "P2-level1-minus-5.5", "P-1"],
     )
     def test_default_rows_are_pinned(self, call, rows):
-        # the tail levels of both generators come from one search; their row counts stay put
+        # the walk bounds of `_tail_span` fix the default rows; they are part of the output contract
         assert call().amplitudes.size == rows
 
     def test_truncation_grows_past_a_short_start(self, monkeypatch):
         # a tail level of 1 starts the truncation far too small; the
         # agreement check must keep growing it
-        monkeypatch.setattr(evolution, "bessel_tail_index", lambda t, tol: 1)
+        monkeypatch.setattr(evolution, "_tail_index", lambda log_c, a, tol: 1)
         state = evolve_P(0, 8.0, l_max=40)
+        assert state.tail_index == 1
         assert np.max(np.abs(state.amplitudes - closed_form_column("P", 0, 8.0, 41))) <= 1e-12
+
+    @settings(deadline=None)
+    @given(
+        generator_and_t=st.sampled_from(list(evolution._MAX_T)).flatmap(
+            lambda gen: st.tuples(st.just(gen), times_up_to_the_cap(gen))
+        ),
+        k=st.integers(0, 12),
+        tol=st.sampled_from((1e-6, 1e-10, 1e-13)),
+    )
+    def test_tail_bound_holds(self, generator_and_t, k, tol):
+        # the default rows end at k plus the tail span; the oracle's exponential on
+        # 64 further levels puts at most tol on the levels past them
+        generator, t = generator_and_t
+        top = evolve(generator, k, t, tol=tol).amplitudes.size - 1
+        dim = top + 65
+        ref = oracle.expm_apply(oracle._generator(generator.value, dim), 1j * t, basis(k, dim), 1e-3 * tol).vector
+        assert float(np.sum(np.abs(ref[top + 1 :]))) <= tol
 
     def test_unreachable_agreement_raises(self):
         # rounding alone separates two truncations by more than 1e-21
