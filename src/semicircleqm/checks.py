@@ -88,16 +88,18 @@ def combinatorics_suite(tol: float = 1e-8) -> list[CheckReport]:
 def bessel_identities() -> tuple[float, float, float, float, float]:
     """(recurrence, backward, plane_wave, normalization, hyp1f1) on fixed grids.
 
-    The three-term recurrence tests the defining series; the backward
-    recurrence of `bessel_j_all` must match those series values and
-    carries the Jacobi-Anger and normalization sums.
+    The backward recurrence of `bessel_j_all` must match the defining
+    series at orders 0..11, satisfy the three-term recurrence on orders
+    12..22, which no series value reaches, and carry the Jacobi-Anger
+    and normalization sums.
     """
     rec = miller = 0.0
+    n = np.arange(13, 22)  # the recurrence at n reads orders n - 1, n and n + 1
     for t in np.linspace(0.25, 8.0, 12):
-        jv = np.array([specfun.bessel_j_series(n, t).value for n in range(12)])
-        for n in range(1, 10):
-            rec = max(rec, abs(2 * n * jv[n] / t - jv[n + 1] - jv[n - 1]))
-        miller = max(miller, float(np.max(np.abs(specfun.bessel_j_all(11, t).values - jv))))
+        jv = specfun.bessel_j_all(22, t).values
+        series = np.array([specfun.bessel_j_series(k, t).value for k in range(12)])
+        miller = max(miller, float(np.max(np.abs(jv[:12] - series))))
+        rec = max(rec, float(np.max(np.abs(2 * n * jv[n] / t - jv[n + 1] - jv[n - 1]))))
     ja = 0.0
     for t in np.linspace(0.25, 4.0, 8):
         jv = specfun.bessel_j_all(specfun.bessel_tail_index(t, 1e-14), 2 * t).values
@@ -423,21 +425,21 @@ def element_tables(generator: str, ts, size: int) -> float:
     return worst
 
 
-def heisenberg_conjugation(generator: str, ts, size: int) -> float:
-    """Largest gap of `heisenberg_block` to U a+ U* - a+ on the size x size block.
+def heisenberg_conjugation(generator: str, ts, rows: int, cols: int) -> float:
+    """Largest gap of `heisenberg_block` to U a+ U* - a+ on the rows x cols block.
 
     U is the dense exponential of G truncated at `truncation_level(t,
-    max(size, 8), 1e-10)`: the conjugation needs whole rows of U, which
-    one dense exponential gives more cheaply than the actions.
+    max(rows, cols, 8), 1e-10)`: the conjugation needs whole rows of U,
+    which one dense exponential gives more cheaply than the actions.
     """
     worst = 0.0
     for t in ts:
-        dim = oracle.truncation_level(t, max(size, 8), 1e-10, generator)
+        dim = oracle.truncation_level(t, max(rows, cols, 8), 1e-10, generator)
         u, _, _ = oracle.expm_matrix(oracle._generator(generator, dim), 1j * t)
         ap = fock.build_creation(dim)
         conj = u @ ap @ u.conj().T - ap
-        block = evolution.heisenberg_block(generator, t, size - 1, size - 1)
-        worst = max(worst, float(np.max(np.abs(block - conj[:size, :size]))))
+        block = evolution.heisenberg_block(generator, t, rows - 1, cols - 1)
+        worst = max(worst, float(np.max(np.abs(block - conj[:rows, :cols]))))
     return worst
 
 
@@ -475,7 +477,7 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
         CheckReport("group law U(t)U(s) = U(t+s) on the 8x8 block", group, 1e-8),
         CheckReport("amplitudes match the matrix exponential", amplitudes, 1e-8),
         CheckReport("coefficients reassemble the matrix exponential", reassembly, 1e-8),
-        CheckReport("raising-operator correction matches conjugation", heisenberg_conjugation("P", (0.4,), 4), 1e-6),
+        CheckReport("raising-operator correction matches conjugation", heisenberg_conjugation("P", (0.4,), 4, 4), 1e-6),
     ]
 
 

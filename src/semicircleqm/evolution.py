@@ -506,20 +506,25 @@ def coeff_I2(m: int, n: int, t: float, tol: float | None = None) -> complex:
 # ---------------------------------------------------------------------------
 # Heisenberg-picture corrections of the raising operator
 
-def _gauss_legendre_adaptive(f_block, t: float, tol: float):
-    """Integrate a vector/matrix-valued function over [0, t] by GL doubling from order 24."""
+_GL_ORDERS = (24, 48, 96, 192, 384)  # every doubling of the order from 24 up to the cap 512
+
+
+def _gauss_legendre_adaptive(integrate, t: float, tol: float):
+    """Integrate a matrix-valued function over [0, t] by Gauss-Legendre doubling from order 24.
+
+    integrate(nodes, weights) returns the weighted sum of the integrand
+    over one order's nodes in one pass.  The orders double until two
+    successive sums agree within tol; QuadratureError names the highest
+    order evaluated.
+    """
     prev = None
-    order = 24
-    while order <= 512:
+    for order in _GL_ORDERS:
         xg, wg = orthopoly.gauss_legendre(order)
-        s_nodes = 0.5 * t * (xg + 1.0)
-        s_weights = 0.5 * t * wg
-        total = sum(w * f_block(s) for s, w in zip(s_nodes, s_weights))
+        total = integrate(0.5 * t * (xg + 1.0), 0.5 * t * wg)
         if prev is not None and float(np.max(np.abs(total - prev))) < tol:
             return total
         prev = total
-        order *= 2
-    raise QuadratureError(f"Heisenberg quadrature did not reach tol={tol} by order 512")
+    raise QuadratureError(f"Heisenberg quadrature did not reach tol={tol} by order {_GL_ORDERS[-1]}")
 
 
 def heisenberg_block(
@@ -534,6 +539,11 @@ def heisenberg_block(
     The block integrates the kernel over [0, t] by Gauss-Legendre
     doubling to tol, reading u from the engine's cached vacuum column at
     each node, sized by one tail search at |t|, which covers every node.
+    Each order is one weighted product over its nodes: with U the nodes x
+    levels array of the columns u_s, W that of the w_s and D the diagonal
+    of the weights, the sum is U^T D conj(U) for P and i(A - A^*),
+    A = W^T D conj(U), for P2, sliced to the block.  It equals the
+    node-by-node sum of the kernel within rounding, not bit for bit.
     Hermitian when m_max = n_max.  Raises DomainError for
     |t| above 16 (P) or 8 (P2).
     """
@@ -550,17 +560,18 @@ def heisenberg_block(
     span = _column_tail(gen, float(t))
     level = max(top, span) + 1  # u[top + 1] is read; past the tail, blocks of every size share the columns
 
-    def kernel(s: float) -> np.ndarray:
-        u = _vacuum_column(gen, float(s), level, span)
-        um, un = u[: m_max + 1], u[: n_max + 1]
+    def integrate(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        u = np.array([_vacuum_column(gen, float(s), level, span)[: top + 2] for s in nodes])
         if gen is Generator.P:
-            return np.outer(um, un.conj())
-        w = np.zeros(top + 1, dtype=complex)
-        w[1::2] = u[0:top:2] - u[2 : top + 2 : 2]
-        wm, wn = w[: m_max + 1], w[: n_max + 1]
-        return 1j * (np.outer(wm, un.conj()) - np.outer(um, wn.conj()))
+            left = u[:, : top + 1]
+        else:
+            left = np.zeros((nodes.size, top + 1), dtype=complex)
+            left[:, 1::2] = u[:, 0:top:2] - u[:, 2 : top + 2 : 2]
+        a = left.T @ (weights[:, None] * u[:, : top + 1].conj())
+        block = a if gen is Generator.P else 1j * (a - a.conj().T)
+        return block[: m_max + 1, : n_max + 1]
 
-    return omega * _gauss_legendre_adaptive(kernel, t, tol)
+    return omega * _gauss_legendre_adaptive(integrate, t, tol)
 
 
 def heisenberg_aplus_P(t: float, m: int, n: int, omega: float = 1.0, tol: float = 1e-8) -> complex:

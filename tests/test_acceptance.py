@@ -25,6 +25,7 @@ PAIRS2 = ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7), (4.0, 4.0), (-4.0, -4.0))
 CHAR = dict(ts=np.linspace(0.0, 4.0, 21), series_ts=np.linspace(0.1, 4.0, 15))
 POINTWISE = dict(ts=(0.5, 1.0, 2.0), xs=np.linspace(-1.8, 1.8, 15))
 MOMENTUM = dict(rng=0, samples=25, pairs=50)
+NON_SQUARE = ((8, 3), (3, 8))  # (rows, cols) of the non-square Heisenberg blocks, off the edge ts
 
 
 class Line(NamedTuple):
@@ -62,9 +63,13 @@ GATE = [
     Line(9, "Bessel trigonometric sums vs PV integrals", 1e-6, checks.kapteyn,
          dict(ts=(0.5, 1.0, 2.0, 4.0), thetas=(pi / 6, pi / 3, pi / 2, 2 * pi / 3))),
     Line(10, "raising-operator correction (translation) vs conjugation", 1e-6, checks.heisenberg_conjugation,
-         dict(generator="P", ts=(0.3, 0.9) + T_EDGE, size=8)),
+         dict(generator="P", ts=(0.3, 0.9) + T_EDGE, rows=8, cols=8)),
     Line(10, "raising-operator correction (kinetic) vs conjugation", 1e-6, checks.heisenberg_conjugation,
-         dict(generator="P2", ts=(0.25,) + T2_EDGE, size=8)),
+         dict(generator="P2", ts=(0.25,) + T2_EDGE, rows=8, cols=8)),
+    *(Line(10, f"raising-operator correction ({name}, {rows}x{cols} block) vs conjugation", 1e-6,
+           checks.heisenberg_conjugation, dict(generator=generator, ts=ts, rows=rows, cols=cols))
+      for generator, name, ts in (("P", "translation", (0.3, 0.9)), ("P2", "kinetic", (0.25,)))
+      for rows, cols in NON_SQUARE),
     Line(11, "defining series vs Bessel/1F1 closed forms (m+n <= 16)", 1e-11, checks.coefficient_closed_forms,
          dict(ts=(0.25, 1.0, 2.5, 4.0), s_max=16)),
     Line(12, "unitarity of all closed-form evolutions", 1e-8, checks.unit_norm,

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from test_acceptance import GATE, residual
+from test_acceptance import GATE, NON_SQUARE, residual
 
 from semicircleqm import checks, combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun
 
@@ -114,11 +114,10 @@ MUTANTS = [
     Mutant(checks.bessel_identities, (specfun, "bessel_j_series"),
            moved(1e-12, field="value"),
            (MILLER,)),
-    # every series value the recurrence reads is also compared with the backward recurrence at
-    # 1e-13, so no move of the series fails the recurrence (tol 1e-8) without that row
-    Mutant(checks.bessel_identities, (specfun, "bessel_j_series"),
-           moved(1e-6, field="value", when=lambda a: (a["n"], a["x"]) == (5, 0.25)),
-           (BESSEL_RECURRENCE, MILLER), label="recurrence"),
+    # an order past the 0..11 that the series comparison reads
+    Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
+           moved(1e-6, 15, "values", lambda a: (a["n_max"], a["x"]) == (22, 0.25)),
+           (BESSEL_RECURRENCE,), label="recurrence"),
     Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
            moved(1e-6, 1, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER, 0.5)),
            ("plane-wave (Jacobi-Anger) expansion at 2t",), label="plane-wave"),
@@ -219,7 +218,9 @@ MUTANTS = [
            moved(1e-5, (0, 0), when=lambda a: 0 < a["t"] < 0.5),
            ("raising-operator correction matches conjugation",),
            (("raising-operator correction (translation) vs conjugation", dict(ts=(0.3,))),
-            ("raising-operator correction (kinetic) vs conjugation", dict(ts=(0.25,))))),
+            ("raising-operator correction (kinetic) vs conjugation", dict(ts=(0.25,))),
+            *((f"raising-operator correction ({name}, {rows}x{cols} block) vs conjugation", dict(ts=(t,)))
+              for name, t in (("translation", 0.3), ("kinetic", 0.25)) for rows, cols in NON_SQUARE))),
     Mutant(checks.char_function_routes, (evolution, "char_function"),
            moved(1e-9),
            lines=tuple((name, {}) for name in CHAR_LINES)),

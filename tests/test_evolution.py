@@ -29,7 +29,7 @@ from semicircleqm.evolution import (
     matrix_element_P,
     state_char_function,
 )
-from semicircleqm.exceptions import CrossCheckError, DomainError, TruncationError
+from semicircleqm.exceptions import CrossCheckError, DomainError, QuadratureError, TruncationError
 from semicircleqm.fock import basis, build_momentum, build_position
 from semicircleqm.specfun import bessel_j, bessel_j_all
 
@@ -367,7 +367,7 @@ class TestHeisenbergP:
         assert abs(heisenberg_aplus_P(0.5, 0, 0, omega=2.5) - 2.5 * base) <= 1e-13
 
     def test_against_oracle_conjugation(self):
-        assert checks.heisenberg_conjugation("P", (0.9,), 1) <= 1e-6
+        assert checks.heisenberg_conjugation("P", (0.9,), 1, 1) <= 1e-6
 
     def test_negative_time_parity(self):
         # the kernel u_m(s) u_n(s) of the evolved vacuum has parity
@@ -378,15 +378,20 @@ class TestHeisenbergP:
             assert abs(minus - (-1.0) ** (m + n + 1) * plus) <= 1e-12
 
     def test_negative_time_against_oracle(self):
-        assert checks.heisenberg_conjugation("P", (-0.5,), 3) <= 1e-8
+        assert checks.heisenberg_conjugation("P", (-0.5,), 3, 3) <= 1e-8
 
     @pytest.mark.parametrize("t", [12.0, -16.0, 16.0])
     def test_block_against_oracle_to_the_cap(self, t):
-        assert checks.heisenberg_conjugation("P", (t,), 4) <= 1e-8
+        assert checks.heisenberg_conjugation("P", (t,), 4, 4) <= 1e-8
 
     def test_beyond_translation_cap_rejected(self):
         with pytest.raises(DomainError):
             heisenberg_aplus_P(16.5, 0, 0)
+
+    def test_unconverged_quadrature_names_its_highest_order(self):
+        # the orders double from 24 and stop below 512, so 384 is the last one evaluated
+        with pytest.raises(QuadratureError, match=r"did not reach tol=1e-16 by order 384$"):
+            heisenberg_block("P", 16.0, 1, 1, tol=1e-16)
 
     def test_block_matches_entries(self):
         block = heisenberg_block("P", 0.9, 7, 7)
@@ -417,7 +422,14 @@ class TestHeisenbergP2:
         assert np.max(np.abs(block - block.conj().T)) <= 1e-10
 
     def test_against_oracle_conjugation(self):
-        assert checks.heisenberg_conjugation("P2", (0.25,), 8) <= 1e-6
+        assert checks.heisenberg_conjugation("P2", (0.25,), 8, 8) <= 1e-6
+
+    @pytest.mark.parametrize("generator, t", [("P", 0.9), ("P2", 0.25), ("P2", -8.0)])
+    def test_transposed_blocks_are_adjoint(self, generator, t):
+        tall = heisenberg_block(generator, t, 7, 2)
+        wide = heisenberg_block(generator, t, 2, 7)
+        assert tall.shape == (8, 3)
+        assert np.max(np.abs(tall - wide.conj().T)) <= 1e-15
 
 
 class TestTablesAndGroupLaw:
