@@ -62,7 +62,7 @@ from .hilbert import (
 )
 from .oracle import ExpmResult, expm_apply, truncation_level
 from .orthopoly import phi, quadrature_rule, t_cheb
-from .specfun import SeriesResult, bessel_j, bessel_tail_index, hyp1f1
+from .specfun import SeriesResult, bessel_j, hyp1f1
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "SeriesResult",
     "basis",
     "bessel_j",
-    "bessel_tail_index",
     "brute_force_theta",
     "build_annihilation",
     "build_coeff_table",

@@ -102,12 +102,12 @@ def bessel_identities() -> tuple[float, float, float, float, float]:
         rec = max(rec, float(np.max(np.abs(2 * n * jv[n] / t - jv[n + 1] - jv[n - 1]))))
     ja = 0.0
     for t in np.linspace(0.25, 4.0, 8):
-        jv = specfun.bessel_j_all(specfun.bessel_tail_index(t, 1e-14), 2 * t).values
+        jv = specfun.bessel_j_all(specfun._tail_index(0.0, t, 1e-14), 2 * t).values
         total = jv[0] + 2 * np.sum((1j) ** np.arange(1, jv.size) * jv[1:])
         ja = max(ja, abs(total - np.exp(2j * t)))
     norm = 0.0
     for x in np.linspace(0.5, 8.0, 8):
-        jv = specfun.bessel_j_all(specfun.bessel_tail_index(x / 2, 1e-14) + 1, x).values
+        jv = specfun.bessel_j_all(specfun._tail_index(0.0, x / 2, 1e-14) + 1, x).values
         norm = max(norm, abs(jv[0] ** 2 + 2 * np.sum(jv[1:] ** 2) - 1.0))
     fident = 0.0
     for z in (0.5, 1.0, 2.0, -1.5):

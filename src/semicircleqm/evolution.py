@@ -46,7 +46,7 @@ from .exceptions import (
 from .hilbert import ChebSeries
 from .orthopoly import phi_all, t_cheb
 from .report import CheckReport
-from .specfun import _MAX_ABS_ARGUMENT, _exact_series, _tail_index, bessel_j, bessel_j_all, bessel_tail_index
+from .specfun import _MAX_ABS_ARGUMENT, _exact_series, _tail_index, bessel_j, bessel_j_all
 
 
 class CoeffKind(enum.Enum):
@@ -403,7 +403,7 @@ def evolve_P_pointwise(k: int, t: float, x: float, tol: float = 1e-10) -> comple
     """
     check_index("k", k)
     check_finite("t", t, _MAX_T[Generator.P])
-    m_top = bessel_tail_index(t, tol / 100.0) + k + 4
+    m_top = _tail_index(0.0, abs(t), tol / 100.0) + k + 4
     jv = bessel_j_all(m_top, 2.0 * t).values
     pv = phi_all(m_top + k + 2, x)
     val = jv[0] * pv[k]

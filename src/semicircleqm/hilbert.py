@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import SingularNodeError, check_finite, check_support, check_theta
 from .orthopoly import _INTERIOR_MARGIN, gauss_legendre, phi_all, quadrature_rule, t_cheb
-from .specfun import _MAX_ABS_ARGUMENT, bessel_j, bessel_j_all, bessel_tail_index
+from .specfun import _MAX_ABS_ARGUMENT, _tail_index, bessel_j, bessel_j_all
 
 _MAX_T_BESSEL = _MAX_ABS_ARGUMENT / 2  # the Bessel argument is 2t
 _ANGLE_PANELS = 24  # Gauss-Legendre panels of `pv_integral_angle`, half on each side of theta
@@ -207,8 +207,8 @@ def kapteyn_sum_cos(t: float, theta: float) -> float:
 
 def _kapteyn_series(t: float, theta: float, trig) -> float:
     check_theta(theta)
-    check_finite("t", t, 8.0)
-    n_max = bessel_tail_index(t, _KAPTEYN_TOL)
+    check_finite("t", t, _MAX_T_BESSEL)
+    n_max = _tail_index(0.0, abs(t), _KAPTEYN_TOL)
     jv = bessel_j_all(n_max, 2.0 * t).values
     ms = np.arange(1, n_max + 1)
     return float(np.sum(((-1.0) ** ms) * jv[1:] * trig(ms * theta)))
@@ -220,7 +220,7 @@ def kapteyn_integral_sin(t: float, theta: float) -> float:
         -sin(2t sin theta)/2
         - (sin theta / 2 pi) p.v. int_0^pi cos(2t sin phi)/(cos theta - cos phi) dphi
     """
-    check_finite("t", t)
+    check_finite("t", t, _MAX_T_BESSEL)
     integral = pv_integral_angle(lambda p: np.cos(2.0 * t * np.sin(p)), theta)
     return -sin(2.0 * t * sin(theta)) / 2.0 - sin(theta) / (2.0 * pi) * integral
 

@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DimensionError, DomainError, check_finite, check_index, check_positive
 from .fock import basis, build_momentum, build_position
 from .orthopoly import quadrature_rule
-from .specfun import bessel_tail_index
+from .specfun import _tail_index
 
 _MAX_DIM = 512
 _MAX_TAYLOR_TERMS = 64
@@ -182,7 +182,7 @@ def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
     def evolved(dim: int) -> np.ndarray:
         return expm_apply(_generator(generator, dim), 1j * t, basis(k, dim), tol / 10).vector
 
-    n = max(k + 2, 8, k + bessel_tail_index(t, tol) // 2)
+    n = max(k + 2, 8, k + _tail_index(0.0, abs(t), tol) // 2)
     small = None
     while 2 * n <= _MAX_DIM:
         small = evolved(n) if small is None else small

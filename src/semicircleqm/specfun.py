@@ -2,7 +2,8 @@
 
 Every Bessel order of an argument comes from one Miller backward
 recurrence (`bessel_j_all`), normalised by J_0 + 2 sum_k J_2k = 1
-(Gautschi, SIAM Rev. 9, 1967; A&S 9.12), and certified against a run
+(Gautschi, SIAM Rev. 9, 1967; A&S 9.12), started where `_tail_index`
+puts the omitted orders below eps/256, and certified against a run
 from twice the start order.  `bessel_j` reads one order from it.  The
 defining power series stay public as independent references:
 `bessel_j_series` for J, and `hyp1f1` for 1F1.  Every defining series
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import ceil, exp, factorial, fsum, inf, lgamma, log, log1p
+from math import exp, factorial, fsum, inf, lgamma, log, log1p
 
 import numpy as np
 
@@ -181,8 +182,8 @@ def _miller(x: float, start: int) -> tuple[np.ndarray, float]:
 def bessel_j_all(n_max: int, x: float) -> BesselOrders:
     """Bessel functions J_0(x) .. J_{n_max}(x) by Miller's backward recurrence.
 
-    The start order is 8 levels past n_max or past |x| + 12 |x|^(1/3),
-    whichever is larger; J_k(x) < 1e-17 beyond the latter for |x| <= 64.
+    The start order is 8 levels past n_max or past the order beyond which
+    `_tail_index` bounds sum_k |J_k(x)| below eps/256, whichever is larger.
     A second run from twice that order certifies it: the two runs must
     agree within the rounding bound, and the second run's values are
     returned.
@@ -202,7 +203,7 @@ def bessel_j_all(n_max: int, x: float) -> BesselOrders:
             if term == 0.0:
                 break
         return BesselOrders(values, 0, 0.0, 8.0 * _EPS * float(np.sum(np.abs(values))))
-    start = max(n_max, ceil(abs(x) + 12.0 * abs(x) ** (1.0 / 3.0))) + 8
+    start = max(n_max, _tail_index(0.0, 0.5 * abs(x), _EPS / 256.0)) + 8
     low, _ = _miller(x, start)
     high, condition = _miller(x, 2 * start)
     agreement = float(np.max(np.abs(high[: n_max + 1] - low[: n_max + 1])))
@@ -308,6 +309,14 @@ def _tail_index(log_c: float, a: float, tol: float) -> int:
 
     That is the geometric bound on the tail sum_{m > n} C a^m/m!, taken in
     logs from log C so that it cannot overflow.  a is |t| times a constant.
+
+    With log C = 0 and a = |t| it is the package's one rule for how many
+    Bessel orders a sum needs.  By Poisson's integral (A&S 9.1.20)
+    J_n(2t) = t^n / (sqrt(pi) Gamma(n + 1/2)) int_0^pi cos(2t cos phi) sin^(2n) phi dphi,
+    and sin^(2n) integrates over [0, pi] to sqrt(pi) Gamma(n + 1/2) / n!, so
+    |J_n(2t)| <= |t|^n/n! for real t (A&S 9.1.62): the orders past n sum
+    to less than tol, and so do the translation coefficients, since
+    (m+1) |J_{m+1}(2t)| / |t| <= |t|^m/m!.
     """
     check_finite("t", a)
     check_positive("tol", tol)
@@ -325,14 +334,3 @@ def _tail_index(log_c: float, a: float, tol: float) -> int:
             raise ConvergenceError("tail index search did not terminate")
     return n
 
-
-def bessel_tail_index(t: float, tol: float) -> int:
-    """Smallest level n* >= 1 past which the coefficient tail is below tol.
-
-    The order-n expansion coefficient of the translation group satisfies
-    |c_n(t)| <= (|t|^n / n!) e^(t^2) (1 + t^2/2), so n* is `_tail_index`
-    at C = e^(t^2) (1 + t^2/2) and a = |t|.
-    """
-    at = abs(t)
-    tt = at * at
-    return _tail_index(tt + log1p(tt / 2.0), at, tol)

@@ -60,7 +60,7 @@ SWAP_INVARIANT = (
 )
 BESSEL_RECURRENCE = "Bessel three-term recurrence"
 # the order of the plane-wave sum at t = 0.25; the normalization sum at x = 0.5 takes one order more
-PLANE_WAVE_ORDER = specfun.bessel_tail_index(0.25, 1e-14)
+PLANE_WAVE_ORDER = specfun._tail_index(0.0, 0.25, 1e-14)
 CHAR_LINES = (
     "characteristic function equals J_1(2t)/t",
     "characteristic function vs quadrature (21 points)",

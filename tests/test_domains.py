@@ -87,8 +87,6 @@ ROWS = [
     Row(specfun.bessel_j_series, "n", lambda n: specfun.bessel_j_series(n, 1.0), INDEX),
     Row(specfun.bessel_j_series, "x", lambda x: specfun.bessel_j_series(3, x).value, capped(64.0)),
     Row(specfun.hyp1f1, "z", lambda z: specfun.hyp1f1(0.5, 2.0, z).value, capped(64.0)),
-    Row(specfun.bessel_tail_index, "t", lambda t: specfun.bessel_tail_index(t, 1e-10), FINITE),
-    Row(specfun.bessel_tail_index, "tol", lambda tol: specfun.bessel_tail_index(1.0, tol), POSITIVE),
     # evolution: coefficients
     Row(ev.coeff_I_series, "m", lambda m: ev.coeff_I_series(m, 1, 0.5), INDEX),
     Row(ev.coeff_I_series, "n", lambda n: ev.coeff_I_series(1, n, 0.5), INDEX),
@@ -169,11 +167,11 @@ ROWS = [
     Row(hb.hilbert_mu_pv, "m", lambda m: hb.hilbert_mu_pv(np.cos, 0.3, m), COUNT),
     Row(hb.rho_weight, "x", hb.rho_weight, FINITE),
     Row(hb.pv_integral_angle, "theta", lambda theta: hb.pv_integral_angle(np.cos, theta), THETA),
-    Row(hb.kapteyn_sum_sin, "t", lambda t: hb.kapteyn_sum_sin(t, 1.0), capped(8.0)),
+    Row(hb.kapteyn_sum_sin, "t", lambda t: hb.kapteyn_sum_sin(t, 1.0), capped(32.0)),
     Row(hb.kapteyn_sum_sin, "theta", lambda theta: hb.kapteyn_sum_sin(0.5, theta), THETA),
-    Row(hb.kapteyn_sum_cos, "t", lambda t: hb.kapteyn_sum_cos(t, 1.0), capped(8.0)),
+    Row(hb.kapteyn_sum_cos, "t", lambda t: hb.kapteyn_sum_cos(t, 1.0), capped(32.0)),
     Row(hb.kapteyn_sum_cos, "theta", lambda theta: hb.kapteyn_sum_cos(0.5, theta), THETA),
-    Row(hb.kapteyn_integral_sin, "t", lambda t: hb.kapteyn_integral_sin(t, 1.0), FINITE),
+    Row(hb.kapteyn_integral_sin, "t", lambda t: hb.kapteyn_integral_sin(t, 1.0), capped(32.0)),
     Row(hb.kapteyn_integral_sin, "theta", lambda theta: hb.kapteyn_integral_sin(0.5, theta), THETA),
     Row(hb.kapteyn_integral_cos, "t", lambda t: hb.kapteyn_integral_cos(t, 1.0), capped(32.0)),
     Row(hb.kapteyn_integral_cos, "theta", lambda theta: hb.kapteyn_integral_cos(0.5, theta), THETA),

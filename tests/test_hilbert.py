@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -265,9 +266,22 @@ class TestKapteyn:
         with pytest.raises(DomainError):
             kapteyn_sum_sin(1.0, 0.0)
 
+    @pytest.mark.parametrize("t", [32.0, -32.0, math.nextafter(32.0, 0.0)])
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 2.5, 3.0])
+    def test_sums_at_the_cap_match_mpmath(self, t, theta):
+        with mp.workdps(40):
+            terms = [(-1) ** m * mp.besselj(m, 2 * mp.mpf(t)) for m in range(1, 200)]
+            want_sin = float(mp.fsum(c * mp.sin(m * mp.mpf(theta)) for m, c in enumerate(terms, 1)))
+            want_cos = float(mp.fsum(c * mp.cos(m * mp.mpf(theta)) for m, c in enumerate(terms, 1)))
+        assert abs(kapteyn_sum_sin(t, theta) - want_sin) <= 1e-14
+        assert abs(kapteyn_sum_cos(t, theta) - want_cos) <= 1e-14
+        assert abs(kapteyn_integral_sin(t, theta) - want_sin) <= 1e-14
+
     def test_argument_cap(self):
-        with pytest.raises(DomainError):
-            kapteyn_sum_sin(9.0, 1.0)
+        past = math.nextafter(32.0, math.inf)
+        for fn in (kapteyn_sum_sin, kapteyn_sum_cos, kapteyn_integral_sin, kapteyn_integral_cos):
+            with pytest.raises(DomainError):
+                fn(past, 1.0)
 
 
 class TestEvolvedClosedForms:

@@ -167,8 +167,14 @@ class TestTruncationLevel:
         )
 
     def test_dimension_cap_past_the_translation_cap(self):
+        # t = 30 still fits: the doubling certifies a dimension of at most 512
+        n = oracle.truncation_level(30.0, 4, 1e-10)
+        assert n <= 512
+        small = oracle.expm_apply(build_momentum(n), 30j, basis(4, n)).vector
+        big = oracle.expm_apply(build_momentum(2 * n), 30j, basis(4, 2 * n)).vector
+        assert np.linalg.norm(big[:n] - small) + np.linalg.norm(big[n:]) < 1e-10
         with pytest.raises(ConvergenceError):
-            oracle.truncation_level(30.0, 4, 1e-10)
+            oracle.truncation_level(100.0, 4, 1e-10)
 
 
 class TestReferenceIntegrals:

@@ -9,7 +9,6 @@ from semicircleqm.specfun import (
     bessel_j,
     bessel_j_all,
     bessel_j_series,
-    bessel_tail_index,
     hyp1f1,
 )
 
@@ -72,7 +71,7 @@ class TestBesselJ:
     def test_plane_wave_expansion(self):
         # e^{2it} = J_0(2t) + 2 sum_m i^m J_m(2t) at angle zero
         for t in np.linspace(0.25, 4.0, 10):
-            m_top = bessel_tail_index(t, 1e-14)
+            m_top = specfun._tail_index(0.0, t, 1e-14)
             jv = [bessel_j(m, 2 * t).value for m in range(m_top + 1)]
             total = jv[0] + 2 * sum((1j) ** m * jv[m] for m in range(1, m_top + 1))
             assert abs(total - np.exp(2j * t)) <= 1e-10
@@ -80,7 +79,7 @@ class TestBesselJ:
     def test_normalization(self):
         # J_0^2 + 2 sum_m J_m^2 = 1
         for x in np.linspace(0.5, 8.0, 10):
-            m_top = bessel_tail_index(x / 2, 1e-14) + 2
+            m_top = specfun._tail_index(0.0, x / 2, 1e-14) + 2
             jv = [bessel_j(m, x).value for m in range(m_top)]
             assert abs(jv[0] ** 2 + 2 * sum(v * v for v in jv[1:]) - 1.0) <= 1e-10
 
@@ -269,36 +268,43 @@ class TestHyp1F1:
 
 
 class TestTailIndex:
+    """`_tail_index(0, |t|, tol)`, the number of Bessel orders every sum of the package takes."""
+
     def test_zero_argument(self):
-        assert bessel_tail_index(0.0, 1e-10) == 1
+        assert specfun._tail_index(0.0, 0.0, 1e-10) == 1
 
     def test_unit_argument(self):
-        # direct evaluation of the coefficient bound
-        assert bessel_tail_index(1.0, 1e-10) == 13
+        # direct evaluation of the bound |t|^n/n!
+        assert specfun._tail_index(0.0, 1.0, 1e-10) == 13
 
     def test_moderate_argument(self):
-        assert bessel_tail_index(4.0, 1e-8) == 31
+        assert specfun._tail_index(0.0, 4.0, 1e-8) == 22
 
-    @pytest.mark.parametrize("t,tol", [(0.5, 1e-10), (2.0, 1e-10), (4.0, 1e-8), (8.0, 1e-10)])
+    @pytest.mark.parametrize(
+        "t,tol", [(0.5, 1e-10), (2.0, 1e-10), (4.0, 1e-8), (8.0, 1e-10), (16.0, 1e-12)]
+    )
     def test_bound_dominates_actual_tail(self, t, tol):
-        n_star = bessel_tail_index(t, tol)
-        tail = mp.nsum(
-            lambda n: abs((n + 1) * mp.besselj(int(n) + 1, 2 * t) / t), [n_star + 1, n_star + 250]
+        # both tails past n: the Bessel orders and the translation coefficients
+        n_star = specfun._tail_index(0.0, t, tol)
+        orders = mp.nsum(lambda m: abs(mp.besselj(int(m), 2 * t)), [n_star + 1, n_star + 250])
+        coeffs = mp.nsum(
+            lambda m: abs((m + 1) * mp.besselj(int(m) + 1, 2 * t) / t), [n_star + 1, n_star + 250]
         )
-        assert float(tail) < tol
+        assert float(orders) < tol
+        assert float(coeffs) < tol
 
     @pytest.mark.parametrize("t", [27.0, -40.0, 64.0])
     def test_no_overflow_past_the_translation_cap(self, t):
-        # smallest n with e^(t^2) (1 + t^2/2) |t|^(n+1)/(n+1)! / (1 - |t|/(n+2)) < tol, at 40 digits
+        # smallest n with |t|^(n+1)/(n+1)! / (1 - |t|/(n+2)) < tol, at 40 digits
         tol = 1e-10
         at = mp.mpf(abs(t))
 
         def bound(n):
-            return mp.exp(at**2) * (1 + at**2 / 2) * at ** (n + 1) / mp.factorial(n + 1) / (1 - at / (n + 2))
+            return at ** (n + 1) / mp.factorial(n + 1) / (1 - at / (n + 2))
 
-        n_star = bessel_tail_index(t, tol)
+        n_star = specfun._tail_index(0.0, abs(t), tol)
         assert n_star + 2 > abs(t)
         assert bound(n_star) < tol <= bound(n_star - 1)
 
     def test_monotone_in_tolerance(self):
-        assert bessel_tail_index(2.0, 1e-12) >= bessel_tail_index(2.0, 1e-6)
+        assert specfun._tail_index(0.0, 2.0, 1e-12) >= specfun._tail_index(0.0, 2.0, 1e-6)
