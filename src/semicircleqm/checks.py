@@ -17,8 +17,8 @@ Exactness-class identities are compared against the caller-supplied
 tolerance; quadrature-limited identities keep their intrinsic
 tolerances, which are part of the numerical contract.  The enumeration
 criterion visits every sign word of length <= 14 through the
-prefix-sum normal forms of `combinatorics.normal_forms`, one vectorised
-pass per length.
+prefix-sum normal forms of `combinatorics.prefix_normal_forms`, one
+vectorised scan that grows each length from the one before.
 """
 
 from __future__ import annotations
@@ -41,16 +41,20 @@ _K_MAX = 14  # longest sign word of the enumeration criterion
 def enumeration(ks) -> tuple[int, int]:
     """(formula, raising): every word of each length k in ks against the counting formula.
 
-    The (m_plus, m_minus) histogram of `normal_forms(k)` against
+    The (m_plus, m_minus) histogram of the length-k normal forms against
     `theta_count` in every cell (0 outside the reachable ones), and each
     word's raisings against p + m_plus.  The histogram of all 2^k words
     sums to 2^k by construction, and a word in an unreachable cell adds
     at least 1 to the formula residual, so the class sizes need no
-    check of their own.
+    check of their own.  Every length comes from one
+    `prefix_normal_forms` scan up to the longest.
     """
+    ks = tuple(ks)
+    check_index("ks", *ks)
+    forms_by_length = comb_mod.prefix_normal_forms(max(ks)) if ks else ()
     worst_formula = worst_nu = 0
     for k in ks:
-        forms = comb_mod.normal_forms(k)
+        forms = forms_by_length[k]
         cells = forms.m_plus.astype(np.intp) * (k + 1) + forms.m_minus
         hist = np.bincount(cells, minlength=(k + 1) ** 2)
         # cells outside the reachable set expect no words; a word landing
@@ -91,23 +95,21 @@ def bessel_identities() -> tuple[float, float, float, float, float]:
     The backward recurrence of `bessel_j_all` must match the defining
     series at orders 0..11, satisfy the three-term recurrence on orders
     12..22, which no series value reaches, and carry the Jacobi-Anger
-    and normalization sums.
+    and normalization sums, both read from one recurrence per argument.
     """
     rec = miller = 0.0
     n = np.arange(13, 22)  # the recurrence at n reads orders n - 1, n and n + 1
     for t in np.linspace(0.25, 8.0, 12):
         jv = specfun.bessel_j_all(22, t).values
-        series = np.array([specfun.bessel_j_series(k, t).value for k in range(12)])
+        series = np.array([r.value for r in specfun.bessel_j_series_orders(range(12), t)])
         miller = max(miller, float(np.max(np.abs(jv[:12] - series))))
         rec = max(rec, float(np.max(np.abs(2 * n * jv[n] / t - jv[n + 1] - jv[n - 1]))))
-    ja = 0.0
-    for t in np.linspace(0.25, 4.0, 8):
-        jv = specfun.bessel_j_all(specfun._tail_index(0.0, t, 1e-14), 2 * t).values
-        total = jv[0] + 2 * np.sum((1j) ** np.arange(1, jv.size) * jv[1:])
-        ja = max(ja, abs(total - np.exp(2j * t)))
-    norm = 0.0
+    ja = norm = 0.0
     for x in np.linspace(0.5, 8.0, 8):
         jv = specfun.bessel_j_all(specfun._tail_index(0.0, x / 2, 1e-14) + 1, x).values
+        # the plane-wave sum at t = x/2 reads every order but the last
+        total = jv[0] + 2 * np.sum((1j) ** np.arange(1, jv.size - 1) * jv[1:-1])
+        ja = max(ja, abs(total - np.exp(1j * x)))
         norm = max(norm, abs(jv[0] ** 2 + 2 * np.sum(jv[1:] ** 2) - 1.0))
     fident = 0.0
     for z in (0.5, 1.0, 2.0, -1.5):
@@ -312,14 +314,19 @@ def kapteyn(ts, thetas) -> np.ndarray:
 
 
 def pointwise_closed_forms(ts, xs) -> tuple[float, float]:
-    """(vacuum, first_level): gaps of the PV closed forms of e^{itP} on levels 0 and 1 to the amplitude series."""
+    """(vacuum, first_level): gaps of the PV closed forms of e^{itP} on levels 0 and 1 to the amplitude series.
+
+    Each state and each closed form is evaluated at all of xs in one call.
+    """
+    xs = np.asarray(xs, dtype=float)
     vacuum = first_level = 0.0
     for t in ts:
         state0 = evolution.evolve_P(0, t, tol=1e-12)
         state1 = evolution.evolve_P(1, t, tol=1e-12)
-        for x in map(float, xs):
-            vacuum = max(vacuum, abs(state0.evaluate(x) - hilbert.evolved_vacuum_closed_form(t, x)))
-            first_level = max(first_level, abs(state1.evaluate(x) - hilbert.evolved_phi1_closed_form(t, x)))
+        gap0 = np.abs(state0.evaluate(xs) - hilbert.evolved_vacuum_closed_form(t, xs))
+        gap1 = np.abs(state1.evaluate(xs) - hilbert.evolved_phi1_closed_form(t, xs))
+        vacuum = max(vacuum, float(np.max(gap0, initial=0.0)))
+        first_level = max(first_level, float(np.max(gap1, initial=0.0)))
     return vacuum, first_level
 
 

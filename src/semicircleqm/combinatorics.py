@@ -16,6 +16,7 @@ portable to fixed-width integer environments.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -30,8 +31,6 @@ MINUS = -1
 _INT64_MAX = 2**63 - 1
 _CATALAN_MAX_P = 30
 _ENUMERATION_MAX_K = 22
-# Words per block of the vectorised enumeration; bounds its working memory.
-_BLOCK_WORDS = 2**14
 
 SignWord = tuple[int, ...]
 
@@ -134,34 +133,44 @@ def normal_forms(k: int) -> NormalFormArrays:
     """Normal forms and raising counts of all 2^k words of length k, refused above k = 22.
 
     Entry i belongs to the i-th word of `all_sign_words(k)`, whose j-th
-    letter is a lowering step when bit k-1-j of i is set.  The words are
-    scanned letter by letter in blocks of at most 2^14, carrying each
-    word's running score (+1 per raising, -1 per lowering) and its
-    largest prefix sum so far; then
-        m_plus = max(0, largest prefix sum),  m_minus = m_plus - total,
-    while nu_plus counts the raising letters directly, independently of
-    the normal form.  All values fit in int8 for k <= 22.
+    letter is a lowering step when bit k-1-j of i is set: the last step
+    of the scan behind `prefix_normal_forms(k)`.
     """
     _check_enumerable(k)
-    n_words = 2**k
-    m_plus = np.empty(n_words, dtype=np.int8)
-    m_minus = np.empty(n_words, dtype=np.int8)
-    nu = np.empty(n_words, dtype=np.int8)
-    block = min(n_words, _BLOCK_WORDS)
-    for start in range(0, n_words, block):
-        index = np.arange(start, start + block, dtype=np.int32)
-        total = np.zeros(block, dtype=np.int8)
-        top = np.zeros(block, dtype=np.int8)
-        raised = np.zeros(block, dtype=np.int8)
-        for bit in range(k - 1, -1, -1):
-            raising = ((index >> bit) & 1) == 0
-            total += np.where(raising, np.int8(PLUS), np.int8(MINUS))
-            np.maximum(top, total, out=top)
-            raised += raising
-        m_plus[start : start + block] = top
-        m_minus[start : start + block] = top - total
-        nu[start : start + block] = raised
-    return NormalFormArrays(m_plus=m_plus, m_minus=m_minus, nu_plus=nu)
+    return deque(_scan(k), maxlen=1)[0]
+
+
+def prefix_normal_forms(k: int) -> tuple[NormalFormArrays, ...]:
+    """`normal_forms(j)` for every j <= k, from one letter-by-letter scan of the words of length k.
+
+    Refused above k = 22.
+    """
+    _check_enumerable(k)
+    return tuple(_scan(k))
+
+
+def _scan(k: int) -> Iterator[NormalFormArrays]:
+    """The normal forms of all words of length 0, 1, ..., k, each length grown from the one before.
+
+    The scan carries each word's running score (+1 per raising, -1 per
+    lowering) and its largest prefix sum so far; then
+        m_plus = max(0, largest prefix sum),  m_minus = m_plus - total,
+    while nu_plus counts the raising letters directly, independently of
+    the normal form.  A word of length j+1 is the word of length j at
+    index i // 2 followed by the letter that bit 0 of its index i gives,
+    so each step appends both letters to every word of the step before
+    and the words stay in `all_sign_words` order.  All values fit in
+    int8 for k <= 22.
+    """
+    letter = np.array([PLUS, MINUS], dtype=np.int8)  # bit 0 of the index: 0 raises, 1 lowers
+    raises = (letter == PLUS).astype(np.int8)
+    total = top = raised = np.zeros(1, dtype=np.int8)
+    for j in range(k + 1):
+        if j:
+            total = (total[:, None] + letter).reshape(-1)
+            top = np.maximum(top[:, None], total.reshape(-1, 2)).reshape(-1)
+            raised = (raised[:, None] + raises).reshape(-1)
+        yield NormalFormArrays(m_plus=top, m_minus=top - total, nu_plus=raised)
 
 
 def enumerate_theta_class(k: int, m_plus: int, m_minus: int) -> Iterator[SignWord]:

@@ -64,10 +64,13 @@ def check_index(name: str, *values, least: int = 0) -> None:
             raise DomainError(f"{name}: an integer >= {least} required, got {n}")
 
 
-def check_theta(theta: float) -> None:
-    """Refuse an angle outside the open interval (0, pi)."""
-    if not 0.0 < theta < np.pi:
-        raise DomainError(f"theta must lie in (0, pi), got {theta}")
+def check_theta(theta) -> np.ndarray:
+    """theta, an angle or an array of angles, as floats; refused unless every angle lies in (0, pi)."""
+    arr = np.asarray(theta, dtype=float)
+    inside = (0.0 < arr) & (arr < np.pi)
+    if not inside.all():
+        raise DomainError(f"theta must lie in (0, pi), got {arr.flat[np.argmin(inside)]}")
+    return arr
 
 
 def check_support(x, margin: float = 0.0) -> np.ndarray:

@@ -25,7 +25,7 @@ machine precision against the matrix-exponential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sin
+from math import cos, pi, sin
 
 import numpy as np
 
@@ -166,8 +166,8 @@ def rho_weight(x):
 # ---------------------------------------------------------------------------
 # principal-value integrals over the angle variable
 
-def pv_integral_angle(g, theta: float) -> float:
-    """p.v. integral of g(phi) / (cos(theta) - cos(phi)) over [0, pi].
+def pv_integral_angle(g, theta):
+    """p.v. integral of g(phi) / (cos(theta) - cos(phi)) over [0, pi], at one angle or an array of them.
 
     Subtracts g(theta) (the subtracted kernel integrates to zero in the
     principal-value sense) and integrates the now-removable integrand by
@@ -176,23 +176,45 @@ def pv_integral_angle(g, theta: float) -> float:
     which does not cancel near the edges of (0, pi); a node that rounds
     onto theta there lies in a panel narrower than theta or pi - theta
     and is dropped.  All `_ANGLE_PANELS` panels of `_ANGLE_ORDER` nodes
-    are evaluated as one array; their sums are added in panel order.
+    of every angle are evaluated as one array, so g must act elementwise
+    on arrays of angles; each angle's panel sums are added in panel
+    order.  theta is a scalar (returns a float) or an array (returns an
+    array of its shape), and each angle's value equals its scalar call
+    bit for bit.
     """
-    check_theta(theta)
+    thetas = check_theta(theta)
+    flat = thetas.reshape(-1)
     xg, wg = gauss_legendre(_ANGLE_ORDER)
-    g_theta = g(np.array([theta]))[0]
     half = _ANGLE_PANELS // 2
-    edges = np.concatenate([np.linspace(0.0, theta, half + 1)[:-1], np.linspace(theta, pi, half + 1)])
-    a, b = edges[:-1, None], edges[1:, None]
+    edges = np.concatenate([_spaced(0.0, flat, half + 1)[:-1], _spaced(flat, pi, half + 1)])
+    a, b = edges[:-1, :, None], edges[1:, :, None]  # panel, angle, node
     xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
     ws = 0.5 * (b - a) * wg
-    gap = 2.0 * np.sin(0.5 * (xs + theta)) * np.sin(0.5 * (xs - theta))
-    terms = np.divide(ws * (g(xs) - g_theta), gap, out=np.zeros(xs.shape), where=gap != 0.0)
-    panel_sums = np.sum(terms, axis=1)
-    total = 0.0
-    for panel in panel_sums:
-        total += float(panel)
-    return total
+    at = flat[:, None]
+    gap = 2.0 * np.sin(0.5 * (xs + at)) * np.sin(0.5 * (xs - at))
+    terms = np.divide(ws * (g(xs) - g(at)), gap, out=np.zeros(xs.shape), where=gap != 0.0)
+    # a running sum over the panels adds them in panel order, as a loop would
+    total = np.cumsum(np.sum(terms, axis=2), axis=0)[-1]
+    return total.reshape(thetas.shape) if thetas.ndim else float(total[0])
+
+
+def _spaced(start, stop, num: int) -> np.ndarray:
+    """np.linspace(start, stop, num) for each angle on its own, stacked along a new first axis.
+
+    A call of np.linspace on arrays takes its subnormal-step formula for
+    every entry once any step is 0; here each entry takes the formula
+    that its own call would.
+    """
+    delta = np.subtract(stop, start)
+    step = delta / (num - 1)
+    i = np.arange(num, dtype=float)[:, None]
+    y = i * step
+    zero = step == 0.0
+    if zero.any():
+        y[:, zero] = i / (num - 1) * delta[zero]
+    y += start
+    y[-1] = stop
+    return y
 
 
 def kapteyn_sum_sin(t: float, theta: float) -> float:
@@ -236,7 +258,7 @@ def kapteyn_integral_cos(t: float, theta: float) -> float:
     return (cos(2.0 * t * sin(theta)) - bessel_j(0, 2.0 * t).value) / 2.0 - integral / (2.0 * pi)
 
 
-def evolved_vacuum_closed_form(t: float, x: float) -> complex:
+def evolved_vacuum_closed_form(t: float, x):
     """Translation group applied to the vacuum, evaluated pointwise.
 
     With theta = arccos(x/2):
@@ -245,38 +267,49 @@ def evolved_vacuum_closed_form(t: float, x: float) -> complex:
                 - (x/2 pi) p.v. int_0^pi cos(2t sin phi)/(cos theta - cos phi) dphi
 
     Equals the amplitude series sum_l (-1)^l (l+1) J_{l+1}(2t)/t Phi_l(x);
-    the value is real for real t.
+    the value is real for real t.  x is a scalar (returns a complex) or
+    an array (returns a complex array of its shape): J_0(2t) is read
+    once and one `pv_integral_angle` pass covers every angle.
     """
     check_finite("t", t, _MAX_T_BESSEL)
-    check_support(x, _INTERIOR_MARGIN)
-    theta = acos(x / 2.0)
+    xs = check_support(x, _INTERIOR_MARGIN)
     if t == 0.0:
-        return 1.0 + 0j
+        return _complex_like(np.ones_like(xs))
+    theta = np.arccos(xs / 2.0)
     integral = pv_integral_angle(lambda p: np.cos(2.0 * t * np.sin(p)), theta)
     val = (
         bessel_j(0, 2.0 * t).value
-        - x * sin(2.0 * t * sin(theta)) / (2.0 * sin(theta))
-        - x / (2.0 * pi) * integral
+        - xs * np.sin(2.0 * t * np.sin(theta)) / (2.0 * np.sin(theta))
+        - xs / (2.0 * pi) * integral
     )
-    return complex(val)
+    return _complex_like(val)
 
 
-def evolved_phi1_closed_form(t: float, x: float) -> complex:
+def evolved_phi1_closed_form(t: float, x):
     """Translation group applied to the first excited level, pointwise.
 
     With theta = arccos(x/2):
 
         2 J_1(2t) + x cos(2t sin theta)
                   - (x/pi) p.v. int_0^pi sin(2t sin phi) sin(phi)/(cos theta - cos phi) dphi
+
+    x is a scalar (returns a complex) or an array (returns a complex
+    array of its shape): J_1(2t) is read once and one
+    `pv_integral_angle` pass covers every angle.
     """
     check_finite("t", t, _MAX_T_BESSEL)
-    check_support(x, _INTERIOR_MARGIN)
-    theta = acos(x / 2.0)
+    xs = check_support(x, _INTERIOR_MARGIN)
     if t == 0.0:
-        return complex(x)
+        return _complex_like(xs)
+    theta = np.arccos(xs / 2.0)
     integral = pv_integral_angle(lambda p: np.sin(2.0 * t * np.sin(p)) * np.sin(p), theta)
-    val = 2.0 * bessel_j(1, 2.0 * t).value + x * cos(2.0 * t * sin(theta)) - x / pi * integral
-    return complex(val)
+    val = 2.0 * bessel_j(1, 2.0 * t).value + xs * np.cos(2.0 * t * np.sin(theta)) - xs / pi * integral
+    return _complex_like(val)
+
+
+def _complex_like(val: np.ndarray):
+    """A complex array of val's shape, or a complex scalar for a 0-d val."""
+    return val.astype(complex) if val.ndim else complex(val)
 
 
 def spectral_identity_table(n_max: int, x: float) -> list[tuple[int, float, float]]:

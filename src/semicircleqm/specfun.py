@@ -6,13 +6,16 @@ recurrence (`bessel_j_all`), normalised by J_0 + 2 sum_k J_2k = 1
 puts the omitted orders below eps/256, and certified against a run
 from twice the start order.  `bessel_j` reads one order from it.  The
 defining power series stay public as independent references:
-`bessel_j_series` for J, and `hyp1f1` for 1F1.  Every defining series
-of the package, these two and the coefficient and Catalan series of
-`evolution`, is summed by one exact summer (`_exact_series`): a binary
-float is a rational number, so each partial sum is a Gaussian-integer
-numerator over one integer denominator, the alternating cancellation
-costs nothing, and the final division is the only rounding.  Each
-reports a geometric bound on the omitted tail and that one rounding.
+`bessel_j_series_orders` for J (any set of orders at one argument in
+one pass, `bessel_j_series` for one), and `hyp1f1` for 1F1.  Every
+defining series of the package, these two and the coefficient and
+Catalan series of `evolution`, is summed exactly: a binary float is a
+rational number, so each partial sum is a Gaussian-integer numerator
+over one integer denominator, the alternating cancellation costs
+nothing, and the final division is the only rounding.  Each reports a
+geometric bound on the omitted tail and that one rounding.
+`_exact_series` sums one series; the J pass keeps, for each order, the
+integers and the stop rule that `_exact_series` would.
 This is a deliberate small-to-moderate-argument design: the argument
 range is capped (|x| <= 64) and no asymptotic expansions are used.
 """
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import exp, factorial, fsum, inf, lgamma, log, log1p
+from itertools import accumulate, count, islice, repeat
+from math import exp, factorial, fsum, inf, lgamma, log, log1p, log2
+from operator import lshift, mul
 
 import numpy as np
 
@@ -236,31 +241,114 @@ def bessel_j(n: int, x: float) -> SeriesResult:
 
 
 def bessel_j_series(n: int, x: float) -> SeriesResult:
-    """J_n(x) by its defining series (A&S 9.1.10), the independent reference.
-
-    J_n(x) = sum_p (-1)^p / (p! (n+p)!) (x/2)^(n+2p)
-
-    summed exactly by `_exact_series`: term p+1 is term p times
-    -x^2 / (4 (p+1) (n+p+1)).  The terms stop at eps |partial sum|, not
-    at eps max(1, |partial sum|), so the value is accurate relative to
-    itself even where J_n(x) is far below 1 (J_40(1) ~ 1e-60).
+    """J_n(x) by its defining series, the independent reference: `bessel_j_series_orders((n,), x)`.
 
     Returns:
         SeriesResult whose tail_bound is at most eps times the exact
         partial sum and whose value is that sum correctly rounded.
     """
     check_index("n", n)
+    return bessel_j_series_orders((n,), x)[0]
+
+
+def bessel_j_series_orders(orders, x: float) -> tuple[SeriesResult, ...]:
+    """J_n(x) for every n in orders by the defining series (A&S 9.1.10), in one exact pass.
+
+    J_n(x) = sum_p (-1)^p / (p! (n+p)!) (x/2)^(n+2p).
+
+    With x = a/b in lowest terms, b a power of two and 2b = 2^s, term p
+    is (-1)^p a^(n+2p) / (p! (n+p)! 2^(s(n+2p))).  Each order keeps the
+    integers that `_exact_series` keeps when it sums this series with
+    term ratio -x^2 / (4 (p+1) (n+p+1)): partial sum k is an integer over
+    k! (n+k)! 2^(s(n+2k)), and partial sum k+1 is that integer times
+    (k+1)(n+k+1) 2^(2s) plus the numerator of term k+1.  So each order
+    stops where `_exact_series` stops, with the same tail bound and the
+    same one rounding: at the first partial sum that the geometric bound
+    on the rest, with ratio bound x^2 / (4 (k+2)(n+k+2)), puts at most eps
+    times itself, or at a zero term.  The orders of one parity share one
+    list of the powers a^(n+2p), and a bit-length test skips the
+    logarithms of the stop rule wherever it cannot hold.  The stop is
+    relative, so the value is accurate relative to itself even where
+    J_n(x) is far below 1 (J_40(1) ~ 1e-60).
+
+    Returns:
+        One SeriesResult per order, in the order given.
+    Raises:
+        DomainError: for an order that is not an integer >= 0, or |x| > 64.
+        ConvergenceError: past 1000 terms.
+    """
+    orders = tuple(orders)
+    check_index("orders", *orders)
     check_finite("x", x, _MAX_ABS_ARGUMENT)
     a, b = float(x).as_integer_ratio()
-    a2, b2 = -a * a, 4 * b * b
-    hh = 0.25 * x * x
-    value, terms, tail, rounding = _exact_series(
-        (a**n, 0, (2 * b) ** n * factorial(n)),
-        lambda p: (a2, 0, (p + 1) * (n + p + 1) * b2),
-        lambda p: hh / ((p + 2) * (n + p + 2)),
-        relative=True,
-    )
-    return SeriesResult(value.real, terms, tail, rounding)
+    shift = b.bit_length()  # 2b = 2^shift
+    quarter_x2 = 0.25 * x * x
+    # log2 |a|; with a = 0 every term after the first is 0 and the test below always passes
+    log2_a = log2(abs(a)) if a else -inf
+    # powers[n % 2][j] = a^(n % 2 + 2j), shared by the orders of one parity and grown as they need
+    powers = ([1], [a])
+    results = []
+    for n in orders:
+        row = powers[n % 2]
+        j0 = n // 2 + 1  # term k+1 of J_n has numerator (-1)^(k+1) row[j0 + k]
+        # about as many terms as J_n takes to its stop at |x| <= 64; the row doubles when an order
+        # runs past them (near a zero of J_n, say)
+        _extend_powers(row, a * a, j0 + int(1.5 * abs(x)) + 12)
+        # acc = (-1)^k times the numerator of partial sum k, so that partial sum k+1 is
+        # acc' = row[j0 + k] - acc m_k with the multiplier m_k = (k+1)(n+k+1) 2^(2 shift)
+        acc = row[j0 - 1]
+        k = 0
+        found = None
+        while found is None:
+            if k >= _SERIES_TERM_CAP:
+                raise ConvergenceError(f"defining series did not converge in {_SERIES_TERM_CAP} terms")
+            if len(row) <= j0 + k:
+                _extend_powers(row, a * a, 2 * len(row))
+            multipliers = map(lshift, map(mul, count(k + 1), count(n + k + 1)), repeat(2 * shift))
+            # the stop rule needs |term k+1| <= eps |partial sum k|, and term k+1 over partial sum k
+            # is row[j0 + k] / (acc m_k), so it cannot hold before the bit lengths of acc and m_k
+            # add up to more than log2 |a^(n+2k+2)| + 52 (less 1e-6 for the rounding of that bound)
+            least_bits = count((n + 2 * k + 2) * log2_a + 52 - 1e-6, 2 * log2_a)
+            for k, v, m, bits in zip(range(k, _SERIES_TERM_CAP), row[j0 + k :], multipliers, least_bits):
+                if acc.bit_length() + m.bit_length() > bits:
+                    sign = -1 if k % 2 else 1
+                    found = _bessel_series_stop(n, k, sign * acc, -sign * v, m >> 2 * shift, shift, quarter_x2)
+                    if found:
+                        break
+                acc = v - acc * m
+            else:
+                k += 1
+        results.append(found)
+    return tuple(results)
+
+
+def _extend_powers(row: list[int], factor: int, size: int) -> None:
+    """Continue row, a list of integers in which each is factor times the one before, to size entries."""
+    if len(row) < size:
+        row.extend(islice(accumulate(repeat(factor, size - len(row)), mul, initial=row[-1]), 1, None))
+
+
+def _bessel_series_stop(n: int, k: int, re: int, term: int, r: int, shift: int, quarter_x2: float):
+    """The stop rule of `_exact_series` at partial sum k of J_n: a SeriesResult, or None to go on.
+
+    The partial sum is re over den = k! (n+k)! 2^(shift (n+2k)), and term
+    k+1 is term over den r 2^(2 shift), r = (k+1)(n+k+1): the integers
+    that `_exact_series` holds there, so the logarithms, the tail bound
+    and the rounding are its own.
+    """
+    q = quarter_x2 / ((k + 2) * (n + k + 2)) if term else 0.0
+    if q >= 1.0:
+        return None
+    den = factorial(k) * factorial(n + k) << shift * (n + 2 * k)
+    next_den = den * r << 2 * shift
+    log_tail = log(abs(term)) - log(next_den) - log1p(-q) if term else -inf
+    log_scale = log(abs(re)) - log(den) if re else -inf
+    if log_tail > _LOG_EPS + log_scale:
+        return None
+    value = re / den
+    tail = max(exp(log_tail), _TINIEST) if term else 0.0
+    rounding = max(_EPS * abs(value), _TINIEST) if re else 0.0
+    return SeriesResult(value, k + 1, tail, rounding)
 
 
 def hyp1f1(a: float, b: float, z: complex) -> SeriesResult:

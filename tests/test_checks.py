@@ -22,6 +22,7 @@ import pytest
 from test_acceptance import GATE, NON_SQUARE, residual
 
 from semicircleqm import checks, combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun
+from semicircleqm.exceptions import DomainError
 
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
@@ -59,7 +60,8 @@ SWAP_INVARIANT = (
     "[a+^0 P0, P0 a^0] = e0 e0* - P0",
 )
 BESSEL_RECURRENCE = "Bessel three-term recurrence"
-# the order of the plane-wave sum at t = 0.25; the normalization sum at x = 0.5 takes one order more
+# the last order of the plane-wave sum at t = 0.25; the normalization sum at x = 0.5 reads one order more
+# from the same recurrence
 PLANE_WAVE_ORDER = specfun._tail_index(0.0, 0.25, 1e-14)
 CHAR_LINES = (
     "characteristic function equals J_1(2t)/t",
@@ -68,8 +70,19 @@ CHAR_LINES = (
 )
 
 
-def moved(amount, at=(), field=None, when=lambda args: True):
-    """Perturbation: add amount to entry `at` of the result (or of its field) wherever when(arguments) holds."""
+def moved(amount, at=(), field=None, when=lambda args: True, item=None):
+    """Perturbation: add amount to entry `at` of the result (or of its field) wherever when(arguments) holds.
+
+    With item, the result is a tuple and only its entry item is moved.
+    """
+
+    def shift(out):
+        value = np.array(out if field is None else getattr(out, field))  # a copy: caches hand out read-only arrays
+        value[at] += amount
+        value = value.item() if value.ndim == 0 else value
+        if field is None:
+            return value
+        return replace(out, **{field: value}) if is_dataclass(out) else out._replace(**{field: value})
 
     def perturb(true):
         signature = inspect.signature(true)
@@ -80,12 +93,9 @@ def moved(amount, at=(), field=None, when=lambda args: True):
             bound.apply_defaults()
             if not when(bound.arguments):
                 return out
-            value = np.array(out if field is None else getattr(out, field))  # a copy: caches hand out read-only arrays
-            value[at] += amount
-            value = value.item() if value.ndim == 0 else value
-            if field is None:
-                return value
-            return replace(out, **{field: value}) if is_dataclass(out) else out._replace(**{field: value})
+            if item is None:
+                return shift(out)
+            return (*out[:item], shift(out[item]), *out[item + 1 :])
 
         return mutant
 
@@ -105,24 +115,26 @@ MUTANTS = [
     Mutant(checks.enumeration, (combinatorics, "theta_count"),
            moved(1, when=lambda a: (a["m_plus"], a["m_minus"], a["p"]) == (2, 1, 3)),
            (FORMULA,), (("enumeration equals counting formula", dict(ks=(9,))),)),
-    Mutant(checks.enumeration, (combinatorics, "normal_forms"),
-           moved(1, 12345, "nu_plus", lambda a: a["k"] == 14),
+    Mutant(checks.enumeration, (combinatorics, "prefix_normal_forms"),
+           moved(1, 12345, "nu_plus", lambda a: a["k"] == 14, item=14),
            (RAISING,), label="raising"),
     Mutant(checks.catalan_counts, (combinatorics, "catalan"),
            moved(1, when=lambda a: a["p"] == 10),
            ("empty normal form counts are Catalan (p <= 10)",)),
-    Mutant(checks.bessel_identities, (specfun, "bessel_j_series"),
-           moved(1e-12, field="value"),
+    Mutant(checks.bessel_identities, (specfun, "bessel_j_series_orders"),
+           moved(1e-12, field="value", item=0),
            (MILLER,)),
     # an order past the 0..11 that the series comparison reads
     Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
            moved(1e-6, 15, "values", lambda a: (a["n_max"], a["x"]) == (22, 0.25)),
            (BESSEL_RECURRENCE,), label="recurrence"),
+    # J_10(0.5) ~ 2.6e-13 enters the normalization sum squared, so 1e-6 on it moves that sum by ~2e-12
     Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
-           moved(1e-6, 1, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER, 0.5)),
+           moved(1e-6, PLANE_WAVE_ORDER, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER + 1, 0.5)),
            ("plane-wave (Jacobi-Anger) expansion at 2t",), label="plane-wave"),
+    # the one order that the plane-wave sum does not read: 1e-3 on it moves the normalization sum by ~2e-6
     Mutant(checks.bessel_identities, (specfun, "bessel_j_all"),
-           moved(1e-6, 1, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER + 1, 0.5)),
+           moved(1e-3, PLANE_WAVE_ORDER + 1, "values", lambda a: (a["n_max"], a["x"]) == (PLANE_WAVE_ORDER + 1, 0.5)),
            ("Bessel normalization sum",), label="normalization"),
     Mutant(checks.bessel_identities, (specfun, "hyp1f1"),
            moved(1e-6, field="value", when=lambda a: (a["a"], a["b"], a["z"]) == (1.0, 2.0, 0.5)),
@@ -261,6 +273,33 @@ def test_combinatorics_suite_passes_exactly():
     reports = checks.combinatorics_suite()
     assert len(reports) == 3
     assert all(r.tolerance == 0.0 and r.residual == 0.0 for r in reports)
+
+
+def test_enumeration_reads_each_length_it_is_given(monkeypatch):
+    # ks unsorted, with gaps, or empty: each length reads its own arrays of the one scan
+    assert checks.enumeration((14, 3, 9)) == (0, 0)
+
+    def raised_at_lengths_3_and_9(true):
+        def mutant(k):
+            forms = list(true(k))
+            for length, amount in ((3, 1), (9, 2)):
+                if length <= k:
+                    nu = forms[length].nu_plus.copy()
+                    nu[0] += amount
+                    forms[length] = forms[length]._replace(nu_plus=nu)
+            return tuple(forms)
+
+        return mutant
+
+    scan = combinatorics.prefix_normal_forms
+    monkeypatch.setattr(combinatorics, "prefix_normal_forms", raised_at_lengths_3_and_9(scan))
+    assert checks.enumeration((14, 3, 9)) == (0, 2)
+    assert checks.enumeration((14, 3)) == (0, 1)
+    assert checks.enumeration((9,)) == (0, 2)
+    assert checks.enumeration((0,)) == (0, 0)
+    assert checks.enumeration(()) == (0, 0)
+    with pytest.raises(DomainError):
+        checks.enumeration((3, -1))
 
 
 def test_backward_recurrence_criterion_passes_on_working_code():

@@ -15,6 +15,7 @@ from semicircleqm.combinatorics import (
     normal_order,
     nu_plus,
     nu_plus_on_theta,
+    prefix_normal_forms,
     sign_word_distribution,
     theta_count,
 )
@@ -177,8 +178,8 @@ class TestNormalForms:
             assert (forms.m_plus[i], forms.m_minus[i]) == nf, (k, word)
             assert forms.nu_plus[i] == nu_plus(word), (k, word)
 
-    def test_matches_stack_pass_across_block_boundary(self):
-        # blocks hold 2^14 words, so word 16384 of length 15 opens the second
+    def test_matches_stack_pass_where_the_first_letter_lowers(self):
+        # word 2^14 of length 15 is the first whose first letter is a lowering step
         forms = normal_forms(15)
         start = 2**14 - 8
         for i, word in enumerate(islice(all_sign_words(15), start, start + 16), start):
@@ -186,8 +187,15 @@ class TestNormalForms:
             assert forms.nu_plus[i] == nu_plus(word)
 
     @pytest.mark.parametrize("k", [15, 16])
-    def test_histogram_spanning_blocks_equals_formula(self, k):
+    def test_histogram_past_the_verify_lengths_equals_formula(self, k):
         assert checks.enumeration([k]) == (0, 0)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 15])
+    def test_prefix_scan_gives_every_shorter_length(self, k):
+        prefixes = prefix_normal_forms(k)
+        assert len(prefixes) == k + 1
+        for j, forms in enumerate(prefixes):
+            assert all(np.array_equal(got, want) for got, want in zip(forms, normal_forms(j))), j
 
     def test_compact_dtypes(self):
         forms = normal_forms(6)
@@ -198,3 +206,5 @@ class TestNormalForms:
             normal_forms(23)
         with pytest.raises(ValueError):
             normal_forms(-1)
+        with pytest.raises(EnumerationLimitError):
+            prefix_normal_forms(23)

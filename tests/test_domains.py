@@ -86,6 +86,9 @@ ROWS = [
     Row(specfun.bessel_j, "x", lambda x: specfun.bessel_j(3, x).value, capped(64.0)),
     Row(specfun.bessel_j_series, "n", lambda n: specfun.bessel_j_series(n, 1.0), INDEX),
     Row(specfun.bessel_j_series, "x", lambda x: specfun.bessel_j_series(3, x).value, capped(64.0)),
+    Row(specfun.bessel_j_series_orders, "orders", lambda n: specfun.bessel_j_series_orders((2, n), 1.0), INDEX),
+    Row(specfun.bessel_j_series_orders, "x",
+        lambda x: [r.value for r in specfun.bessel_j_series_orders((0, 3), x)], capped(64.0)),
     Row(specfun.hyp1f1, "z", lambda z: specfun.hyp1f1(0.5, 2.0, z).value, capped(64.0)),
     # evolution: coefficients
     Row(ev.coeff_I_series, "m", lambda m: ev.coeff_I_series(m, 1, 0.5), INDEX),
@@ -233,7 +236,8 @@ ROWS = [
       for fn in (combinatorics.theta_count, combinatorics.nu_plus_on_theta)
       for arg in ("m_plus", "m_minus", "p")),
     *(Row(fn, "k", fn, INDEX)
-      for fn in (combinatorics.all_sign_words, combinatorics.normal_forms, combinatorics.sign_word_distribution)),
+      for fn in (combinatorics.all_sign_words, combinatorics.normal_forms, combinatorics.prefix_normal_forms,
+                 combinatorics.sign_word_distribution)),
     *(Row(fn, arg, lambda v, fn=fn, arg=arg: fn(**dict(dict(k=4, m_plus=1, m_minus=1), **{arg: v})), INDEX)
       for fn in (combinatorics.enumerate_theta_class, combinatorics.brute_force_theta)
       for arg in ("k", "m_plus", "m_minus")),

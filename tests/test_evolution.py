@@ -418,8 +418,12 @@ class TestHeisenbergP2:
         assert np.all(heisenberg_aplus_P2(0.0, 3, 3) == 0)
 
     def test_hermitian_block(self):
-        block = heisenberg_aplus_P2(0.25, 5, 5)
-        assert np.max(np.abs(block - block.conj().T)) <= 1e-10
+        # the bound that the benchmark's reference applies to every P2 block at any --tol, on the
+        # CLI's ranges (|t| < 2, blocks 3..6 at tol 1e-8) and at the cap t = +-8
+        for t in (*np.linspace(-1.99, 1.99, 9), 0.25, -8.0, 8.0):
+            for size in range(3, 7):
+                block = heisenberg_aplus_P2(float(t), size - 1, size - 1, tol=1e-8)
+                assert np.max(np.abs(block - block.conj().T)) <= 1e-12, (t, size)
 
     def test_against_oracle_conjugation(self):
         assert checks.heisenberg_conjugation("P2", (0.25,), 8, 8) <= 1e-6

@@ -9,6 +9,7 @@ from semicircleqm.exceptions import DomainError, SingularNodeError
 from semicircleqm.hilbert import (
     ChebSeries,
     TChebSeries,
+    evolved_phi1_closed_form,
     evolved_vacuum_closed_form,
     hilbert_mu_pv,
     hilbert_mu_spectral,
@@ -23,6 +24,7 @@ from semicircleqm.hilbert import (
     t_to_phi,
 )
 from semicircleqm.orthopoly import gauss_legendre, phi_all, quadrature_rule, t_cheb
+from test_acceptance import POINTWISE
 
 
 def phi_series(n, size=None):
@@ -297,3 +299,26 @@ class TestEvolvedClosedForms:
     def test_edge_rejected(self):
         with pytest.raises(DomainError):
             evolved_vacuum_closed_form(1.0, 2.0)
+
+    @pytest.mark.parametrize("closed_form", [evolved_vacuum_closed_form, evolved_phi1_closed_form])
+    @pytest.mark.parametrize("t", [0.0, *POINTWISE["ts"]])
+    def test_array_form_equals_the_scalar_calls(self, closed_form, t):
+        xs = np.concatenate([POINTWISE["xs"], [-(2.0 - 1e-6), -1.9999989, 1.9999989, 2.0 - 1e-6]])
+        got = closed_form(t, xs)
+        assert got.shape == xs.shape and got.dtype == complex
+        want = [closed_form(t, float(x)) for x in xs]
+        assert all(type(w) is complex for w in want)
+        assert np.array_equal(got, want)
+        assert closed_form(t, xs.reshape(1, 19, 1)).shape == (1, 19, 1)
+
+    def test_angle_array_equals_the_scalar_calls(self):
+        thetas = np.array([[5e-324, 1e-8, 0.2], [np.pi / 3, 2.9, math.nextafter(np.pi, 0.0)]])
+
+        def g(p):
+            return np.sin(2.0 * np.sin(p)) * np.sin(p)
+
+        got = pv_integral_angle(g, thetas)
+        assert got.shape == thetas.shape
+        assert np.array_equal(got, [[pv_integral_angle(g, float(th)) for th in row] for row in thetas])
+        with pytest.raises(DomainError):
+            pv_integral_angle(g, np.array([1.0, np.pi]))

@@ -1,3 +1,5 @@
+from math import factorial
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from semicircleqm import specfun
 from semicircleqm.evolution import coeff_I_series
 from semicircleqm.exceptions import ConvergenceError, DomainError, PoleError
 from semicircleqm.specfun import (
+    SeriesResult,
     bessel_j,
     bessel_j_all,
     bessel_j_series,
+    bessel_j_series_orders,
     hyp1f1,
 )
 
@@ -189,6 +193,40 @@ class TestBesselSeries:
     def test_argument_cap(self):
         with pytest.raises(DomainError):
             bessel_j_series(0, 65.0)
+
+
+def series_term_by_term(n: int, x: float) -> SeriesResult:
+    """J_n(x) through `_exact_series` with term ratio -x^2 / (4 (p+1)(n+p+1)), one order per call."""
+    a, b = float(x).as_integer_ratio()
+    quarter_x2 = 0.25 * x * x
+    value, terms, tail, rounding = specfun._exact_series(
+        (a**n, 0, (2 * b) ** n * factorial(n)),
+        lambda p: (-a * a, 0, (p + 1) * (n + p + 1) * 4 * b * b),
+        lambda p: quarter_x2 / ((p + 2) * (n + p + 2)),
+        relative=True,
+    )
+    return SeriesResult(value.real, terms, tail, rounding)
+
+
+# 2^-30 to 64 in both signs: powers of two, and arguments with full 53-bit mantissas between them;
+# near the first zero of J_0, at 2.404825557695773, its relative stop takes 20 terms, past the first
+# row of powers that the pass builds
+FAMILY_ARGUMENTS = sorted(
+    {sign * x for sign in (1.0, -1.0) for x in (*(2.0**e for e in range(-30, 7)), *np.geomspace(2.0**-30, 64.0, 40))}
+    | {0.0, 2.404825557695773, 63.9}
+)
+
+
+class TestBesselSeriesOrders:
+    @pytest.mark.parametrize("x", FAMILY_ARGUMENTS)
+    def test_every_order_is_the_term_by_term_sum(self, x):
+        # the same value, terms, tail bound and rounding bound, bit for bit
+        assert bessel_j_series_orders(range(31), x) == tuple(series_term_by_term(n, x) for n in range(31))
+
+    def test_orders_in_any_order(self):
+        orders = (30, 0, 7, 7, 12)
+        assert bessel_j_series_orders(orders, -5.25) == tuple(bessel_j_series(n, -5.25) for n in orders)
+        assert bessel_j_series_orders((), 5.0) == ()
 
 
 class TestBesselRatio:
