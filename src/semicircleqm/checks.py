@@ -33,6 +33,7 @@ from .exceptions import check_index, check_positive
 from .report import CheckReport
 
 _QUAD_TOL_PV = 1e-6
+COEFF_ROUTE_TOL = 1e-11  # largest gap of the engine's coefficients to the defining series
 _PV_NODES = 2048  # nodes of every principal-value quadrature
 _THETAS = np.linspace(0.03, pi - 0.03, 101)  # interior angles of the polynomial identities
 _K_MAX = 14  # longest sign word of the enumeration criterion
@@ -374,6 +375,31 @@ def coefficient_closed_forms(ts, s_max: int) -> float:
     return worst
 
 
+def coefficient_routes(times: dict, max_order: int) -> np.ndarray:
+    """Gaps of the engine's coefficients to the defining series, one row per (kind, t) of times.
+
+    times maps each `evolution.CoeffKind` (or its value) to its ts.  Row
+    (kind, t), in the order of times, holds |entry - series| for every
+    entry (m, n), m + n <= max_order, of `build_coeff_table(kind, t,
+    max_order)`, in sorted (m, n) order.  The series of entry (m, n) is
+    (-1)^m times `coeff_I_series(0, m+n, t)`, or `coeff_I2_series(0,
+    m+n, t)` for the kinetic group, and i^(m+n) `coeff_I_series(0, m+n,
+    t)` for the position group.  The two routes share nothing but t.
+    """
+    rows = []
+    for kind, ts in times.items():
+        kind = evolution.CoeffKind(kind)
+        series = evolution.coeff_I2_series if kind is evolution.CoeffKind.KINETIC_I2 else evolution.coeff_I_series
+        position = kind is evolution.CoeffKind.POSITION_I
+        for t in ts:
+            entries = evolution.build_coeff_table(kind, t, max_order).entries
+            zero = [series(0, s, t) for s in range(max_order + 1)]
+            # the series of entry (m, s - m): i^s I[0, s] for the position group, else (-1)^m times [0, s]
+            signed = [(1j**s * v,) * 2 if position else (v, -v) for s, v in enumerate(zero)]
+            rows.append([abs(entries[m, n] - signed[m + n][m % 2]) for m, n in sorted(entries)])
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
+
+
 def unit_norm(ts, ks, kinetic_ts, tol: float) -> float:
     """Largest norm defect of e^{itP}, e^{itX} from levels ks at ts and e^{itP^2}|0> at kinetic_ts, evolved to tol."""
     return max(
@@ -479,11 +505,14 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
     unit = unit_norm((0.5, 1.0, 2.0), (0, 3), (0.25, 0.5, 1.0), 1e-12)
     group = group_law({"P": ((0.3, 0.7),), "X": ((0.3, 0.7),)})
     amplitudes, reassembly = evolutions_vs_oracle("P", (0.5, 1.5), (0, 4), 1e-11)
+    caps = {"momentum_I": (16.0,), "position_I": (-16.0,), "kinetic_I2": (-8.0, 8.0)}  # the caps of each group
+    routes = float(np.max(coefficient_routes(caps, 8)))
     return [
         CheckReport("evolved states are unit norm", unit, 1e-8),
         CheckReport("group law U(t)U(s) = U(t+s) on the 8x8 block", group, 1e-8),
         CheckReport("amplitudes match the matrix exponential", amplitudes, 1e-8),
         CheckReport("coefficients reassemble the matrix exponential", reassembly, 1e-8),
+        CheckReport("engine coefficients match the defining series (m+n <= 8)", routes, COEFF_ROUTE_TOL),
         CheckReport("raising-operator correction matches conjugation", heisenberg_conjugation("P", (0.4,), 4, 4), 1e-6),
     ]
 
@@ -523,8 +552,9 @@ CRITERIA = (
     enumeration, catalan_counts, bessel_identities, fock.multiplication_table_checks, fock.lie_bracket_checks,
     vacuum_moments, fock_closed_forms, polynomial_identities, orthopoly.connection_checks, quadrature_moments,
     pv_transform, spectral_transform, momentum_realization, kinetic_action, weight_norm, weighted_commutator,
-    kapteyn, pointwise_closed_forms, coefficient_closed_forms, unit_norm, group_law, evolutions_vs_oracle,
-    element_tables, heisenberg_conjugation, char_function_routes, position_vacuum_law, expm_identities,
+    kapteyn, pointwise_closed_forms, coefficient_closed_forms, coefficient_routes, unit_norm, group_law,
+    evolutions_vs_oracle, element_tables, heisenberg_conjugation, char_function_routes, position_vacuum_law,
+    expm_identities,
 )
 
 

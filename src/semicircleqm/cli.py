@@ -1,7 +1,9 @@
 """Command-line surface: coefficient tables, evolutions, verification.
 
-Six subcommands: `coeffs` emits normally-ordered coefficient tables with
-the two-route agreement per entry; `evolve` emits amplitudes of one
+Six subcommands: `coeffs` emits normally-ordered coefficient tables,
+read from the sine-transform engine, with each entry's gap to its
+defining series (`checks.coefficient_routes`), and fails the process
+when a gap exceeds 1e-11; `evolve` emits amplitudes of one
 group element applied to a basis level plus the norm defect, and fails
 the process when that defect exceeds `--tol`; `char`
 emits characteristic-function values; `heisenberg` emits
@@ -133,15 +135,18 @@ def _coeff_kind(generator: str) -> evolution.CoeffKind:
 def _run_coeffs(config: RunConfig) -> int:
     if config.generator == "H1":
         raise ConfigError("coefficient tables are defined for generators P, X, P2")
+    kind = _coeff_kind(config.generator)
+    gaps = checks.coefficient_routes({kind: config.t_values}, config.max_order)
     rows: list[list] = []
-    worst = 0.0
-    for t in config.t_values:
-        table = evolution.build_coeff_table(_coeff_kind(config.generator), t, config.max_order)
-        for (m, n), value in sorted(table.entries.items()):
-            agreement = table.agreements[(m, n)]
-            worst = max(worst, agreement)
-            rows.append([m, n, float(t), value.real, value.imag, agreement])
-    _emit(config, ["m", "n", "t", "re", "im", "method_agreement"], rows, {"max_method_agreement": worst})
+    for t, table_gaps in zip(config.t_values, gaps):
+        table = evolution.build_coeff_table(kind, t, config.max_order)
+        for ((m, n), value), gap in zip(sorted(table.entries.items()), table_gaps.tolist()):
+            rows.append([m, n, float(t), value.real, value.imag, gap])
+    agreement = CheckReport("max_method_agreement", float(np.max(gaps)), checks.COEFF_ROUTE_TOL)
+    _emit(config, ["m", "n", "t", "re", "im", "method_agreement"], rows, {"max_method_agreement": agreement.residual})
+    if not agreement.passed:
+        print(f"FAILED: {agreement}", file=sys.stderr)
+        return 1
     return 0
 
 

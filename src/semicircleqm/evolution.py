@@ -14,12 +14,14 @@ which equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t) / t.
 Analogous tables
 cover the position group (same profile with an i^(m+n) phase) and the
 kinetic group e^{i t P^2}, whose closed form is a confluent
-hypergeometric function.  Evolutions and element tables come from one
-sine-transform engine with its own truncation check.  Each coefficient
-is its defining series summed exactly in integers, checked within the
-caller's tol against the engine's vacuum column.  Heisenberg-picture
-corrections of the raising operator integrate a low-rank kernel of the
-same column.
+hypergeometric function.  Evolutions, element tables and coefficients
+come from one sine-transform engine with its own truncation check: each
+coefficient is read from the engine's cached vacuum column, accurate in
+absolute terms.  The defining series, summed exactly in integers, stays
+public as the independent route with relative accuracy
+(`coeff_I_series`, `coeff_I2_series`), and `checks.coefficient_routes`
+compares the two.  Heisenberg-picture corrections of the raising
+operator integrate a low-rank kernel of the same column.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 from . import orthopoly
 from .exceptions import (
-    CrossCheckError,
     DomainError,
     QuadratureError,
     TruncationError,
@@ -69,7 +70,6 @@ class CoeffTable:
     t: float
     kind: CoeffKind
     entries: dict[tuple[int, int], complex]
-    agreements: dict[tuple[int, int], float]
 
     def validate(self) -> list[CheckReport]:
         """Structural invariants of the table."""
@@ -123,7 +123,7 @@ class EvolvedState:
 
 
 # ---------------------------------------------------------------------------
-# coefficients: the engine's vacuum column, checked by the defining series
+# coefficients: the engine's vacuum column, and the defining series as the independent route
 
 _COLUMN_TOL = 1e-13  # engine tolerance of every coefficient column
 
@@ -167,9 +167,9 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
     e = s+2p, or step 1 and e = h+p) and the ballot ratio
     N(0, s, p+1)/N(0, s, p) = (s+2p+1)(s+2p+2)/((p+1)(s+p+2)), with the
     common factors cancelled; `specfun._exact_series` sums the terms in
-    exact integers over t = a/b and rounds once.  Its stop rule,
-    eps max(1, |partial sum|), is eps here, since |I[0, s]| <= 1 (a
-    unitary matrix element).
+    exact integers over t = a/b and rounds once.  The stop is relative,
+    at eps |partial sum|, so the value is accurate relative to itself
+    even where the coefficient is far below 1 (I[0, 12](0.01) ~ 2.1e-33).
     """
     check_finite("t", t)
     if kinetic and s % 2 == 1:
@@ -185,6 +185,7 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
             (lead_re * power, lead_im * power, scale),
             lambda p: (0, (s + 2 * p + 1) * two_a, (p + 1) * (s + p + 2) * b),
             lambda p: 2.0 * at * (s + 2 * p + 3) / ((p + 2) * (s + p + 3)),
+            relative=True,
         )[0]
     a2, b2 = -a * a, b * b
     tt = at * at
@@ -192,34 +193,19 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
         (a**s, 0, b**s * factorial(s)),
         lambda p: (a2, 0, (p + 1) * (s + p + 2) * b2),
         lambda p: tt / ((p + 2) * (s + p + 3)),
+        relative=True,
     )[0].real
 
 
-def _checked_coefficient(
-    kind: CoeffKind, s: int, t: float, tol: float | None, column: np.ndarray
-) -> tuple[float | complex, float]:
-    """The [0, s] coefficient from the defining series and its gap to the engine column.
+def _engine_value(kind: CoeffKind, s: int, column: np.ndarray) -> float | complex:
+    """The [0, s] coefficient read from the vacuum column: I[0, s] = (-1)^s <s|e^{itP}|0>, I2[0, s] = <s|e^{itP^2}|0>.
 
-    I[0, s] = (-1)^s <s|e^{itP}|0> and I2[0, s] = <s|e^{itP^2}|0> must
-    agree within tol (default 1e-11).  The series is returned: it rounds
-    once, the transform at every node.  Every (m, s-m) coefficient is
-    this value times (-1)^m, or i^s for the position group, so one check
-    per (kind, s, t) covers them all.
+    Every (m, s-m) coefficient is this value times (-1)^m, or i^s for
+    the position group.
     """
-    kinetic = kind is CoeffKind.KINETIC_I2
-    if kinetic and s % 2 == 1:
-        return 0j, 0.0  # P^2 keeps parity
-    tol = 1e-11 if tol is None else tol
-    check_positive("tol", tol)
-    engine = complex(column[s]) if kinetic else (-1.0) ** s * float(column[s].real)
-    series = _series_cached(kinetic, s, float(t))
-    gap = abs(engine - series)
-    if gap > tol:
-        raise CrossCheckError(
-            f"{kind.value}[0,{s}]({t}): engine column {engine} vs defining series {series} "
-            f"differ beyond {tol:.2e}"
-        )
-    return series, gap
+    if kind is CoeffKind.KINETIC_I2:
+        return complex(column[s])
+    return (-1.0) ** s * float(column[s].real)
 
 
 def _entry(kind: CoeffKind, value: float | complex, m: int, s: int) -> complex:
@@ -232,33 +218,35 @@ def _entry(kind: CoeffKind, value: float | complex, m: int, s: int) -> complex:
     return complex((-1.0) ** m * value)
 
 
-def _coefficient(kind: CoeffKind, m: int, n: int, t: float, tol: float | None) -> complex:
+def _coefficient(kind: CoeffKind, m: int, n: int, t: float) -> complex:
     check_index("m, n", m, n)
     s = m + n
-    return _entry(kind, _checked_coefficient(kind, s, t, tol, _coeff_column(kind, t, s))[0], m, s)
+    return _entry(kind, _engine_value(kind, s, _coeff_column(kind, t, s)), m, s)
 
 
 def coeff_I_series(m: int, n: int, t: float) -> complex:
-    """Defining-series route alone (exact inverse-normal-order counts); any finite t."""
+    """Defining-series route alone (exact inverse-normal-order counts), accurate relative to itself; any finite t."""
     check_index("m, n", m, n)
     return complex((-1.0) ** m * _series_cached(False, m + n, float(t)))
 
 
-def coeff_I(m: int, n: int, t: float, tol: float | None = None) -> complex:
-    """Translation-group coefficient I[m, n](t), cross-checked both ways.
+def coeff_I(m: int, n: int, t: float) -> complex:
+    """Translation-group coefficient I[m, n](t) = (-1)^n <m+n|e^{itP}|0>, from the engine's vacuum column.
 
-    Compares (-1)^n <m+n|e^{itP}|0> from the sine-transform engine,
-    which equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t)/t,
-    with the exactly summed defining series and requires agreement
-    within tol (default 1e-11).  Returns the series value.
+    Equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t)/t.  The
+    accuracy is absolute (the column is evolved to tol 1e-13 and meets
+    the defining series within about 1e-15 up to the cap), so a coefficient
+    far below 1 keeps no relative digits: I[0, 12](0.01) ~ 2.1e-33 reads
+    ~ -1e-18.  `coeff_I_series` is the route with relative accuracy.
+    Raises DomainError for |t| > 16.
     """
-    return _coefficient(CoeffKind.MOMENTUM_I, m, n, t, tol)
+    return _coefficient(CoeffKind.MOMENTUM_I, m, n, t)
 
 
-def matrix_element_P(l: int, k: int, t: float, tol: float | None = None) -> complex:
+def matrix_element_P(l: int, k: int, t: float) -> complex:
     """<level l | translation group | level k> = sum_m I[l-m, k-m](t), m <= min(l, k)."""
     check_index("l, k", l, k)
-    return sum(coeff_I(l - m, k - m, t, tol) for m in range(min(l, k) + 1))
+    return sum(coeff_I(l - m, k - m, t) for m in range(min(l, k) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +426,9 @@ def evolve_X_vacuum_pointwise(t: float, x: float) -> complex:
 def char_function(generator: Generator | str, t: float) -> complex:
     """Vacuum characteristic function of the position or momentum group.
 
-    Both equal I[0, 0](t) = J_1(2t)/t, checked like every coefficient:
-    the vacuum distribution of either operator is the semicircle law.
-    Raises DomainError for |t| > 16.
+    Both equal I[0, 0](t) = J_1(2t)/t, read from the engine like every
+    coefficient (absolute accuracy): the vacuum distribution of either
+    operator is the semicircle law.  Raises DomainError for |t| > 16.
     """
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.X):
@@ -473,12 +461,12 @@ def char_function_catalan_series(t: float) -> complex:
 def state_char_function(l: int, t: float) -> complex:
     """Characteristic function of the momentum in the level-l basis state.
 
-    Partial diagonal sum sum_{m=0..l} I[m, m](t); raises DomainError for
-    |t| > 16.
+    Partial diagonal sum sum_{m=0..l} I[m, m](t), read from one engine
+    column (absolute accuracy); raises DomainError for |t| > 16.
     """
     check_index("l", l)
     column = _coeff_column(CoeffKind.MOMENTUM_I, t, 2 * l)  # one column for every m
-    values = [_checked_coefficient(CoeffKind.MOMENTUM_I, 2 * m, t, None, column)[0] for m in range(l + 1)]
+    values = [_engine_value(CoeffKind.MOMENTUM_I, 2 * m, column) for m in range(l + 1)]
     return complex(sum((-1.0) ** m * value for m, value in enumerate(values)))
 
 
@@ -486,21 +474,20 @@ def state_char_function(l: int, t: float) -> complex:
 # kinetic group e^{i t P^2}
 
 def coeff_I2_series(m: int, n: int, t: float) -> complex:
-    """Defining-series route for the kinetic coefficient; any finite t."""
+    """Defining-series route for the kinetic coefficient, accurate relative to itself; any finite t."""
     check_index("m, n", m, n)
     return (-1) ** m * _series_cached(True, m + n, float(t))
 
 
-def coeff_I2(m: int, n: int, t: float, tol: float | None = None) -> complex:
-    """Kinetic-group coefficient I2[m, n](t), cross-checked both ways.
+def coeff_I2(m: int, n: int, t: float) -> complex:
+    """Kinetic-group coefficient I2[m, n](t) = (-1)^m <m+n|e^{itP^2}|0>, from the engine's vacuum column.
 
-    Zero for odd m+n; otherwise the exactly summed defining series,
-    required to agree within tol (default 1e-11) with (-1)^m
-    <m+n|e^{itP^2}|0> from the sine-transform engine, which equals the
-    closed form
+    Zero for odd m+n; otherwise equal to the closed form
         (-1)^m (-it)^((m+n)/2) / ((m+n)/2)! 1F1((m+n+1)/2; m+n+2; 4it).
+    The accuracy is absolute, as for `coeff_I`; `coeff_I2_series` is
+    the route with relative accuracy.  Raises DomainError for |t| > 8.
     """
-    return _coefficient(CoeffKind.KINETIC_I2, m, n, t, tol)
+    return _coefficient(CoeffKind.KINETIC_I2, m, n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -601,23 +588,19 @@ def element_table(generator: Generator | str, t: float, l_max: int, tol: float =
 
 
 def build_coeff_table(kind: CoeffKind | str, t: float, max_order: int) -> CoeffTable:
-    """Coefficient table over all (m, n) with m + n <= max_order.
+    """Coefficient table over all (m, n) with m + n <= max_order, from one engine vacuum column.
 
-    Each entry records the checked value and the absolute discrepancy
-    between the engine column and the defining series (method
-    agreement).  One vacuum column
-    serves the whole table, and the routes are cross-checked once per
-    s = m + n: the entries (m, s-m) all follow from the [0, s]
-    coefficient.
+    The entries (m, s-m) all follow from the [0, s] coefficient, read
+    from the column as by `coeff_I` and `coeff_I2` (absolute accuracy).
+    `checks.coefficient_routes` compares a table with the defining series.
     """
     kind = CoeffKind(kind)
     check_index("max_order", max_order)
     column = _coeff_column(kind, t, max_order)
     entries: dict[tuple[int, int], complex] = {}
-    agreements: dict[tuple[int, int], float] = {}
     for s in range(max_order + 1):
-        value, gap = _checked_coefficient(kind, s, t, None, column)
+        value = _engine_value(kind, s, column)
+        signed = (_entry(kind, value, 0, s), _entry(kind, value, 1, s))  # the entries of even and odd m
         for m in range(s + 1):
-            entries[(m, s - m)] = _entry(kind, value, m, s)
-            agreements[(m, s - m)] = gap
-    return CoeffTable(t=float(t), kind=kind, entries=entries, agreements=agreements)
+            entries[(m, s - m)] = signed[m % 2]
+    return CoeffTable(t=float(t), kind=kind, entries=entries)

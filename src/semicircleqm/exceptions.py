@@ -39,10 +39,6 @@ class SingularNodeError(ValueError):
     """Evaluation point collides with a quadrature node of a singular rule."""
 
 
-class CrossCheckError(ArithmeticError):
-    """Two independent evaluation paths of the same quantity disagree."""
-
-
 def check_finite(name: str, value, cap: float = np.inf) -> None:
     """Refuse a value that is not finite or has |value| > cap: t, the Bessel and 1F1 arguments, omega."""
     size = abs(value)

@@ -14,8 +14,10 @@ rational number, so each partial sum is a Gaussian-integer numerator
 over one integer denominator, the alternating cancellation costs
 nothing, and the final division is the only rounding.  Each reports a
 geometric bound on the omitted tail and that one rounding.
-`_exact_series` sums one series; the J pass keeps, for each order, the
-integers and the stop rule that `_exact_series` would.
+`_exact_series` sums one series and the J pass every order of one
+argument; both hold the same integers and stop by one rule,
+`_series_stop`, which bit-length tests let them try about once per
+series.
 This is a deliberate small-to-moderate-argument design: the argument
 range is capped (|x| <= 64) and no asymptotic expansions are used.
 """
@@ -34,8 +36,7 @@ from .exceptions import ConvergenceError, PoleError, check_finite, check_index, 
 
 _MAX_ABS_ARGUMENT = 64.0
 _SERIES_TERM_CAP = 1000
-_LOG2_EPS = -52
-_EPS = 2.0**_LOG2_EPS
+_EPS = 2.0**-52
 _LOG_EPS = log(_EPS)
 # below this |x| the first omitted series term is under 2^-62 relative, so the
 # leading term (x/2)^n/n! is every J_n(x) to full precision
@@ -97,24 +98,18 @@ def _exact_series(
     same form.  ratio_bound(k) bounds |term j+1 / term j| for every
     j > k (inf while no such bound is known).  Every partial sum is kept
     as one Gaussian-integer numerator over the denominator of its last
-    term.  Terms stop once the geometric bound on the rest,
-    |term k+1| / (1 - ratio_bound(k)), evaluated in logs, is at most
-    eps max(1, |partial sum|), or eps |partial sum| if relative (a zero
-    partial sum then stops it only at a zero term); a zero term ends the
-    series, since every later term is a multiple of it.
+    term, and `_series_stop` decides where the terms stop; a bit-length
+    test skips it wherever it cannot stop.
 
     Returns:
         The `SeriesResult` fields: the correctly rounded partial sum,
-        the number of terms in it, the tail bound and the one rounding,
-        eps (|Re| + |Im|).  Where these underflow, the least subnormal
-        5e-324 bounds them instead: the tail bound whenever a nonzero
-        term is omitted, the rounding whenever the exact sum is nonzero.
+        the number of terms in it, the tail bound and the one rounding
+        (see `_series_stop`).
     Raises:
         ConvergenceError: past _SERIES_TERM_CAP terms.
     """
     re, im, den = lead
     term_re, term_im = re, im  # numerator of term k over den
-    den_bits = den.bit_length()
     for k in range(_SERIES_TERM_CAP):
         r_re, r_im, r_den = ratio(k)
         if r_im or term_im:
@@ -123,35 +118,63 @@ def _exact_series(
         else:
             term_re *= r_re
             term_bits = term_re.bit_length()
-        sum_bits = (max(re.bit_length(), im.bit_length()) if im else re.bit_length()) + 2 - den_bits
-        next_den = den * r_den
-        next_bits = next_den.bit_length()
-        # a nonzero |term k+1| > 2^(term_bits - next_bits - 1) and |partial sum| < 2^sum_bits
-        # (sum_bits may be negative), so the stop rule cannot hold before this does; the logs
-        # of the big integers wait for it
-        scale_bits = sum_bits if relative or sum_bits > 0 else 0
-        if not term_bits or term_bits - next_bits - 1 <= _LOG2_EPS + scale_bits:
-            q = ratio_bound(k) if term_bits else 0.0
-            if q < 1.0:
-                value = complex(re / den, im / den)
-                log_tail = log(abs(term_re) + abs(term_im)) - log(next_den) - log1p(-q) if term_bits else -inf
-                if not relative:
-                    log_scale = log(max(1.0, abs(value)))
-                elif re or im:
-                    # from the exact sum, which stays nonzero where value underflows
-                    log_scale = log(max(abs(re), abs(im))) - log(den)
-                else:
-                    log_scale = -inf
-                if log_tail <= _LOG_EPS + log_scale:
-                    # a nonzero tail or sum that underflows is still at most the least subnormal
-                    tail = max(exp(log_tail), _TINIEST) if term_bits else 0.0
-                    rounding = max(_EPS * (abs(value.real) + abs(value.imag)), _TINIEST) if re or im else 0.0
-                    return value, k + 1, tail, rounding
-        re = re * r_den + term_re
+        # partial sum k and term k+1 over the same denominator den r_den
+        scaled_re, scaled_im, next_den = re * r_den, im * r_den, den * r_den
+        # a nonzero |term k+1| is at least 2^(term_bits - 1), and eps times the scale of the stop rule
+        # (max(|re|, |im|) for a relative stop, max(den, |re| + |im|) otherwise, times r_den) is below
+        # 2^(scale_bits - 52), so the rule cannot hold before term_bits + 51 <= scale_bits
+        sum_bits = max(scaled_re.bit_length(), scaled_im.bit_length()) if im else scaled_re.bit_length()
+        scale_bits = sum_bits if relative else max(sum_bits + 1, next_den.bit_length())
+        if not term_bits or term_bits + 51 <= scale_bits:
+            found = _series_stop(re, im, den, term_re, term_im, r_den, ratio_bound(k) if term_bits else 0.0, relative)
+            if found:
+                return (found[0], k + 1, *found[1:])
+        re = scaled_re + term_re
         if im or term_im:
-            im = im * r_den + term_im
-        den, den_bits = next_den, next_bits
+            im = scaled_im + term_im
+        den = next_den
     raise ConvergenceError(f"defining series did not converge in {_SERIES_TERM_CAP} terms")
+
+
+def _series_stop(
+    re: int, im: int, den: int, term_re: int, term_im: int, r_den: int, q: float, relative: bool
+) -> tuple[complex, float, float] | None:
+    """The stop rule of every exactly summed series: (value, tail bound, rounding bound), or None to go on.
+
+    The partial sum is (re + i im)/den, the next term (term_re + i
+    term_im)/(den r_den), and q bounds the ratio of every later term to
+    the one before.  The terms stop once the geometric bound on the
+    rest, (|term_re| + |term_im|)/(den r_den)/(1 - q), evaluated in
+    logs, is at most eps max(1, |partial sum|), or eps max(|Re|, |Im|)
+    of the partial sum if relative (a zero partial sum then stops only
+    at a zero term); a zero term ends the series, since every later term
+    is a multiple of it.  The value is the partial sum correctly rounded
+    (divided out only once a relative stop holds) and the rounding bound
+    eps (|Re| + |Im|) of it.  Where these underflow, the least subnormal
+    5e-324 bounds them instead: the tail bound whenever a nonzero term
+    is omitted, the rounding whenever the exact sum is nonzero.  Callers
+    skip it, by bit lengths, wherever it cannot stop.
+    """
+    if q >= 1.0:
+        return None
+    tail = abs(term_re) + abs(term_im)
+    log_tail = log(tail) - log(den * r_den) - log1p(-q) if tail else -inf
+    if not relative:
+        value = complex(re / den, im / den)
+        log_scale = log(max(1.0, abs(value)))
+    elif re or im:
+        # from the exact sum, which stays nonzero where value underflows
+        log_scale = log(max(abs(re), abs(im))) - log(den)
+    else:
+        log_scale = -inf
+    if log_tail > _LOG_EPS + log_scale:
+        return None
+    if relative:
+        value = complex(re / den, im / den)
+    # a nonzero tail or sum that underflows is still at most the least subnormal
+    tail_bound = max(exp(log_tail), _TINIEST) if tail else 0.0
+    rounding = max(_EPS * (abs(value.real) + abs(value.imag)), _TINIEST) if re or im else 0.0
+    return value, tail_bound, rounding
 
 
 def _miller(x: float, start: int) -> tuple[np.ndarray, float]:
@@ -261,13 +284,13 @@ def bessel_j_series_orders(orders, x: float) -> tuple[SeriesResult, ...]:
     integers that `_exact_series` keeps when it sums this series with
     term ratio -x^2 / (4 (p+1) (n+p+1)): partial sum k is an integer over
     k! (n+k)! 2^(s(n+2k)), and partial sum k+1 is that integer times
-    (k+1)(n+k+1) 2^(2s) plus the numerator of term k+1.  So each order
-    stops where `_exact_series` stops, with the same tail bound and the
-    same one rounding: at the first partial sum that the geometric bound
-    on the rest, with ratio bound x^2 / (4 (k+2)(n+k+2)), puts at most eps
-    times itself, or at a zero term.  The orders of one parity share one
-    list of the powers a^(n+2p), and a bit-length test skips the
-    logarithms of the stop rule wherever it cannot hold.  The stop is
+    (k+1)(n+k+1) 2^(2s) plus the numerator of term k+1.  Each order
+    stops by `_series_stop`, as `_exact_series` does, with the same tail
+    bound and the same one rounding: at the first partial sum that the
+    geometric bound on the rest, with ratio bound x^2 / (4 (k+2)(n+k+2)),
+    puts at most eps times itself, or at a zero term.  The orders of one
+    parity share one list of the powers a^(n+2p), and a bit-length test
+    skips the stop rule wherever it cannot hold.  The stop is
     relative, so the value is accurate relative to itself even where
     J_n(x) is far below 1 (J_40(1) ~ 1e-60).
 
@@ -306,16 +329,22 @@ def bessel_j_series_orders(orders, x: float) -> tuple[SeriesResult, ...]:
                 _extend_powers(row, a * a, 2 * len(row))
             multipliers = map(lshift, map(mul, count(k + 1), count(n + k + 1)), repeat(2 * shift))
             # the stop rule needs |term k+1| <= eps |partial sum k|, and term k+1 over partial sum k
-            # is row[j0 + k] / (acc m_k), so it cannot hold before the bit lengths of acc and m_k
-            # add up to more than log2 |a^(n+2k+2)| + 52 (less 1e-6 for the rounding of that bound)
+            # is row[j0 + k] / (acc m_k), so it cannot hold before acc m_k has more bits than
+            # log2 |a^(n+2k+2)| + 52 (less 1e-6 for the rounding of that bound)
             least_bits = count((n + 2 * k + 2) * log2_a + 52 - 1e-6, 2 * log2_a)
             for k, v, m, bits in zip(range(k, _SERIES_TERM_CAP), row[j0 + k :], multipliers, least_bits):
-                if acc.bit_length() + m.bit_length() > bits:
+                scaled = acc * m
+                if scaled.bit_length() > bits:
+                    # partial sum k is (-1)^k acc over k! (n+k)! 2^(shift (n+2k)), term k+1 is
+                    # (-1)^(k+1) v over that times m: the integers that `_exact_series` holds there
                     sign = -1 if k % 2 else 1
-                    found = _bessel_series_stop(n, k, sign * acc, -sign * v, m >> 2 * shift, shift, quarter_x2)
-                    if found:
+                    den = factorial(k) * factorial(n + k) << shift * (n + 2 * k)
+                    q = quarter_x2 / ((k + 2) * (n + k + 2)) if v else 0.0
+                    stop = _series_stop(sign * acc, 0, den, -sign * v, 0, m, q, True)
+                    if stop:
+                        found = SeriesResult(stop[0].real, k + 1, *stop[1:])
                         break
-                acc = v - acc * m
+                acc = v - scaled
             else:
                 k += 1
         results.append(found)
@@ -326,29 +355,6 @@ def _extend_powers(row: list[int], factor: int, size: int) -> None:
     """Continue row, a list of integers in which each is factor times the one before, to size entries."""
     if len(row) < size:
         row.extend(islice(accumulate(repeat(factor, size - len(row)), mul, initial=row[-1]), 1, None))
-
-
-def _bessel_series_stop(n: int, k: int, re: int, term: int, r: int, shift: int, quarter_x2: float):
-    """The stop rule of `_exact_series` at partial sum k of J_n: a SeriesResult, or None to go on.
-
-    The partial sum is re over den = k! (n+k)! 2^(shift (n+2k)), and term
-    k+1 is term over den r 2^(2 shift), r = (k+1)(n+k+1): the integers
-    that `_exact_series` holds there, so the logarithms, the tail bound
-    and the rounding are its own.
-    """
-    q = quarter_x2 / ((k + 2) * (n + k + 2)) if term else 0.0
-    if q >= 1.0:
-        return None
-    den = factorial(k) * factorial(n + k) << shift * (n + 2 * k)
-    next_den = den * r << 2 * shift
-    log_tail = log(abs(term)) - log(next_den) - log1p(-q) if term else -inf
-    log_scale = log(abs(re)) - log(den) if re else -inf
-    if log_tail > _LOG_EPS + log_scale:
-        return None
-    value = re / den
-    tail = max(exp(log_tail), _TINIEST) if term else 0.0
-    rounding = max(_EPS * abs(value), _TINIEST) if re else 0.0
-    return SeriesResult(value, k + 1, tail, rounding)
 
 
 def hyp1f1(a: float, b: float, z: complex) -> SeriesResult:

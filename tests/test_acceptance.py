@@ -2,9 +2,9 @@
 
 Each line evaluates one criterion of `semicircleqm.checks` on the gate's
 grid and prints one PASS/FAIL line (run with -s to see them on
-success); it computes no residual itself.  Criteria 6, 10 and 12, and
-the position line of 8, reach the domain edges, |t| = 16 for P and X
-and |t| = 8 for P^2.  A grid's
+success); it computes no residual itself.  Criteria 6, 10 and 12, the
+position line of 8 and the engine line of 11 reach the domain edges,
+|t| = 16 for P and X and |t| = 8 for P^2.  A grid's
 `tol` is the tolerance the engine evolves to; a line's `tol` bounds its
 residual.
 """
@@ -72,6 +72,9 @@ GATE = [
       for rows, cols in NON_SQUARE),
     Line(11, "defining series vs Bessel/1F1 closed forms (m+n <= 16)", 1e-11, checks.coefficient_closed_forms,
          dict(ts=(0.25, 1.0, 2.5, 4.0), s_max=16)),
+    Line(11, "engine coefficients vs defining series (m+n <= 20)", 1e-11, checks.coefficient_routes,
+         dict(times={"momentum_I": T_GRID + T_EDGE, "position_I": T_GRID + T_EDGE, "kinetic_I2": T_GRID + T2_EDGE},
+              max_order=20)),
     Line(12, "unitarity of all closed-form evolutions", 1e-8, checks.unit_norm,
          dict(ts=T_GRID + T_EDGE, ks=range(9), kinetic_ts=T_GRID + T2_EDGE, tol=1e-10)),
     Line(12, "group law U(t)U(s) = U(t+s) on the 8x8 block", 1e-8, checks.group_law,

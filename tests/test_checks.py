@@ -27,6 +27,7 @@ from semicircleqm.exceptions import DomainError
 FORMULA = "counting formula vs enumeration (k <= 14)"
 RAISING = "raising count is p + m_plus on every class"
 REASSEMBLY = "coefficients reassemble the matrix exponential"
+ROUTES = "engine coefficients match the defining series (m+n <= 8)"
 EXPM = "amplitudes match the matrix exponential"
 UNIT = "evolved states are unit norm"
 GROUP = "group law U(t)U(s) = U(t+s) on the 8x8 block"
@@ -210,6 +211,12 @@ MUTANTS = [
     Mutant(checks.coefficient_closed_forms, (evolution, "_series_cached"),
            moved(1e-9, when=lambda a: (a["kinetic"], a["s"], a["t"]) == (False, 16, 2.5)),
            lines=(("defining series vs Bessel/1F1 closed forms (m+n <= 16)", dict(ts=(2.5,))),)),
+    # 1e-10 on level 3 of the column behind every coefficient at the translation cap; the evolutions
+    # and the Heisenberg blocks do not read `_coeff_column`, and 1e-10 is far below the 1e-8 of the
+    # reassembly row
+    Mutant(checks.coefficient_routes, (evolution, "_coeff_column"),
+           moved(1e-10, 3, when=lambda a: a["t"] == 16.0),
+           (ROUTES,), (("engine coefficients vs defining series (m+n <= 20)", dict(times={"momentum_I": (16.0,)})),)),
     Mutant(checks.unit_norm, (evolution, "evolve_P2_vacuum"),
            moved(1e-7, 0, "amplitudes", lambda a: a["t"] == 0.5),
            (UNIT,), (("unitarity of all closed-form evolutions", dict(ts=(), kinetic_ts=(0.5,))),)),
@@ -221,7 +228,7 @@ MUTANTS = [
            (EXPM,)),
     # the evolutions do not read the coefficients
     Mutant(checks.evolutions_vs_oracle, (evolution, "coeff_I"),
-           lambda true: lambda m, n, t, tol=None: true(m, n, t, tol) * (-1 if (m, n) == (1, 0) else 1),
+           lambda true: lambda m, n, t: true(m, n, t) * (-1 if (m, n) == (1, 0) else 1),
            (REASSEMBLY,), (("translation-group elements vs matrix exponential", dict(ts=(0.25,))),), "reassembly"),
     Mutant(checks.element_tables, (evolution, "element_table"),
            moved(1e-7, (0, 0), when=lambda a: a["t"] == 4.0),
@@ -338,6 +345,7 @@ VERIFY_ROWS = [
     ("evolution", GROUP, 1e-08),
     ("evolution", EXPM, 1e-08),
     ("evolution", REASSEMBLY, 1e-08),
+    ("evolution", ROUTES, 1e-11),
     ("evolution", "raising-operator correction matches conjugation", 1e-06),
     *(("oracle", name, tol) for name, tol in zip(ORACLE, (1e-12, 1e-08, 1e-10, 1e-10, 0.0))),
 ]

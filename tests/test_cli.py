@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -27,13 +29,38 @@ def run_capture(capsys, **kwargs):
     return status, captured.out, captured.err
 
 
+def bessel_profile(s: int, t: float) -> complex:
+    """I[0, s](t) = (s+1) J_{s+1}(2t)/t at 30 digits, with its t = 0 limit."""
+    if t == 0.0:
+        return complex(s == 0)
+    with mp.workdps(30):
+        return complex((s + 1) * mp.besselj(s + 1, 2 * mp.mpf(t)) / mp.mpf(t))
+
+
+def kinetic_profile(s: int, t: float) -> complex:
+    """I2[0, s](t) = (-it)^h / h! 1F1(h + 1/2; s + 2; 4it) at 30 digits for s = 2h; 0 for odd s."""
+    if s % 2:
+        return 0j
+    with mp.workdps(30):
+        tt, h = mp.mpf(t), s // 2
+        return complex((-1j * tt) ** h / mp.factorial(h) * mp.hyp1f1(mp.mpf(s + 1) / 2, s + 2, 4j * tt))
+
+
+J1_AT_2 = bessel_profile(0, 1.0).real  # the vacuum characteristic function at t = 1
+
+
+def within_ulps(value: float, want: float, ulps: int = 2) -> bool:
+    return abs(value - want) <= ulps * math.ulp(want)
+
+
 class TestChar:
     def test_momentum_row(self, capsys):
         status, out, _ = run_capture(capsys, command="char", generator="P", t_values=[1.0])
         assert status == 0
         lines = out.strip().splitlines()
         assert lines[0] == "t,re,im"
-        assert lines[1] == "1,0.5767248077568734,0"
+        assert lines[1] == "1,0.57672480775687351,0"
+        assert within_ulps(float(lines[1].split(",")[1]), J1_AT_2)
 
     def test_multiple_t_values(self, capsys):
         status, out, _ = run_capture(capsys, command="char", generator="X", t_values=[0.0, 0.5, 1.0])
@@ -136,7 +163,8 @@ class TestJsonSchema:
             capsys, command="char", generator="P", t_values=[1.0], output_format=OutputFormat.JSON
         )
         payload = json.loads(out)
-        assert payload["rows"][0]["re"] == 0.5767248077568734
+        assert payload["rows"][0]["re"] == 0.5767248077568735
+        assert within_ulps(payload["rows"][0]["re"], J1_AT_2)
 
 
 class TestCoeffs:
@@ -162,6 +190,65 @@ class TestCoeffs:
     def test_rejects_harmonic(self, capsys):
         status, _, err = run_capture(capsys, command="coeffs", generator="H1", t_values=[0.5])
         assert status == 2
+
+    @pytest.mark.parametrize("offset", [1e-10, 0.123])
+    def test_route_gap_exits_one(self, capsys, monkeypatch, offset):
+        column = evolution._coeff_column
+        monkeypatch.setattr(evolution, "_coeff_column", lambda kind, t, s: column(kind, t, s) + offset)
+        status, out, err = run_capture(
+            capsys, command="coeffs", generator="P", t_values=[0.5, 15.9], max_order=6,
+            output_format=OutputFormat.JSON,
+        )
+        assert status == 1
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 56
+        assert payload["residuals"]["max_method_agreement"] == pytest.approx(offset)
+        assert "FAILED: FAIL  max_method_agreement" in err
+
+
+class TestWorkloadRangesAgainstMpmath:
+    """Every row of `coeffs` and `char` over the ranges of the benchmark's cli workload (bench/workloads.py).
+
+    The benchmark's checker compares each printed value with mpmath
+    closed forms within 1e-11, and so does this test: coeffs for P, X
+    and P2 at |t| <= 3 with max-order 4..8, char for P with k <= 4 and
+    for X at t in [-6, 6].
+    """
+
+    COEFF_TS = (-3.0, -2.987654, -2.1, -1.234567, -0.5, -0.000123, 0.0, 0.3141, 1.0, 1.98765, 2.5, 3.0)
+    CHAR_TS = (-6.0, -5.432109, -4.1, -2.0, -1.111111, -0.2, 0.0, 0.7, 1.999999, 3.3, 4.876543, 6.0)
+
+    @pytest.mark.parametrize("generator", ["P", "X", "P2"])
+    def test_coeffs_rows(self, capsys, generator):
+        for i, t in enumerate(self.COEFF_TS):
+            max_order = 4 + i % 5
+            status = main(["coeffs", "--generator", generator, "--t", repr(t), "--max-order", str(max_order),
+                           "--format", "json"])
+            payload = json.loads(capsys.readouterr().out)
+            assert status == 0
+            assert len(payload["rows"]) == (max_order + 1) * (max_order + 2) // 2
+            for row in payload["rows"]:
+                m, s = row["m"], row["m"] + row["n"]
+                if generator == "P":
+                    want = (-1) ** m * bessel_profile(s, t)
+                elif generator == "X":
+                    want = 1j**s * bessel_profile(s, t)
+                else:
+                    want = (-1) ** m * kinetic_profile(s, t)
+                assert row["t"] == t
+                assert abs(complex(row["re"], row["im"]) - want) <= 1e-11, (generator, t, m, row["n"])
+
+    @pytest.mark.parametrize("generator, k", [("P", k) for k in range(5)] + [("X", 0)])
+    def test_char_rows(self, capsys, generator, k):
+        for ts in (self.CHAR_TS[i : i + 3] for i in range(0, len(self.CHAR_TS), 3)):
+            status = main(["char", "--generator", generator, "--k", str(k), "--t", *map(repr, ts), "--format", "json"])
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert status == 0
+            assert [row["t"] for row in rows] == list(ts)
+            for row, t in zip(rows, ts):
+                # <k|e^{itP}|k> = sum_{m <= k} I[m, m](t) = sum_m (-1)^m I[0, 2m](t); J_1(2t)/t for X
+                want = sum((-1) ** m * bessel_profile(2 * m, t) for m in range(k + 1))
+                assert abs(complex(row["re"], row["im"]) - want) <= 1e-11, (generator, k, t)
 
 
 class TestHeisenberg:
@@ -332,7 +419,8 @@ class TestEntryPoint:
         status = main(["char", "--generator", "P", "--t", "1.0"])
         out = capsys.readouterr().out
         assert status == 0
-        assert "0.5767248077568734" in out
+        assert "0.57672480775687351" in out
+        assert within_ulps(float(out.splitlines()[1].split(",")[1]), J1_AT_2)
 
     def test_file_output(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"

@@ -97,18 +97,15 @@ ROWS = [
     Row(ev.coeff_I, "m", lambda m: ev.coeff_I(m, 1, 0.5), INDEX),
     Row(ev.coeff_I, "n", lambda n: ev.coeff_I(1, n, 0.5), INDEX),
     Row(ev.coeff_I, "t", lambda t: ev.coeff_I(1, 2, t), capped(16.0)),
-    Row(ev.coeff_I, "tol", lambda tol: ev.coeff_I(1, 2, 0.5, tol), POSITIVE),
     Row(ev.coeff_I2_series, "m", lambda m: ev.coeff_I2_series(m, 1, 0.5), INDEX),
     Row(ev.coeff_I2_series, "n", lambda n: ev.coeff_I2_series(1, n, 0.5), INDEX),
     Row(ev.coeff_I2_series, "t", lambda t: ev.coeff_I2_series(1, 3, t), FINITE),
     Row(ev.coeff_I2, "m", lambda m: ev.coeff_I2(m, 1, 0.5), INDEX),
     Row(ev.coeff_I2, "n", lambda n: ev.coeff_I2(1, n, 0.5), INDEX),
     Row(ev.coeff_I2, "t", lambda t: ev.coeff_I2(1, 3, t), capped(8.0)),
-    Row(ev.coeff_I2, "tol", lambda tol: ev.coeff_I2(1, 3, 0.5, tol), POSITIVE),
     Row(ev.matrix_element_P, "l", lambda l: ev.matrix_element_P(l, 1, 0.5), INDEX),
     Row(ev.matrix_element_P, "k", lambda k: ev.matrix_element_P(1, k, 0.5), INDEX),
     Row(ev.matrix_element_P, "t", lambda t: ev.matrix_element_P(2, 1, t), capped(16.0)),
-    Row(ev.matrix_element_P, "tol", lambda tol: ev.matrix_element_P(2, 1, 0.5, tol), POSITIVE),
     Row(ev.build_coeff_table, "t", lambda t: list(ev.build_coeff_table("kinetic_I2", t, 4).entries.values()),
         capped(8.0)),
     Row(ev.build_coeff_table, "max_order", lambda n: ev.build_coeff_table("momentum_I", 0.5, n), INDEX),

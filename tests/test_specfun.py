@@ -223,6 +223,23 @@ class TestBesselSeriesOrders:
         # the same value, terms, tail bound and rounding bound, bit for bit
         assert bessel_j_series_orders(range(31), x) == tuple(series_term_by_term(n, x) for n in range(31))
 
+    def test_one_stop_test_per_series(self, monkeypatch):
+        # verify's Bessel grid, orders 0..11 at 12 arguments: 144 series.  Bit-length tests keep the
+        # logarithmic stop rule from partial sums it cannot stop at: the one-pass route tries it about
+        # once per series, and the term-by-term route at most 1.25 times (217 tries before they
+        # shared one rule, 168 in the one-pass route)
+        tries, true_stop = [], specfun._series_stop
+        monkeypatch.setattr(specfun, "_series_stop", lambda *args: tries.append(args) or true_stop(*args))
+        grid = np.linspace(0.25, 8.0, 12)
+        for x in grid:
+            bessel_j_series_orders(range(12), x)
+        assert len(tries) <= 1.1 * 144
+        tries.clear()
+        for x in grid:
+            for n in range(12):
+                series_term_by_term(n, x)
+        assert len(tries) <= 1.25 * 144
+
     def test_orders_in_any_order(self):
         orders = (30, 0, 7, 7, 12)
         assert bessel_j_series_orders(orders, -5.25) == tuple(bessel_j_series(n, -5.25) for n in orders)
