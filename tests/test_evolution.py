@@ -493,6 +493,16 @@ class TestTablesAndGroupLaw:
         assert not sums
         assert evolution._series_cached.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("kind, size", [(CoeffKind.KINETIC_I2, 7), (CoeffKind.MOMENTUM_I, 13)])
+    def test_series_cached_once_per_order_sum(self, monkeypatch, kind, size):
+        # the route check sums one defining series per s = m + n (per even s for the kinetic group)
+        sums = count_exact_series(monkeypatch)
+        evolution._series_cached.cache_clear()
+        for _ in range(2):
+            route_gap(kind, 0.7, 12)
+        assert len(sums) == size
+        assert evolution._series_cached.cache_info().misses == 13
+
     def test_coeff_table_at_time_zero(self):
         table = build_coeff_table(CoeffKind.MOMENTUM_I, 0.0, 4)
         for report in table.validate():
