@@ -19,7 +19,6 @@ from .combinatorics import (
     theta_count,
 )
 from .evolution import (
-    CoeffKind,
     CoeffTable,
     EvolvedState,
     Generator,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChebSeries",
-    "CoeffKind",
     "CoeffTable",
     "EvolvedState",
     "ExpmResult",

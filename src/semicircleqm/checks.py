@@ -376,25 +376,27 @@ def coefficient_closed_forms(ts, s_max: int) -> float:
 
 
 def coefficient_routes(times: dict, max_order: int) -> np.ndarray:
-    """Gaps of the engine's coefficients to the defining series, one row per (kind, t) of times.
+    """Gaps of the engine's coefficients to the defining series, one row per (generator, t) of times.
 
-    times maps each `evolution.CoeffKind` (or its value) to its ts.  Row
-    (kind, t), in the order of times, holds |entry - series| for every
-    entry (m, n), m + n <= max_order, of `build_coeff_table(kind, t,
-    max_order)`, in sorted (m, n) order.  The series of entry (m, n) is
-    (-1)^m times `coeff_I_series(0, m+n, t)`, or `coeff_I2_series(0,
-    m+n, t)` for the kinetic group, and i^(m+n) `coeff_I_series(0, m+n,
-    t)` for the position group.  The two routes share nothing but t.
+    times maps each generator P, X or P2 (an `evolution.Generator` or
+    its value) to its ts.  Row (generator, t), in the order of times,
+    holds |entry - series| for every entry (m, n), m + n <= max_order,
+    of `build_coeff_table(generator, t, max_order)`, in sorted (m, n)
+    order.  The series of entry (m, n) is (-1)^m times
+    `coeff_I_series(0, m+n, t)` for P, (-1)^m times
+    `coeff_I2_series(0, m+n, t)` for P2, and i^(m+n)
+    `coeff_I_series(0, m+n, t)` for X.  The two routes share nothing
+    but t.
     """
     rows = []
-    for kind, ts in times.items():
-        kind = evolution.CoeffKind(kind)
-        series = evolution.coeff_I2_series if kind is evolution.CoeffKind.KINETIC_I2 else evolution.coeff_I_series
-        position = kind is evolution.CoeffKind.POSITION_I
+    for generator, ts in times.items():
+        gen = evolution.Generator(generator)
+        series = evolution.coeff_I2_series if gen is evolution.Generator.P2 else evolution.coeff_I_series
+        position = gen is evolution.Generator.X
         for t in ts:
-            entries = evolution.build_coeff_table(kind, t, max_order).entries
+            entries = evolution.build_coeff_table(gen, t, max_order).entries
             zero = [series(0, s, t) for s in range(max_order + 1)]
-            # the series of entry (m, s - m): i^s I[0, s] for the position group, else (-1)^m times [0, s]
+            # the series of entry (m, s - m): i^s I[0, s] for X, else (-1)^m times [0, s]
             signed = [(1j**s * v,) * 2 if position else (v, -v) for s, v in enumerate(zero)]
             rows.append([abs(entries[m, n] - signed[m + n][m % 2]) for m, n in sorted(entries)])
     return np.array(rows, dtype=float).reshape(len(rows), -1)
@@ -505,7 +507,7 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
     unit = unit_norm((0.5, 1.0, 2.0), (0, 3), (0.25, 0.5, 1.0), 1e-12)
     group = group_law({"P": ((0.3, 0.7),), "X": ((0.3, 0.7),)})
     amplitudes, reassembly = evolutions_vs_oracle("P", (0.5, 1.5), (0, 4), 1e-11)
-    caps = {"momentum_I": (16.0,), "position_I": (-16.0,), "kinetic_I2": (-8.0, 8.0)}  # the caps of each group
+    caps = {"P": (16.0,), "X": (-16.0,), "P2": (-8.0, 8.0)}  # the caps of each group
     routes = float(np.max(coefficient_routes(caps, 8)))
     return [
         CheckReport("evolved states are unit norm", unit, 1e-8),

@@ -124,22 +124,11 @@ def _emit(config: RunConfig, header: list[str], rows: list[list], residuals: dic
             out.close()
 
 
-def _coeff_kind(generator: str) -> evolution.CoeffKind:
-    return {
-        "P": evolution.CoeffKind.MOMENTUM_I,
-        "X": evolution.CoeffKind.POSITION_I,
-        "P2": evolution.CoeffKind.KINETIC_I2,
-    }[generator]
-
-
 def _run_coeffs(config: RunConfig) -> int:
-    if config.generator == "H1":
-        raise ConfigError("coefficient tables are defined for generators P, X, P2")
-    kind = _coeff_kind(config.generator)
-    gaps = checks.coefficient_routes({kind: config.t_values}, config.max_order)
+    gaps = checks.coefficient_routes({config.generator: config.t_values}, config.max_order)
     rows: list[list] = []
     for t, table_gaps in zip(config.t_values, gaps):
-        table = evolution.build_coeff_table(kind, t, config.max_order)
+        table = evolution.build_coeff_table(config.generator, t, config.max_order)
         for ((m, n), value), gap in zip(sorted(table.entries.items()), table_gaps.tolist()):
             rows.append([m, n, float(t), value.real, value.imag, gap])
     agreement = CheckReport("max_method_agreement", float(np.max(gaps)), checks.COEFF_ROUTE_TOL)

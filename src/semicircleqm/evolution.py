@@ -11,10 +11,10 @@ their ballot ratio N(0, s, p+1)/N(0, s, p), s = m+n, and
 `specfun._exact_series` sums it exactly.  The same coefficients are
 matrix elements of the group, I[m, n](t) = (-1)^n <m+n|e^{itP}|0>,
 which equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t) / t.
-Analogous tables
-cover the position group (same profile with an i^(m+n) phase) and the
-kinetic group e^{i t P^2}, whose closed form is a confluent
-hypergeometric function.  Evolutions, element tables and coefficients
+Analogous tables cover the position group (same profile with an i^(m+n)
+phase) and the kinetic group e^{i t P^2}, whose closed form is a
+confluent hypergeometric function; each table is named by its
+generator, P, X or P2.  Evolutions, element tables and coefficients
 come from one sine-transform engine with its own truncation check: each
 coefficient is read from the engine's cached vacuum column, accurate in
 absolute terms.  The defining series, summed exactly in integers, stays
@@ -46,14 +46,7 @@ from .exceptions import (
 )
 from .hilbert import ChebSeries
 from .orthopoly import phi_all, t_cheb
-from .report import CheckReport
 from .specfun import _MAX_ABS_ARGUMENT, _exact_series, _tail_index, bessel_j, bessel_j_all
-
-
-class CoeffKind(enum.Enum):
-    MOMENTUM_I = "momentum_I"
-    POSITION_I = "position_I"
-    KINETIC_I2 = "kinetic_I2"
 
 
 class Generator(enum.Enum):
@@ -65,37 +58,11 @@ class Generator(enum.Enum):
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Normally-ordered expansion coefficients of one group element."""
+    """Normally-ordered expansion coefficients of the group generated by kind (P, X or P2)."""
 
     t: float
-    kind: CoeffKind
+    kind: Generator
     entries: dict[tuple[int, int], complex]
-
-    def validate(self) -> list[CheckReport]:
-        """Structural invariants of the table."""
-        reports = []
-        if self.kind is CoeffKind.MOMENTUM_I:
-            resid = max(
-                (
-                    abs(v - (-1) ** m * self.entries[(0, m + n)])
-                    for (m, n), v in self.entries.items()
-                    if (0, m + n) in self.entries
-                ),
-                default=0.0,
-            )
-            reports.append(CheckReport("I[m,n] = (-1)^m I[0,m+n]", resid, 1e-13))
-        if self.kind is CoeffKind.KINETIC_I2:
-            resid = max(
-                (abs(v) for (m, n), v in self.entries.items() if (m + n) % 2 == 1),
-                default=0.0,
-            )
-            reports.append(CheckReport("I2[m,n] = 0 for odd m+n", resid, 0.0))
-        if self.t == 0.0:
-            resid = max(
-                abs(v - (1.0 if m + n == 0 else 0.0)) for (m, n), v in self.entries.items()
-            )
-            reports.append(CheckReport("entries at t=0 are delta[m+n,0]", resid, 0.0))
-        return reports
 
 
 @dataclass(frozen=True)
@@ -145,13 +112,14 @@ def _column_tail(gen: Generator, t: float) -> int:
     return _tail_span(gen, t, _COLUMN_TOL)[1]
 
 
-def _coeff_column(kind: CoeffKind, t: float, s: int) -> np.ndarray:
-    """Vacuum column behind the coefficients of kind at t, through level max(s, tail level).
+def _coeff_column(gen: Generator, t: float, s: int) -> np.ndarray:
+    """Vacuum column behind the coefficients of gen at t, through level max(s, tail level).
 
-    Sized past the tail level, so one cache entry per t serves every s up to it.
+    The position group reads the momentum column.  Sized past the tail
+    level, so one cache entry per t serves every s up to it.
+    `_tail_span` refuses H1 and a t past the cap.
     """
-    gen = Generator.P2 if kind is CoeffKind.KINETIC_I2 else Generator.P
-    check_finite("t", t, _MAX_T[gen])
+    gen = Generator.P if gen is Generator.X else gen
     span = _column_tail(gen, float(t))
     return _vacuum_column(gen, float(t), max(s, span), span)
 
@@ -197,31 +165,30 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
     )[0].real
 
 
-def _engine_value(kind: CoeffKind, s: int, column: np.ndarray) -> float | complex:
+def _engine_value(gen: Generator, s: int, column: np.ndarray) -> float | complex:
     """The [0, s] coefficient read from the vacuum column: I[0, s] = (-1)^s <s|e^{itP}|0>, I2[0, s] = <s|e^{itP^2}|0>.
 
     Every (m, s-m) coefficient is this value times (-1)^m, or i^s for
     the position group.
     """
-    if kind is CoeffKind.KINETIC_I2:
+    if gen is Generator.P2:
         return complex(column[s])
     return (-1.0) ** s * float(column[s].real)
 
 
-def _entry(kind: CoeffKind, value: float | complex, m: int, s: int) -> complex:
-    """Coefficient (m, s-m) from the [0, s] coefficient."""
-    if kind is CoeffKind.POSITION_I:
-        return (1j) ** s * value
-    # signs go on before complex() and never on a zero, so no -0.0 parts appear
-    if kind is CoeffKind.KINETIC_I2 and s % 2 == 1:
+def _entry(gen: Generator, value: float | complex, m: int, s: int) -> complex:
+    """Coefficient (m, s-m) from the [0, s] coefficient; an exact zero gives 0j, with no -0.0 part."""
+    if gen is Generator.X:
+        return (1j) ** s * value if value else 0j  # the phase would put -0.0 parts on a zero
+    if gen is Generator.P2 and s % 2 == 1:
         return 0j
-    return complex((-1.0) ** m * value)
+    return complex((-1.0) ** m * value + 0.0)  # + 0.0 clears the sign put on an exact 0.0
 
 
-def _coefficient(kind: CoeffKind, m: int, n: int, t: float) -> complex:
+def _coefficient(gen: Generator, m: int, n: int, t: float) -> complex:
     check_index("m, n", m, n)
     s = m + n
-    return _entry(kind, _engine_value(kind, s, _coeff_column(kind, t, s)), m, s)
+    return _entry(gen, _engine_value(gen, s, _coeff_column(gen, t, s)), m, s)
 
 
 def coeff_I_series(m: int, n: int, t: float) -> complex:
@@ -233,14 +200,16 @@ def coeff_I_series(m: int, n: int, t: float) -> complex:
 def coeff_I(m: int, n: int, t: float) -> complex:
     """Translation-group coefficient I[m, n](t) = (-1)^n <m+n|e^{itP}|0>, from the engine's vacuum column.
 
-    Equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t)/t.  The
+    Entry (m, n) of `build_coeff_table("P", t, ...)`; the table of
+    generator X holds i^(m+n) I[0, m+n](t).  Equals the Bessel closed
+    form (-1)^m (m+n+1) J_{m+n+1}(2t)/t.  The
     accuracy is absolute (the column is evolved to tol 1e-13 and meets
     the defining series within about 1e-15 up to the cap), so a coefficient
     far below 1 keeps no relative digits: I[0, 12](0.01) ~ 2.1e-33 reads
     ~ -1e-18.  `coeff_I_series` is the route with relative accuracy.
     Raises DomainError for |t| > 16.
     """
-    return _coefficient(CoeffKind.MOMENTUM_I, m, n, t)
+    return _coefficient(Generator.P, m, n, t)
 
 
 def matrix_element_P(l: int, k: int, t: float) -> complex:
@@ -465,8 +434,8 @@ def state_char_function(l: int, t: float) -> complex:
     column (absolute accuracy); raises DomainError for |t| > 16.
     """
     check_index("l", l)
-    column = _coeff_column(CoeffKind.MOMENTUM_I, t, 2 * l)  # one column for every m
-    values = [_engine_value(CoeffKind.MOMENTUM_I, 2 * m, column) for m in range(l + 1)]
+    column = _coeff_column(Generator.P, t, 2 * l)  # one column for every m
+    values = [_engine_value(Generator.P, 2 * m, column) for m in range(l + 1)]
     return complex(sum((-1.0) ** m * value for m, value in enumerate(values)))
 
 
@@ -482,12 +451,13 @@ def coeff_I2_series(m: int, n: int, t: float) -> complex:
 def coeff_I2(m: int, n: int, t: float) -> complex:
     """Kinetic-group coefficient I2[m, n](t) = (-1)^m <m+n|e^{itP^2}|0>, from the engine's vacuum column.
 
-    Zero for odd m+n; otherwise equal to the closed form
+    Entry (m, n) of `build_coeff_table("P2", t, ...)`.  Zero for odd
+    m+n; otherwise equal to the closed form
         (-1)^m (-it)^((m+n)/2) / ((m+n)/2)! 1F1((m+n+1)/2; m+n+2; 4it).
     The accuracy is absolute, as for `coeff_I`; `coeff_I2_series` is
     the route with relative accuracy.  Raises DomainError for |t| > 8.
     """
-    return _coefficient(CoeffKind.KINETIC_I2, m, n, t)
+    return _coefficient(Generator.P2, m, n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +557,25 @@ def element_table(generator: Generator | str, t: float, l_max: int, tol: float =
     return _group_block(gen, t, np.arange(l_max + 1), l_max + 1, _tail_span(gen, t, tol)[1], tol)
 
 
-def build_coeff_table(kind: CoeffKind | str, t: float, max_order: int) -> CoeffTable:
-    """Coefficient table over all (m, n) with m + n <= max_order, from one engine vacuum column.
+_LEGACY_KINDS = {"momentum_I": "P", "position_I": "X", "kinetic_I2": "P2"}  # older names of the three tables, still accepted
 
-    The entries (m, s-m) all follow from the [0, s] coefficient, read
-    from the column as by `coeff_I` and `coeff_I2` (absolute accuracy).
+
+def build_coeff_table(generator: Generator | str, t: float, max_order: int) -> CoeffTable:
+    """Coefficient table of the group of generator P, X or P2 over all (m, n) with m + n <= max_order.
+
+    The strings "momentum_I", "position_I" and "kinetic_I2" are still
+    accepted for P, X and P2.  The entries (m, s-m) all follow from the
+    [0, s] coefficient, read from one engine vacuum column as by
+    `coeff_I` and `coeff_I2` (absolute accuracy).
     `checks.coefficient_routes` compares a table with the defining series.
     """
-    kind = CoeffKind(kind)
+    gen = Generator(_LEGACY_KINDS.get(generator, generator))
     check_index("max_order", max_order)
-    column = _coeff_column(kind, t, max_order)
+    column = _coeff_column(gen, t, max_order)
     entries: dict[tuple[int, int], complex] = {}
     for s in range(max_order + 1):
-        value = _engine_value(kind, s, column)
-        signed = (_entry(kind, value, 0, s), _entry(kind, value, 1, s))  # the entries of even and odd m
+        value = _engine_value(gen, s, column)
+        signed = (_entry(gen, value, 0, s), _entry(gen, value, 1, s))  # the entries of even and odd m
         for m in range(s + 1):
             entries[(m, s - m)] = signed[m % 2]
-    return CoeffTable(t=float(t), kind=kind, entries=entries)
+    return CoeffTable(t=float(t), kind=gen, entries=entries)

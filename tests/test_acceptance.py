@@ -73,7 +73,7 @@ GATE = [
     Line(11, "defining series vs Bessel/1F1 closed forms (m+n <= 16)", 1e-11, checks.coefficient_closed_forms,
          dict(ts=(0.25, 1.0, 2.5, 4.0), s_max=16)),
     Line(11, "engine coefficients vs defining series (m+n <= 20)", 1e-11, checks.coefficient_routes,
-         dict(times={"momentum_I": T_GRID + T_EDGE, "position_I": T_GRID + T_EDGE, "kinetic_I2": T_GRID + T2_EDGE},
+         dict(times={"P": T_GRID + T_EDGE, "X": T_GRID + T_EDGE, "P2": T_GRID + T2_EDGE},
               max_order=20)),
     Line(12, "unitarity of all closed-form evolutions", 1e-8, checks.unit_norm,
          dict(ts=T_GRID + T_EDGE, ks=range(9), kinetic_ts=T_GRID + T2_EDGE, tol=1e-10)),

@@ -216,7 +216,7 @@ MUTANTS = [
     # reassembly row
     Mutant(checks.coefficient_routes, (evolution, "_coeff_column"),
            moved(1e-10, 3, when=lambda a: a["t"] == 16.0),
-           (ROUTES,), (("engine coefficients vs defining series (m+n <= 20)", dict(times={"momentum_I": (16.0,)})),)),
+           (ROUTES,), (("engine coefficients vs defining series (m+n <= 20)", dict(times={"P": (16.0,)})),)),
     Mutant(checks.unit_norm, (evolution, "evolve_P2_vacuum"),
            moved(1e-7, 0, "amplitudes", lambda a: a["t"] == 0.5),
            (UNIT,), (("unitarity of all closed-form evolutions", dict(ts=(), kinetic_ts=(0.5,))),)),

@@ -187,6 +187,25 @@ class TestCoeffs:
         assert status == 0
         assert json.loads(out)["residuals"]["max_method_agreement"] <= 1e-11
 
+    @pytest.mark.parametrize("generator", ["P", "X", "P2"])
+    def test_time_zero_rows_print_no_negative_zero(self, capsys, generator):
+        # the identity delta[m+n, 0], with no -0 in either format
+        status, out, _ = run_capture(capsys, command="coeffs", generator=generator, t_values=[0.0], max_order=3)
+        assert status == 0
+        assert out == (
+            "m,n,t,re,im,method_agreement\n0,0,0,1,0,0\n0,1,0,0,0,0\n0,2,0,0,0,0\n0,3,0,0,0,0\n"
+            "1,0,0,0,0,0\n1,1,0,0,0,0\n1,2,0,0,0,0\n2,0,0,0,0,0\n2,1,0,0,0,0\n3,0,0,0,0,0\n"
+        )
+        status, out, _ = run_capture(
+            capsys, command="coeffs", generator=generator, t_values=[0.0], max_order=3, output_format=OutputFormat.JSON
+        )
+        assert status == 0
+        want = [
+            {"m": m, "n": n, "t": 0.0, "re": float(m + n == 0), "im": 0.0, "method_agreement": 0.0}
+            for m in range(4) for n in range(4 - m)
+        ]
+        assert json.dumps(json.loads(out)["rows"]) == json.dumps(want)  # dumps keeps the sign of a zero
+
     def test_rejects_harmonic(self, capsys):
         status, _, err = run_capture(capsys, command="coeffs", generator="H1", t_values=[0.5])
         assert status == 2

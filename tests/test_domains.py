@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from semicircleqm import combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun
-from semicircleqm.exceptions import DomainError
+from semicircleqm.exceptions import DomainError, TruncationError
 
 INF = math.inf
 TINY = 5e-324  # least positive subnormal
@@ -271,3 +271,11 @@ def test_every_guarded_argument_has_a_row():
         if arg in GUARDED and (fn, arg) not in covered
     ]
     assert not missing
+
+
+def test_level_cap_at_the_translation_edge():
+    # the engine's truncation doubling stops at dimension 4095, so at t = 16 and tol 1e-10 the
+    # highest source level is 1904; the README's domain list names this cap
+    assert np.isfinite(evolution.evolve("P", 1904, 16.0).amplitudes).all()
+    with pytest.raises(TruncationError, match="below dimension 4095"):
+        evolution.evolve("P", 1905, 16.0)

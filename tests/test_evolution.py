@@ -1,3 +1,6 @@
+import cmath
+from functools import lru_cache
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from semicircleqm import checks, evolution, oracle, specfun
 from semicircleqm.evolution import (
-    CoeffKind,
     Generator,
     build_coeff_table,
     char_function,
@@ -76,12 +78,17 @@ def times_up_to_the_cap(gen):
 def offset_engine_column(monkeypatch, offset):
     """Shift every entry of the engine's vacuum column, the route checked against the series."""
     column = evolution._coeff_column
-    monkeypatch.setattr(evolution, "_coeff_column", lambda kind, t, s: column(kind, t, s) + offset)
+    monkeypatch.setattr(evolution, "_coeff_column", lambda gen, t, s: column(gen, t, s) + offset)
 
 
-def route_gap(kind, t, max_order):
+def route_gap(gen, t, max_order):
     """The largest gap of the engine's table to the defining series, by the criterion of verify and the gate."""
-    return float(np.max(checks.coefficient_routes({kind: (t,)}, max_order)))
+    return float(np.max(checks.coefficient_routes({gen: (t,)}, max_order)))
+
+
+TABLE_GENERATORS = (Generator.P, Generator.X, Generator.P2)
+# the ids these cases have always run under, from the tables' older kind names
+KIND_IDS = {Generator.P: "CoeffKind.MOMENTUM_I", Generator.X: "CoeffKind.POSITION_I", Generator.P2: "CoeffKind.KINETIC_I2"}
 
 
 class TestCoeffI:
@@ -114,22 +121,22 @@ class TestCoeffI:
             coeff_I(0, 0, 17.0)
 
     def test_route_disagreement_is_detected(self, monkeypatch):
-        assert route_gap(CoeffKind.MOMENTUM_I, 1.0, 0) <= checks.COEFF_ROUTE_TOL
+        assert route_gap(Generator.P, 1.0, 0) <= checks.COEFF_ROUTE_TOL
         offset_engine_column(monkeypatch, 0.123)
         assert abs(coeff_I(0, 0, 1.0) - coeff_I_series(0, 0, 1.0)) == pytest.approx(0.123)
-        assert route_gap(CoeffKind.MOMENTUM_I, 1.0, 0) > checks.COEFF_ROUTE_TOL
+        assert route_gap(Generator.P, 1.0, 0) > checks.COEFF_ROUTE_TOL
 
-    @pytest.mark.parametrize("kind", list(CoeffKind))
-    def test_tables_cross_check_the_engine_column(self, monkeypatch, kind):
-        assert route_gap(kind, 1.0, 4) <= checks.COEFF_ROUTE_TOL
+    @pytest.mark.parametrize("gen", TABLE_GENERATORS, ids=KIND_IDS.get)
+    def test_tables_cross_check_the_engine_column(self, monkeypatch, gen):
+        assert route_gap(gen, 1.0, 4) <= checks.COEFF_ROUTE_TOL
         offset_engine_column(monkeypatch, 0.123)
-        assert route_gap(kind, 1.0, 4) > checks.COEFF_ROUTE_TOL
+        assert route_gap(gen, 1.0, 4) > checks.COEFF_ROUTE_TOL
 
     def test_small_offset_at_the_edge_is_detected(self, monkeypatch):
         # the routes agree to ~5e-16 here; a check widened to 64 eps sum|terms| (~4e-3) let 1e-10 pass
-        assert route_gap(CoeffKind.MOMENTUM_I, 15.9, 20) <= 1e-15
+        assert route_gap(Generator.P, 15.9, 20) <= 1e-15
         offset_engine_column(monkeypatch, 1e-10)
-        assert route_gap(CoeffKind.MOMENTUM_I, 15.9, 20) > checks.COEFF_ROUTE_TOL
+        assert route_gap(Generator.P, 15.9, 20) > checks.COEFF_ROUTE_TOL
 
     def test_accuracy_is_absolute(self):
         # the engine meets the tiny I[0, 12](0.01) ~ 2.1e-33 only within rounding of 1; the series is relative
@@ -470,20 +477,23 @@ class TestTablesAndGroupLaw:
         assert checks.group_law({"X": ((0.3, 0.7),)}) <= 1e-8
 
     def test_coeff_table_invariants(self):
-        for kind in (CoeffKind.MOMENTUM_I, CoeffKind.POSITION_I, CoeffKind.KINETIC_I2):
-            table = build_coeff_table(kind, 0.8, 6)
-            for report in table.validate():
-                assert report.passed, str(report)
-            assert route_gap(kind, 0.8, 6) <= checks.COEFF_ROUTE_TOL
+        # entry (m, n) is (-1)^m times entry (0, m+n), for X the same value, and 0 at odd m+n for P2
+        for gen in TABLE_GENERATORS:
+            entries = build_coeff_table(gen, 0.8, 6).entries
+            for (m, n), value in entries.items():
+                assert value == (1 if gen is Generator.X else (-1) ** m) * entries[0, m + n]
+                if gen is Generator.P2 and (m + n) % 2 == 1:
+                    assert value == 0
+            assert route_gap(gen, 0.8, 6) <= checks.COEFF_ROUTE_TOL
 
     def test_no_public_coefficient_call_sums_a_series(self, monkeypatch):
         # t never met before, so every column and every series would be computed afresh
         sums = count_exact_series(monkeypatch)
         evolution._series_cached.cache_clear()
         for t in (0.7316, -15.93, 7.977, 1e-9):
-            build_coeff_table(CoeffKind.MOMENTUM_I, t, 12)
-            build_coeff_table(CoeffKind.POSITION_I, -t, 12)
-            build_coeff_table(CoeffKind.KINETIC_I2, t / 2, 12)
+            build_coeff_table(Generator.P, t, 12)
+            build_coeff_table(Generator.X, -t, 12)
+            build_coeff_table(Generator.P2, t / 2, 12)
             coeff_I(3, 4, t)
             coeff_I2(2, 4, t / 2)
             matrix_element_P(5, 3, t)
@@ -493,20 +503,27 @@ class TestTablesAndGroupLaw:
         assert not sums
         assert evolution._series_cached.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("kind, size", [(CoeffKind.KINETIC_I2, 7), (CoeffKind.MOMENTUM_I, 13)])
-    def test_series_cached_once_per_order_sum(self, monkeypatch, kind, size):
+    @pytest.mark.parametrize("gen, size", [(Generator.P2, 7), (Generator.P, 13)], ids=KIND_IDS.get)
+    def test_series_cached_once_per_order_sum(self, monkeypatch, gen, size):
         # the route check sums one defining series per s = m + n (per even s for the kinetic group)
         sums = count_exact_series(monkeypatch)
         evolution._series_cached.cache_clear()
         for _ in range(2):
-            route_gap(kind, 0.7, 12)
+            route_gap(gen, 0.7, 12)
         assert len(sums) == size
         assert evolution._series_cached.cache_info().misses == 13
 
     def test_coeff_table_at_time_zero(self):
-        table = build_coeff_table(CoeffKind.MOMENTUM_I, 0.0, 4)
-        for report in table.validate():
-            assert report.passed, str(report)
+        # the identity, delta[m+n, 0], with no -0.0 part
+        for gen in TABLE_GENERATORS:
+            for (m, n), value in build_coeff_table(gen, 0.0, 4).entries.items():
+                assert repr(value) == ("(1+0j)" if m + n == 0 else "0j")
+
+    @pytest.mark.parametrize("legacy, gen", [("momentum_I", "P"), ("position_I", "X"), ("kinetic_I2", "P2")])
+    def test_legacy_kind_strings(self, legacy, gen):
+        table = build_coeff_table(legacy, -3.2, 8)
+        assert table.kind is Generator(gen)
+        assert repr(table) == repr(build_coeff_table(gen, -3.2, 8))
 
     def test_evolve_h1_phases(self):
         state0 = evolve_H1(0, 1.2, omega1=1.5)
@@ -637,8 +654,9 @@ class TestSineTransformEngine:
             lambda: evolve_P(0, -16.5),
             lambda: evolve_P2_level1(9.0),
             lambda: element_table("X", 17.0, 3),
-            lambda: build_coeff_table(CoeffKind.POSITION_I, 17.0, 4),
-            lambda: build_coeff_table(CoeffKind.KINETIC_I2, -8.5, 4),
+            lambda: build_coeff_table(Generator.X, 17.0, 4),
+            lambda: build_coeff_table(Generator.P2, -8.5, 4),
+            lambda: build_coeff_table("H1", 1.0, 4),
             lambda: evolve("H1", 0, 1.0),
         ],
     )
@@ -647,38 +665,39 @@ class TestSineTransformEngine:
             call()
 
 
-def reference_coefficient(kind, m, n, t):
-    """I[m, n](t) (I2 for the kinetic kind) from the Bessel and 1F1 closed forms, at 30 digits."""
+def reference_coefficient(gen, m, n, t):
+    """I[m, n](t) (I2 for P2) from the Bessel and 1F1 closed forms, at 30 digits."""
     s = m + n
-    if kind is CoeffKind.KINETIC_I2:
+    if gen is Generator.P2:
         return (-1) ** m * closed_form_column("P2", 0, t, s + 1)[s]
     value = (-1) ** s * closed_form_column("P", 0, t, s + 1)[s]  # I[0, s]
-    return 1j**s * value if kind is CoeffKind.POSITION_I else (-1) ** m * value
+    return 1j**s * value if gen is Generator.X else (-1) ** m * value
 
 
 class TestCoefficientDomainEdges:
     @pytest.mark.parametrize(
-        "kind, t",
-        [(kind, t) for kind in (CoeffKind.MOMENTUM_I, CoeffKind.POSITION_I) for t in (15.9, -16.0)]
-        + [(CoeffKind.KINETIC_I2, t) for t in (7.9, -8.0)],
+        "gen, t",
+        [(gen, t) for gen in (Generator.P, Generator.X) for t in (15.9, -16.0)]
+        + [(Generator.P2, t) for t in (7.9, -8.0)],
+        ids=KIND_IDS.get,
     )
-    def test_tables_against_mpmath(self, kind, t):
-        table = build_coeff_table(kind, t, 20)
-        want = {s: reference_coefficient(kind, 0, s, t) for s in range(21)}
+    def test_tables_against_mpmath(self, gen, t):
+        table = build_coeff_table(gen, t, 20)
+        want = {s: reference_coefficient(gen, 0, s, t) for s in range(21)}
         for (m, n), value in table.entries.items():
-            ref = want[m + n] * (1 if kind is CoeffKind.POSITION_I else (-1) ** m)
+            ref = want[m + n] * (1 if gen is Generator.X else (-1) ** m)
             assert abs(value - ref) <= 1e-11
-        assert route_gap(kind, t, 20) <= checks.COEFF_ROUTE_TOL
+        assert route_gap(gen, t, 20) <= checks.COEFF_ROUTE_TOL
 
     @pytest.mark.parametrize("t", [15.9, -16.0])
     def test_coeff_I_against_mpmath(self, t):
         for m, n in ((0, 0), (0, 8), (3, 5), (5, 15)):
-            assert abs(coeff_I(m, n, t) - reference_coefficient(CoeffKind.MOMENTUM_I, m, n, t)) <= 1e-11
+            assert abs(coeff_I(m, n, t) - reference_coefficient(Generator.P, m, n, t)) <= 1e-11
 
     @pytest.mark.parametrize("t", [7.9, -8.0])
     def test_coeff_I2_against_mpmath(self, t):
         for m, n in ((0, 0), (0, 8), (3, 5), (5, 15)):
-            assert abs(coeff_I2(m, n, t) - reference_coefficient(CoeffKind.KINETIC_I2, m, n, t)) <= 1e-11
+            assert abs(coeff_I2(m, n, t) - reference_coefficient(Generator.P2, m, n, t)) <= 1e-11
 
     @pytest.mark.parametrize("t", [12.0, 15.9, 16.0])
     def test_char_functions_against_mpmath(self, t):
@@ -688,3 +707,51 @@ class TestCoefficientDomainEdges:
             want_state = complex(sum((-1) ** m * (2 * m + 1) * mp.besselj(2 * m + 1, 2 * tt) / tt for m in range(3)))
         assert abs(char_function("P", t) - want) <= 1e-13
         assert abs(state_char_function(2, t) - want_state) <= 1e-13
+
+
+@lru_cache(maxsize=None)
+def bessel_2t(n, t):
+    """J_n(2t) for any integer n, from mpmath at 30 digits: J_{-n} = (-1)^n J_n."""
+    with mp.workdps(30):
+        value = float(mp.besselj(abs(n), 2 * mp.mpf(t)))
+    return -value if n < 0 and n % 2 else value
+
+
+def x_image(l, k, t):
+    """<l|e^{itX}|k> = i^(l-k) J_{l-k}(2t) - i^(l+k+2) J_{l+k+2}(2t): the half-line by the method of images."""
+    return 1j ** ((l - k) % 4) * bessel_2t(l - k, t) - 1j ** ((l + k + 2) % 4) * bessel_2t(l + k + 2, t)
+
+
+class TestHalfLineImages:
+    """The engine against the image formulas, which need no truncation (the oracle past the dense cap).
+
+    P = D X D* with D = diag(i^l) multiplies the X image by i^(l-k), and
+    on odd levels l = 2j+1, k = 2j'+1 the kinetic group is
+    (-1)^(j-j') e^{2it} times the X image at (j, j').
+    """
+
+    @pytest.mark.parametrize("gen", ["P", "X"])
+    @pytest.mark.parametrize("t", [0.3, -1.7, 12.3, 16.0, -16.0])
+    def test_translation_and_position_groups(self, gen, t):
+        for k in (0, 3, 11):
+            state = evolve(gen, k, t, tol=1e-13)
+            for l, value in enumerate(state.amplitudes):
+                phase = 1j ** ((l - k) % 4) if gen == "P" else 1.0
+                assert abs(value - phase * x_image(l, k, t)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.3, -1.7, 4.0, 8.0, -8.0])
+    def test_odd_kinetic_sector(self, t):
+        for k in (1, 3, 11):
+            state = evolve("P2", k, t, tol=1e-13)
+            for l, value in enumerate(state.amplitudes):
+                j, jk = (l - 1) // 2, (k - 1) // 2
+                want = (-1) ** (j - jk) * cmath.exp(2j * t) * x_image(j, jk, t) if l % 2 else 0.0
+                assert abs(value - want) <= 1e-13
+
+    def test_position_group_from_level_1500(self):
+        # |J_n(x)| <= (x/2)^n / n!, so below level k - 100 both image terms are under 2 * 16^100/100! < 1e-37
+        k, t = 1500, 16.0
+        amplitudes = evolve("X", k, t, tol=1e-12).amplitudes
+        assert np.max(np.abs(amplitudes[: k - 100])) <= 1e-12
+        for l in range(k - 100, amplitudes.size):
+            assert abs(amplitudes[l] - x_image(l, k, t)) <= 1e-12
