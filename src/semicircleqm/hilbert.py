@@ -41,7 +41,12 @@ _KAPTEYN_TOL = 1e-12  # truncation of the Kapteyn series
 
 @dataclass(frozen=True)
 class ChebSeries:
-    """Function on [-2, 2] as coefficients over the monic second-kind basis."""
+    """Function on [-2, 2] as coefficients over the monic second-kind basis.
+
+    The coefficients run along the last axis; any leading axes are a
+    batch of series, and every method and transform acts on each series
+    of the batch as on that series alone.
+    """
 
     coeffs: np.ndarray
 
@@ -51,41 +56,43 @@ class ChebSeries:
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
 
-    def norm_sq(self) -> float:
-        """Squared L2(mu) norm: the basis is orthonormal."""
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+    def norm_sq(self):
+        """Squared L2(mu) norm: the basis is orthonormal.  A float, or an array of the batch shape."""
+        sq = np.sum(np.abs(self.coeffs) ** 2, axis=-1)
+        return sq if sq.ndim else float(sq)
 
     def evaluate(self, x):
         vals = phi_all(self.degree, x)
-        return np.tensordot(self.coeffs, vals, axes=(0, 0))
+        return np.tensordot(self.coeffs, vals, axes=(-1, 0))
 
 
 @dataclass(frozen=True)
 class TChebSeries:
-    """Coefficients over the monic first-kind basis T_0, T_1, ..."""
+    """Coefficients over the monic first-kind basis T_0, T_1, ..., along the last axis as in `ChebSeries`."""
 
     coeffs: np.ndarray
 
 
 def hilbert_mu_spectral(f: ChebSeries) -> TChebSeries:
-    """Spectral transform: sum c_n Phi_n maps to sum c_n T_{n+1} exactly."""
-    out = np.zeros(f.coeffs.size + 1, dtype=complex)
-    out[1:] = f.coeffs
+    """Spectral transform: sum c_n Phi_n maps to sum c_n T_{n+1} exactly, for each series along the last axis."""
+    c = f.coeffs
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,), dtype=complex)
+    out[..., 1:] = c
     return TChebSeries(out)
 
 
 def t_to_phi(series: TChebSeries) -> ChebSeries:
-    """Re-expand a first-kind series over the second-kind basis.
+    """Re-expand a first-kind series over the second-kind basis, for each series along the last axis.
 
     Uses T_0 = 2 Phi_0 and T_j = Phi_j - Phi_{j-2} (j >= 1, Phi_{-1} = 0).
     """
     d = series.coeffs
-    out = np.zeros(d.size, dtype=complex)
-    out[0] += 2.0 * d[0]
-    out[1:] += d[1:]
-    out[:-2] -= d[2:]
+    out = np.zeros(d.shape, dtype=complex)
+    out[..., 0] += 2.0 * d[..., 0]
+    out[..., 1:] += d[..., 1:]
+    out[..., :-2] -= d[..., 2:]
     return ChebSeries(out)
 
 
@@ -99,13 +106,17 @@ def hilbert_mu_pv(f, x, m: int = 2048):
 
     x is a scalar (returns a float) or an array (returns an array of its
     shape); f is evaluated once on the nodes and once on all points, so
-    it must be evaluable on arrays over [-2, 2].  The point-node kernel
-    w(y) / (x - y) is formed once per call, and the sum is taken as
-    2 sum (f(y) - f(x)) kernel + f(x) x, so the subtracted integrand
-    stays bounded.  An f that returns k functions stacked on a new first
-    axis (such as `phi_all(n, y)`) is transformed row by row against
-    that one kernel, and the result has shape (k,) + shape(x); each row
-    equals the call with that row's function alone, bit for bit.
+    it must be evaluable on arrays over [-2, 2].  With the point-node
+    kernel w(y) / (x - y), the sum 2 sum (f(y) - f(x)) kernel + f(x) x
+    is taken as one contraction of the node values with the kernel,
+    less f(x) times the kernel's row sum, over every node but the one
+    nearest each point; that node's term keeps the subtracted form
+    (f(y) - f(x)) kernel, which stays bounded where the kernel does not.
+    An f that returns k functions stacked on a new first axis (such as
+    `phi_all(n, y)`) is transformed in the same contraction, and the
+    result has shape (k,) + shape(x); each row equals the call with that
+    row's function alone, and each point the call at that point alone,
+    bit for bit.
 
     Raises:
         DomainError: if any point is not interior to [-2, 2].
@@ -115,23 +126,23 @@ def hilbert_mu_pv(f, x, m: int = 2048):
     xs = check_support(x, 2.0**-52).reshape(-1)  # 2 - 2^-52 is the largest double below 2
     nodes, weights = quadrature_rule(m)
     dist = xs[:, None] - nodes
-    gap = np.min(np.abs(dist), axis=1)
+    points = np.arange(xs.size)
+    near = np.argmin(np.abs(dist), axis=1)
+    gap = np.abs(dist[points, near])
     if np.min(gap) < 1e-12:
         raise SingularNodeError(f"x={xs[np.argmin(gap)]} coincides with a quadrature node for m={m}")
     kernel = weights / dist
+    near_kernel = kernel[points, near]
+    kernel[points, near] = 0.0
     vals = np.asarray(f(nodes))
     stacked = vals.ndim > 1
-    rows = len(vals) if stacked else 1
-    fx = np.asarray(f(xs)).reshape(rows, -1)
-    # one row at a time: a (rows, points, nodes) temporary would cost far more memory
-    out = np.stack(
-        [
-            2.0 * np.sum((v - f_x[:, None]) * kernel, axis=1) + f_x * xs
-            for v, f_x in zip(vals.reshape(rows, -1), fx)
-        ]
-    )
+    vals = vals.reshape(-1, m)
+    fx = np.asarray(f(xs)).reshape(len(vals), -1)
+    # einsum sums each entry over the nodes in one order, whatever the number of rows and points
+    far = np.einsum("rj,pj->rp", vals, kernel) - fx * np.sum(kernel, axis=1)
+    out = 2.0 * (far + (vals[:, near] - fx) * near_kernel) + fx * xs
     if stacked:
-        return out.reshape((rows,) + np.shape(x))
+        return out.reshape((len(vals),) + np.shape(x))
     return out[0].reshape(np.shape(x)) if np.ndim(x) else float(out[0, 0])
 
 
@@ -139,13 +150,14 @@ def momentum_apply(f: ChebSeries) -> ChebSeries:
     """Momentum action i (H f) re-expanded over the second-kind basis.
 
     On coefficients this is out_k = i (c_{k-1} - c_{k+1}), identical to
-    the tridiagonal matrix i (raising - lowering).
+    the tridiagonal matrix i (raising - lowering), for each series along
+    the last axis.
     """
     return ChebSeries(1j * t_to_phi(hilbert_mu_spectral(f)).coeffs)
 
 
 def kinetic_apply(f: ChebSeries) -> ChebSeries:
-    """Half-square of the momentum: (1/2) P^2 f = -(1/2) H(H f)."""
+    """Half-square of the momentum: (1/2) P^2 f = -(1/2) H(H f), for each series along the last axis."""
     once = momentum_apply(f)
     twice = momentum_apply(once)
     return ChebSeries(0.5 * twice.coeffs)

@@ -44,8 +44,9 @@ class ExpmResult:
 
 def _norm2_upper(mat: np.ndarray) -> float:
     """Cheap upper bound for the spectral norm: sqrt(norm1 * norm_inf)."""
-    n1 = float(np.max(np.sum(np.abs(mat), axis=0)))
-    ninf = float(np.max(np.sum(np.abs(mat), axis=1)))
+    mag = np.abs(mat)
+    n1 = float(np.max(np.sum(mag, axis=0)))
+    ninf = float(np.max(np.sum(mag, axis=1)))
     return float(np.sqrt(n1 * ninf))
 
 

@@ -16,8 +16,10 @@ nothing, and the final division is the only rounding.  Each reports a
 geometric bound on the omitted tail and that one rounding.
 `_exact_series` sums one series and the J pass every order of one
 argument; both hold the same integers and stop by one rule,
-`_series_stop`, which bit-length tests let them try about once per
-series.
+`_tail_stop`, which bit-length tests let them try about once per
+series.  The J pass, whose series are real, applies it to integers and
+rounds to a float; `_exact_series` through `_series_stop`, which
+rounds to a complex value.
 This is a deliberate small-to-moderate-argument design: the argument
 range is capped (|x| <= 64) and no asymptotic expansions are used.
 """
@@ -139,26 +141,17 @@ def _exact_series(
 def _series_stop(
     re: int, im: int, den: int, term_re: int, term_im: int, r_den: int, q: float, relative: bool
 ) -> tuple[complex, float, float] | None:
-    """The stop rule of every exactly summed series: (value, tail bound, rounding bound), or None to go on.
+    """The stop of `_exact_series`: (value, tail bound, rounding bound), or None to go on.
 
-    The partial sum is (re + i im)/den, the next term (term_re + i
-    term_im)/(den r_den), and q bounds the ratio of every later term to
-    the one before.  The terms stop once the geometric bound on the
-    rest, (|term_re| + |term_im|)/(den r_den)/(1 - q), evaluated in
-    logs, is at most eps max(1, |partial sum|), or eps max(|Re|, |Im|)
-    of the partial sum if relative (a zero partial sum then stops only
-    at a zero term); a zero term ends the series, since every later term
-    is a multiple of it.  The value is the partial sum correctly rounded
-    (divided out only once a relative stop holds) and the rounding bound
-    eps (|Re| + |Im|) of it.  Where these underflow, the least subnormal
-    5e-324 bounds them instead: the tail bound whenever a nonzero term
-    is omitted, the rounding whenever the exact sum is nonzero.  Callers
-    skip it, by bit lengths, wherever it cannot stop.
+    The partial sum is (re + i im)/den and the next term (term_re + i
+    term_im)/(den r_den); `_tail_stop` decides, on the tail
+    |term_re| + |term_im| against the scale max(1, |partial sum|), or
+    max(|Re|, |Im|) of the exact partial sum if relative (a zero partial
+    sum then stops only at a zero term).  The value is the partial sum
+    correctly rounded (divided out only once a relative stop holds) and
+    the rounding bound eps (|Re| + |Im|) of it, or the least subnormal
+    5e-324 where that underflows and the exact sum is nonzero.
     """
-    if q >= 1.0:
-        return None
-    tail = abs(term_re) + abs(term_im)
-    log_tail = log(tail) - log(den * r_den) - log1p(-q) if tail else -inf
     if not relative:
         value = complex(re / den, im / den)
         log_scale = log(max(1.0, abs(value)))
@@ -167,14 +160,33 @@ def _series_stop(
         log_scale = log(max(abs(re), abs(im))) - log(den)
     else:
         log_scale = -inf
-    if log_tail > _LOG_EPS + log_scale:
+    tail_bound = _tail_stop(abs(term_re) + abs(term_im), den * r_den, q, log_scale)
+    if tail_bound is None:
         return None
     if relative:
         value = complex(re / den, im / den)
-    # a nonzero tail or sum that underflows is still at most the least subnormal
-    tail_bound = max(exp(log_tail), _TINIEST) if tail else 0.0
     rounding = max(_EPS * (abs(value.real) + abs(value.imag)), _TINIEST) if re or im else 0.0
     return value, tail_bound, rounding
+
+
+def _tail_stop(tail: int, den: int, q: float, log_scale: float) -> float | None:
+    """The stop rule of every exactly summed series: the tail bound, or None to go on.
+
+    The next term is tail/den in absolute value, and q bounds the ratio
+    of every later term to the one before.  The terms stop once the
+    geometric bound on the rest, tail/den/(1 - q), evaluated in logs, is
+    at most eps exp(log_scale); a zero term ends the series, since every
+    later term is a multiple of it.  The bound returned is at least the
+    least subnormal 5e-324 unless the tail is 0, so a nonzero omitted
+    term that underflows keeps a nonzero bound.  Callers skip it, by bit
+    lengths, wherever it cannot stop.
+    """
+    if q >= 1.0:
+        return None
+    log_tail = log(tail) - log(den) - log1p(-q) if tail else -inf
+    if log_tail > _LOG_EPS + log_scale:
+        return None
+    return max(exp(log_tail), _TINIEST) if tail else 0.0
 
 
 def _miller(x: float, start: int) -> tuple[np.ndarray, float]:
@@ -285,7 +297,7 @@ def bessel_j_series_orders(orders, x: float) -> tuple[SeriesResult, ...]:
     term ratio -x^2 / (4 (p+1) (n+p+1)): partial sum k is an integer over
     k! (n+k)! 2^(s(n+2k)), and partial sum k+1 is that integer times
     (k+1)(n+k+1) 2^(2s) plus the numerator of term k+1.  Each order
-    stops by `_series_stop`, as `_exact_series` does, with the same tail
+    stops by `_tail_stop`, as `_exact_series` does, with the same tail
     bound and the same one rounding: at the first partial sum that the
     geometric bound on the rest, with ratio bound x^2 / (4 (k+2)(n+k+2)),
     puts at most eps times itself, or at a zero term.  The orders of one
@@ -340,9 +352,11 @@ def bessel_j_series_orders(orders, x: float) -> tuple[SeriesResult, ...]:
                     sign = -1 if k % 2 else 1
                     den = factorial(k) * factorial(n + k) << shift * (n + 2 * k)
                     q = quarter_x2 / ((k + 2) * (n + k + 2)) if v else 0.0
-                    stop = _series_stop(sign * acc, 0, den, -sign * v, 0, m, q, True)
-                    if stop:
-                        found = SeriesResult(stop[0].real, k + 1, *stop[1:])
+                    tail_bound = _tail_stop(abs(v), den * m, q, log(abs(acc)) - log(den) if acc else -inf)
+                    if tail_bound is not None:
+                        value = sign * acc / den
+                        rounding = max(_EPS * abs(value), _TINIEST) if acc else 0.0
+                        found = SeriesResult(value, k + 1, tail_bound, rounding)
                         break
                 acc = v - scaled
             else:

@@ -179,19 +179,19 @@ MUTANTS = [
     Mutant(checks.spectral_transform, (hilbert, "t_to_phi"),
            moved(1e-12, 0, "coeffs", lambda a: a["series"].coeffs.size <= 14),
            lines=(("spectral transform path", {}),)),
-    # the top coefficient of an image of 17 coefficients: the kinetic check reads only the lowest 16
+    # the top coefficient of every image of 17 coefficients: the kinetic check reads only the lowest 16
     Mutant(checks.momentum_realization, (hilbert, "momentum_apply"),
-           moved(1e-6, 17, "coeffs", lambda a: a["f"].coeffs.size == 17),
+           moved(1e-6, (..., 17), "coeffs", lambda a: a["f"].coeffs.shape[-1] == 17),
            (SPECTRAL[0],), (("momentum action equals tridiagonal matrix", {}),)),
-    # 1e-9 f_0 along (1, 0, 1, ..., 1, 0) on the image of 17 coefficients: a move that is not
+    # 1e-9 f_0 along (1, 0, 1, ..., 1, 0) on every image of 17 coefficients: a move that is not
     # skew-adjoint, below the action's 1e-8, and one that the 16 rows the kinetic check reads
     # of the second application annihilate
     Mutant(checks.momentum_realization, (hilbert, "t_to_phi"),
-           lambda true: lambda series: true(series) if series.coeffs.size != 18 else hilbert.ChebSeries(
-               true(series).coeffs + 1e-9 * series.coeffs[1] * (np.arange(18) % 2 == 0)),
+           lambda true: lambda series: true(series) if series.coeffs.shape[-1] != 18 else hilbert.ChebSeries(
+               true(series).coeffs + 1e-9 * series.coeffs[..., 1:2] * (np.arange(18) % 2 == 0)),
            (SPECTRAL[1],), (("transform skew-adjointness (50 pairs)", {}),), "skew"),
     Mutant(checks.kinetic_action, (hilbert, "kinetic_apply"),
-           moved(1e-9, 0, "coeffs"),
+           moved(1e-9, (..., 0), "coeffs"),
            (SPECTRAL[2],)),
     Mutant(checks.weight_norm, (hilbert, "rho_weight"),
            lambda true: lambda x: true(x) * (1.0 + 1e-6),

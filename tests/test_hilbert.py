@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from semicircleqm import checks
+from semicircleqm import checks, hilbert
 from semicircleqm.exceptions import DomainError, SingularNodeError
 from semicircleqm.hilbert import (
     ChebSeries,
@@ -133,6 +133,17 @@ class TestPrincipalValue:
             )
             assert float(np.max(np.abs(stacked[n] - want))) <= 1e-13
 
+    @pytest.mark.parametrize("offset", [-1e-11, -1.5e-12, 1.5e-12, 1e-11])
+    def test_points_next_to_a_node(self, offset):
+        # between the 1e-12 singular guard and ordinary points the nearest node's kernel entry is
+        # about w/offset; its term keeps the subtracted form, without which the points at 1.5e-12
+        # miss the tolerance (3.1e-6)
+        nodes, _ = quadrature_rule(2048)
+        xs = nodes[[300, 1024, 1900]] + offset
+        got = hilbert_mu_pv(lambda y: phi_all(12, y), xs, 2048)
+        want = np.array([t_cheb(n + 1, xs) for n in range(13)])
+        assert float(np.max(np.abs(got - want))) <= checks._QUAD_TOL_PV
+
     def test_one_node_collision_in_array_rejected(self):
         nodes, _ = quadrature_rule(64)
         xs = np.array([-1.1, 0.3, float(nodes[10]), 1.5])
@@ -180,6 +191,45 @@ class TestMomentumRealization:
 
     def test_kinetic_matches_half_square(self):
         assert checks.kinetic_action(2, samples=10) <= 1e-12
+
+    def test_no_series_gives_zero(self):
+        assert checks.momentum_realization(0, samples=0, pairs=0) == (0.0, 0.0)
+        assert checks.kinetic_action(0, samples=0) == 0.0
+
+    @pytest.mark.parametrize("shape", [(20, 17), (5, 3, 17)])
+    def test_batch_equals_one_series_calls_bit_for_bit(self, shape):
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        series = coeffs.reshape(-1, shape[-1])
+        for fn, arg in (
+            (hilbert_mu_spectral, ChebSeries.from_coeffs),
+            (t_to_phi, TChebSeries),
+            (momentum_apply, ChebSeries.from_coeffs),
+            (kinetic_apply, ChebSeries.from_coeffs),
+        ):
+            batch = fn(arg(coeffs)).coeffs
+            singles = np.array([fn(arg(c)).coeffs for c in series])
+            assert batch.shape == shape[:-1] + singles.shape[1:]
+            assert batch.reshape(singles.shape).tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_criteria_draw_the_sequential_series(self, monkeypatch, seed):
+        # the series in the order of per-series draws standard_normal(17) + 1j * standard_normal(17):
+        # the action's samples, then the pairs f, g, then the kinetic check's samples
+        draws = np.random.default_rng(seed)
+        want = np.array([draws.standard_normal(17) + 1j * draws.standard_normal(17) for _ in range(20 + 2 * 50 + 10)])
+        seen = []
+        for name in ("momentum_apply", "hilbert_mu_spectral", "kinetic_apply"):
+            true = getattr(hilbert, name)
+            monkeypatch.setattr(hilbert, name, lambda f, true=true: seen.append(f.coeffs) or true(f))
+        rng = np.random.default_rng(seed)
+        checks.momentum_realization(rng, 20, 50)
+        checks.kinetic_action(rng, 10)
+        # momentum_apply also transforms spectrally, and kinetic_apply applies the momentum twice
+        action, f, g, kinetic = seen[0], seen[2], seen[3], seen[4]
+        assert action.tobytes() == want[:20].tobytes()
+        assert f.tobytes() == want[20:120:2].tobytes() and g.tobytes() == want[21:120:2].tobytes()
+        assert kinetic.tobytes() == want[120:].tobytes()
 
     def test_kinetic_of_zero(self):
         out = kinetic_apply(ChebSeries.from_coeffs(np.zeros(5)))
