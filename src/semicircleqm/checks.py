@@ -430,19 +430,18 @@ def group_law(pairs: dict) -> float:
 
 
 def evolutions_vs_oracle(generator: str, ts, ks, tol: float, rows: int | None = None) -> tuple[float, float]:
-    """(amplitudes, reassembly): columns k of e^{itG} against the Taylor action on basis vector k.
+    """(amplitudes, reassembly): columns k of e^{itG} against the Taylor action on basis vectors ks.
 
     The engine's columns, evolved to tol, and for G = P (else 0) the
     coefficients reassembled by `matrix_element_P`, which `evolve_P`
-    does not read; on the levels below rows (default: all shared).  G
-    is truncated at `oracle.truncation_level(t, max(ks), 1e-10)`.
+    does not read; on the levels below rows (default: all shared).  The
+    reference columns of each t are one block, certified to 1e-10 by the
+    doubling of `oracle.truncation_level`.
     """
     amplitudes = reassembly = 0.0
     for t in ts:
-        dim = oracle.truncation_level(t, max(ks), 1e-10, generator)
-        op = oracle._generator(generator, dim)
-        for k in ks:
-            ref = oracle.expm_apply(op, 1j * t, fock.basis(k, dim), 1e-12).vector
+        block = oracle._certified_columns(generator, t, ks, 1e-10)
+        for ref, k in zip(block.T, ks):
             state = evolution.evolve(generator, k, t, tol=tol)
             top = min(ref.size, state.amplitudes.size)
             top = top if rows is None else min(top, rows)
@@ -454,31 +453,30 @@ def evolutions_vs_oracle(generator: str, ts, ks, tol: float, rows: int | None = 
 
 
 def element_tables(generator: str, ts, size: int) -> float:
-    """Largest gap of `element_table` to the dense exponential of the truncated G on the size x size block."""
+    """Largest gap of `element_table` to columns 0..size-1 of e^{itG}, one certified block of Taylor actions."""
     worst = 0.0
     for t in ts:
-        dim = oracle.truncation_level(t, size - 1, 1e-10, generator)
-        u, _, _ = oracle.expm_matrix(oracle._generator(generator, dim), 1j * t)
+        block = oracle._certified_columns(generator, t, range(size), 1e-10)
         table = evolution.element_table(generator, t, size - 1)
-        worst = max(worst, float(np.max(np.abs(table - u[:size, :size]))))
+        worst = max(worst, float(np.max(np.abs(table - block[:size]))))
     return worst
 
 
 def heisenberg_conjugation(generator: str, ts, rows: int, cols: int) -> float:
-    """Largest gap of `heisenberg_block` to U a+ U* - a+ on the rows x cols block.
+    """Largest gap of `heisenberg_block` to U a+ U* - a+ on the rows x cols block, U = e^{itG}.
 
-    U is the dense exponential of G truncated at `truncation_level(t,
-    max(rows, cols, 8), 1e-10)`: the conjugation needs whole rows of U,
-    which one dense exponential gives more cheaply than the actions.
+    With V = U* = e^{-itG}, whose columns are Taylor actions,
+    (U a+ U* - a+)[m, n] = sum_l conj(V[l+1, m]) V[l, n] - delta_{m, n+1}:
+    every entry reads two columns of V and no row of U.  Columns
+    0..max(rows, cols, 8) of V are one block, certified to 1e-10 by the
+    doubling of `oracle.truncation_level`.
     """
     worst = 0.0
     for t in ts:
-        dim = oracle.truncation_level(t, max(rows, cols, 8), 1e-10, generator)
-        u, _, _ = oracle.expm_matrix(oracle._generator(generator, dim), 1j * t)
-        ap = fock.build_creation(dim)
-        conj = u @ ap @ u.conj().T - ap
+        v = oracle._certified_columns(generator, -t, range(max(rows, cols, 8) + 1), 1e-10)
+        conj = v[1:, :rows].conj().T @ v[:-1, :cols] - np.eye(rows, cols, -1)
         block = evolution.heisenberg_block(generator, t, rows - 1, cols - 1)
-        worst = max(worst, float(np.max(np.abs(block - conj[:rows, :cols]))))
+        worst = max(worst, float(np.max(np.abs(block - conj))))
     return worst
 
 

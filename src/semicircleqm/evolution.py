@@ -179,7 +179,8 @@ def _engine_value(gen: Generator, s: int, column: np.ndarray) -> float | complex
 def _entry(gen: Generator, value: float | complex, m: int, s: int) -> complex:
     """Coefficient (m, s-m) from the [0, s] coefficient; an exact zero gives 0j, with no -0.0 part."""
     if gen is Generator.X:
-        return (1j) ** s * value if value else 0j  # the phase would put -0.0 parts on a zero
+        part = (1.0 if s % 4 < 2 else -1.0) * value + 0.0  # i^s is 1, i, -1 or -i
+        return complex(part, 0.0) if s % 2 == 0 else complex(0.0, part)
     if gen is Generator.P2 and s % 2 == 1:
         return 0j
     return complex((-1.0) ** m * value + 0.0)  # + 0.0 clears the sign put on an exact 0.0

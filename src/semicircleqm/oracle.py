@@ -3,25 +3,30 @@
 Two plain Taylor evaluations of the matrix exponential, each with an
 explicit remainder bound ||B||^(k+1)/(k+1)! e^(||B||), share no code
 with the Bessel or hypergeometric coefficient paths they are used to
-check.  `expm_apply` applies e^(zA) to one vector in s Taylor steps of
-norm at most 4 (the action of Al-Mohy and Higham, SIAM J. Sci. Comput.
-33, 2011): O(n^2 ||zA||) work, and the n x n exponential is never
-formed.  `expm_matrix` forms the whole matrix by scaling and squaring,
-for callers that need every entry.  Both take the operator as a
-square array, the output of the `fock` builders, and `expm_apply` the
-vector as a 1-d array of its length.  Also provides quadrature
-reference integrals against the semicircle measure.
+check.  `expm_apply` applies e^(zA) to a vector, or to an n x c block of
+column vectors in one pass, in s Taylor steps of norm at most 4 (the
+action of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011): O(n^2 c
+||zA||) work, and the n x n exponential is never formed.  As in that
+algorithm, zA is first shifted by mu = trace(zA)/n and the result is
+multiplied back by e^mu; the diagonal of the number operator and of P^2
+then costs about half the Taylor terms.
+`expm_matrix` forms the whole matrix by scaling and squaring; the
+criteria in `checks` read columns of `expm_apply` only.  Both take the
+operator as a square array, the output of the `fock` builders.
+`truncation_level` certifies a truncation dimension by doubling.  Also
+provides quadrature reference integrals against the semicircle measure.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import ceil, exp, log2
+from math import ceil, exp, log, log2
 
 import numpy as np
 
 from .exceptions import ConvergenceError, DimensionError, DomainError, check_finite, check_index, check_positive
-from .fock import basis, build_momentum, build_position
+from .fock import build_momentum, build_position
 from .orthopoly import quadrature_rule
 from .specfun import _tail_index
 
@@ -31,6 +36,10 @@ _MAX_TAYLOR_TERMS = 64
 # 4^4/4! ||w|| < 11 ||w||.  Against mpmath at dim 512, t = 64 the error is 1.4e-15,
 # against 1.3e-14 at 8 and 2.9e-13 at 12, which save at most a third of the terms.
 _STEP_NORM = 4.0
+# Taylor tolerance of the actions behind a certified block of columns, which the criteria read
+# as a reference: at 1e-12 the translation line of gate criterion 6 read its truncation, 1.2e-13
+_REFERENCE_TOL = 1e-16
+_LOG_FLOAT_MAX = log(sys.float_info.max)  # e^x overflows past this x
 
 
 @dataclass(frozen=True)
@@ -45,8 +54,8 @@ class ExpmResult:
 def _norm2_upper(mat: np.ndarray) -> float:
     """Cheap upper bound for the spectral norm: sqrt(norm1 * norm_inf)."""
     mag = np.abs(mat)
-    n1 = float(np.max(np.sum(mag, axis=0)))
-    ninf = float(np.max(np.sum(mag, axis=1)))
+    n1 = float(mag.sum(axis=0).max())
+    ninf = float(mag.sum(axis=1).max())
     return float(np.sqrt(n1 * ninf))
 
 
@@ -113,34 +122,58 @@ def expm_matrix(op: np.ndarray, z: complex, tol: float = 1e-13) -> tuple[np.ndar
     return result, terms, err
 
 
-def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) -> ExpmResult:
-    """Apply e^(z A) to a vector with a certified residual bound, never forming e^(z A).
+def _column_norms(w: np.ndarray):
+    """The norm of each column of an n x c block, or of a vector."""
+    return np.linalg.norm(w, axis=0) if w.ndim == 2 else np.linalg.norm(w)
 
-    With s = ceil(||zA|| / 4) and B = zA / s, the result is s steps
-    w <- T_k(B) w of the Taylor polynomial T_k of e^B.  Each step takes
-    the fewest terms whose remainder bound ||B||^(k+1)/(k+1)! e^(||B||) ||w||
-    is at most tol ||v|| / s, divided by e^(||B||) for every later step
-    when zA is not skew-Hermitian, since those steps can amplify its
-    error by that much.  residual_bound is the sum of the step bounds so
-    amplified, at most tol ||v||, and series_terms the number of Taylor
-    terms over all steps.  For skew-Hermitian z A the result norm is
-    asserted to match the input norm to 1e-12 (relative).  The operator
-    must be square and v a vector of its length.
+
+def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) -> ExpmResult:
+    """Apply e^(z A) to a vector or to a block of columns with a certified residual bound, never forming e^(z A).
+
+    v is a vector of the operator's length or an n x c block of c >= 1
+    columns, acted on in one pass; `vector` has v's shape.  With
+    mu = trace(zA)/n and the shifted C = zA - mu I, the result is
+    e^mu e^C v (a zero mu skips the shift, so a generator with an empty
+    diagonal, such as P or X, keeps the unshifted arithmetic).  mu is
+    the mean eigenvalue of zA, so C has a centred spectrum: the number
+    operator and P^2, whose spectra lie in [0, n-1] and [0, 4], take
+    about half the terms.  With s = ceil(||C|| / 4) and B = C / s,
+    e^C v is s steps w <- T_k(B) w of the Taylor polynomial T_k of e^B.
+    Each step takes the fewest terms whose remainder bound
+    ||B||^(k+1)/(k+1)! e^(||B||) ||w|| is at most
+    tol ||v|| / s, divided by e^(||B||) for every later step when zA is
+    not skew-Hermitian, since those steps can amplify its error by that
+    much, and by |e^mu| when that exceeds 1; for a block, ||w|| and ||v||
+    are the largest column norms.  residual_bound is the sum of the step
+    bounds so amplified, times |e^mu|: it bounds the error of every
+    column and is at most tol ||v||.  series_terms is the number of
+    Taylor terms over all steps.  For skew-Hermitian z A the norm of
+    every result column is asserted to match that of its input column to
+    1e-12 (relative).
     """
     check_positive("tol", tol)
     za, nrm, skew = _scaled(op, z)
+    n = za.shape[0]
     w = np.asarray(v, dtype=complex)
-    if w.shape != za.shape[:1]:
-        raise DimensionError(f"operator dim {za.shape[0]} vs vector shape {w.shape}")
+    if w.ndim not in (1, 2) or w.shape[0] != n or w.size == 0:
+        raise DimensionError(f"operator dim {n} vs vector shape {w.shape}")
+    mu = complex(np.trace(za)) / n
+    if mu.real > _LOG_FLOAT_MAX:
+        raise ConvergenceError(f"e^mu overflows at mu = trace(zA)/n = {mu:.3e}")
+    if mu:
+        za = za - mu * np.eye(n)
+        nrm = _norm2_upper(za)
+    lift = exp(max(mu.real, 0.0))  # |e^mu| where it can amplify the error
     steps = max(1, ceil(nrm / _STEP_NORM))
     b = za / steps
     step_norm = nrm / steps
     log_growth = 0.0 if skew else step_norm  # log of a bound on ||e^B||
-    vnorm = float(np.linalg.norm(w))
+    vnorms = _column_norms(w)
+    vnorm = float(vnorms.max())
     err, total_terms = 0.0, 0
     for j in range(steps):
-        step_tol = tol * vnorm / steps * exp(-log_growth * (steps - 1 - j))
-        terms, bound = _taylor_terms(step_norm, float(np.linalg.norm(w)), step_tol)
+        step_tol = tol * vnorm / steps * exp(-log_growth * (steps - 1 - j)) / lift
+        terms, bound = _taylor_terms(step_norm, float(_column_norms(w).max()), step_tol)
         term = total = w
         for k in range(1, terms + 1):
             term = b @ term / k
@@ -148,8 +181,11 @@ def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) ->
         w = total
         err = exp(log_growth) * err + bound
         total_terms += terms
+    if mu:
+        w = np.exp(mu) * w
+        err *= exp(mu.real)
     if skew:
-        defect = abs(float(np.linalg.norm(w)) - vnorm)
+        defect = float(np.max(np.abs(_column_norms(w) - vnorms)))
         if defect > 1e-12 * max(1.0, vnorm) + err:
             raise ConvergenceError(f"norm preservation violated by {defect:.3e}")
     return ExpmResult(vector=w, series_terms=total_terms, residual_bound=err)
@@ -166,33 +202,50 @@ def _generator(kind: str, dim: int) -> np.ndarray:
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
-def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
-    """Truncation dimension adequate for evolving basis level k to accuracy tol.
+def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
+    """Columns ks of e^(itG), with G truncated where doubling certifies them to tol.
 
-    Doubling procedure: starting from a tail-bound-informed dimension,
-    compare the evolution computed at N and 2N and accept once they
-    agree below tol (the generator is banded, so amplitude reaches level
-    N only at series order ~N and the comparison certifies the tail).
-    For t = 0 the evolution is the identity and k + 2 suffices.
+    Doubling procedure: starting from a tail-bound-informed dimension
+    for the highest level, evolve the block of basis vectors ks at N and
+    2N, one `expm_apply` each, and accept once every column agrees below
+    tol (the generator is banded, so amplitude reaches level N only at
+    series order ~N and the comparison certifies the tail).  Returns the
+    accepted 2N x len(ks) block.  The actions run to min(tol / 10,
+    1e-16), so that the block is a reference to rounding.  For t = 0 the
+    evolution is the identity and dimension max(ks) + 2 suffices.
     """
     check_positive("tol", tol)
-    check_index("k", k)
+    ks = list(ks)
+    check_index("k", *ks)
+    top = max(ks)
     if t == 0.0:
-        return k + 2
+        return np.eye(top + 2, dtype=complex)[:, ks]
+
+    action_tol = min(tol / 10, _REFERENCE_TOL)
 
     def evolved(dim: int) -> np.ndarray:
-        return expm_apply(_generator(generator, dim), 1j * t, basis(k, dim), tol / 10).vector
+        return expm_apply(_generator(generator, dim), 1j * t, np.eye(dim, dtype=complex)[:, ks], action_tol).vector
 
-    n = max(k + 2, 8, k + _tail_index(0.0, abs(t), tol) // 2)
+    n = max(top + 2, 8, top + _tail_index(0.0, abs(t), tol) // 2)
     small = None
     while 2 * n <= _MAX_DIM:
         small = evolved(n) if small is None else small
         big = evolved(2 * n)  # the next doubling's small
-        defect = float(np.linalg.norm(big[:n] - small)) + float(np.linalg.norm(big[n:]))
-        if defect < tol:
-            return 2 * n
+        defect = np.linalg.norm(big[:n] - small, axis=0) + np.linalg.norm(big[n:], axis=0)
+        if np.max(defect) < tol:
+            return big
         n, small = 2 * n, big
-    raise ConvergenceError(f"no adequate truncation below {_MAX_DIM} for t={t}, k={k}")
+    raise ConvergenceError(f"no adequate truncation below {_MAX_DIM} for t={t}, k={top}")
+
+
+def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
+    """Truncation dimension adequate for evolving basis level k to accuracy tol.
+
+    The dimension at which the doubling of `_certified_columns` accepts
+    column k: the evolutions at N and 2N agree below tol.  For t = 0 the
+    evolution is the identity and k + 2 suffices.
+    """
+    return _certified_columns(generator, t, (k,), tol).shape[0]
 
 
 def semicircle_expectation(f, m: int = 256) -> float:

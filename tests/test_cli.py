@@ -206,6 +206,23 @@ class TestCoeffs:
         ]
         assert json.dumps(json.loads(out)["rows"]) == json.dumps(want)  # dumps keeps the sign of a zero
 
+    @pytest.mark.parametrize("t", [-3.2, 16.0])
+    def test_position_rows_print_no_negative_zero(self, capsys, t):
+        # entry (m, n) is i^(m+n) times a real value: real for even m + n, imaginary for odd,
+        # and its other part is +0 in both formats
+        status, out, _ = run_capture(capsys, command="coeffs", generator="X", t_values=[t], max_order=12)
+        assert status == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 91 and all("-0" not in row for row in rows)
+        assert all(row[4 if (int(row[0]) + int(row[1])) % 2 == 0 else 3] == "0" for row in rows)
+        status, out, _ = run_capture(
+            capsys, command="coeffs", generator="X", t_values=[t], max_order=12, output_format=OutputFormat.JSON
+        )
+        assert status == 0
+        for row in json.loads(out)["rows"]:
+            zero = row["im" if (row["m"] + row["n"]) % 2 == 0 else "re"]
+            assert zero == 0.0 and math.copysign(1.0, zero) == 1.0, row
+
     def test_rejects_harmonic(self, capsys):
         status, _, err = run_capture(capsys, command="coeffs", generator="H1", t_values=[0.5])
         assert status == 2

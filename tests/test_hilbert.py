@@ -133,16 +133,22 @@ class TestPrincipalValue:
             )
             assert float(np.max(np.abs(stacked[n] - want))) <= 1e-13
 
-    @pytest.mark.parametrize("offset", [-1e-11, -1.5e-12, 1.5e-12, 1e-11])
+    @pytest.mark.parametrize("offset", [-2e-10, -1.01e-10, 1.01e-10, 2e-10])
     def test_points_next_to_a_node(self, offset):
-        # between the 1e-12 singular guard and ordinary points the nearest node's kernel entry is
-        # about w/offset; its term keeps the subtracted form, without which the points at 1.5e-12
-        # miss the tolerance (3.1e-6)
+        # just outside the 1e-10 singular guard the nearest node's kernel entry is about w/offset and
+        # amplifies the rounding of f(y) - f(x); next to node 154 (x = 1.9438) the error against
+        # T_{n+1} is 1.2e-6 at 1.01e-12, inside the guard
         nodes, _ = quadrature_rule(2048)
-        xs = nodes[[300, 1024, 1900]] + offset
+        xs = nodes[[154, 300, 1024, 1900]] + offset
         got = hilbert_mu_pv(lambda y: phi_all(12, y), xs, 2048)
         want = np.array([t_cheb(n + 1, xs) for n in range(13)])
         assert float(np.max(np.abs(got - want))) <= checks._QUAD_TOL_PV
+
+    @pytest.mark.parametrize("offset", [-9.9e-11, -1.01e-12, 1.01e-12, 1e-11, 9.9e-11])
+    def test_points_inside_the_guard_are_refused(self, offset):
+        nodes, _ = quadrature_rule(2048)
+        with pytest.raises(SingularNodeError):
+            hilbert_mu_pv(lambda y: phi_all(12, y), nodes[154] + offset, 2048)
 
     def test_one_node_collision_in_array_rejected(self):
         nodes, _ = quadrature_rule(64)

@@ -1,6 +1,9 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicircleqm import oracle
 from semicircleqm.combinatorics import catalan
@@ -96,14 +99,62 @@ def random_hermitian(dim):
     return (mat + mat.conj().T) / (2.0 * np.sqrt(dim))
 
 
-# (operator, z): three skew-Hermitian exponents and one real exponent of the
-# position, whose exponential does not preserve the norm
+# (operator, z): three skew-Hermitian exponents and two real ones, whose exponentials do not
+# preserve the norm: the position, and the number operator, whose trace shift mu > 0 lifts the
+# result by e^mu
 ACTION_CASES = {
     "momentum": (build_momentum, 1.5j),
     "position, real z": (build_position, 0.5),
     "number": (lambda dim: build_number_function(dim, lambda n: n), 0.3j),
+    "number, real z": (lambda dim: build_number_function(dim, lambda n: n), 0.01),
     "random Hermitian": (random_hermitian, 2.0j),
 }
+
+
+def unshifted_action(op, z, v, tol=1e-12):
+    """The Taylor steps of `expm_apply` on zA itself, with no trace shift: (vector, series_terms)."""
+    za, nrm, skew = oracle._scaled(op, z)
+    steps = max(1, math.ceil(nrm / oracle._STEP_NORM))
+    b = za / steps
+    step_norm = nrm / steps
+    log_growth = 0.0 if skew else step_norm
+    w = np.asarray(v, dtype=complex)
+    vnorm = float(np.linalg.norm(w))
+    total_terms = 0
+    for j in range(steps):
+        step_tol = tol * vnorm / steps * math.exp(-log_growth * (steps - 1 - j))
+        terms, _ = oracle._taylor_terms(step_norm, float(np.linalg.norm(w)), step_tol)
+        term = total = w
+        for k in range(1, terms + 1):
+            term = b @ term / k
+            total = total + term
+        w = total
+        total_terms += terms
+    return w, total_terms
+
+
+@settings(deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    cols=st.integers(1, 4),
+    t=st.floats(-8.0, 8.0),
+    offset=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_columns_match_single_actions(dim, cols, t, offset, seed):
+    # a random Hermitian operator plus offset I, so that the trace shift acts; every column of one
+    # block pass lies within the two residual bounds of its own single-vector call, up to rounding
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op = (mat + mat.conj().T) / (2.0 * np.sqrt(dim)) + offset * np.eye(dim)
+    block = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+    res = oracle.expm_apply(op, 1j * t, block)
+    assert res.vector.shape == (dim, cols)
+    for j in range(cols):
+        single = oracle.expm_apply(op, 1j * t, block[:, j])
+        rounding = 1e-14 * np.linalg.norm(block[:, j])
+        gap = np.linalg.norm(res.vector[:, j] - single.vector)
+        assert gap <= res.residual_bound + single.residual_bound + rounding
 
 
 class TestTaylorAction:
@@ -133,6 +184,71 @@ class TestTaylorAction:
             err = max(abs(mp.mpc(complex(res.vector[l])) - w) for l, w in zip(levels, want))
         assert err <= res.residual_bound
 
+    @pytest.mark.parametrize("dim", [8, 32, 96, 256])
+    @pytest.mark.parametrize("case", sorted(ACTION_CASES))
+    def test_block_columns_match_single_calls_and_the_dense_exponential(self, case, dim):
+        # three columns of different norms in one pass; the block's bound covers every column
+        build, z = ACTION_CASES[case]
+        op = build(dim)
+        rng = np.random.default_rng(dim + 2)
+        block = (rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))) * [1.0, 0.5, 3.0]
+        res = oracle.expm_apply(op, z, block)
+        mat, _, mat_bound = oracle.expm_matrix(op, z)
+        assert res.vector.shape == (dim, 3)
+        assert 0.0 <= res.residual_bound <= 1e-12 * np.max(np.linalg.norm(block, axis=0))
+        for j in range(3):
+            single = oracle.expm_apply(op, z, block[:, j])
+            vnorm = np.linalg.norm(block[:, j])
+            assert np.linalg.norm(res.vector[:, j] - single.vector) <= res.residual_bound + single.residual_bound
+            assert np.linalg.norm(res.vector[:, j] - mat @ block[:, j]) <= res.residual_bound + mat_bound * vnorm
+
+    def test_an_overflowing_shift_raises(self):
+        # e^mu overflows a double at mu = 300 * 3.5 and at 1e3; the identity shifts to 0 and would
+        # take no Taylor step at all
+        with pytest.raises(ConvergenceError):
+            oracle.expm_apply(build_number_function(8, lambda n: n), 300.0, np.ones(8))
+        with pytest.raises(ConvergenceError):
+            oracle.expm_apply(np.eye(8), 1e3, np.ones(8))
+        assert np.array_equal(oracle.expm_apply(np.eye(8), 300.0, np.ones(8)).vector, np.full(8, np.exp(300.0) + 0j))
+
+    def test_block_keeps_its_shape_and_refuses_an_empty_block(self):
+        p = build_momentum(8)
+        assert oracle.expm_apply(p, 1j, np.eye(8)[:, :1]).vector.shape == (8, 1)
+        with pytest.raises(DimensionError):
+            oracle.expm_apply(p, 1j, np.zeros((8, 0)))
+        with pytest.raises(DimensionError):
+            oracle.expm_apply(p, 1j, np.zeros((8, 2, 2)))
+
+    @pytest.mark.parametrize(
+        ("build", "z", "dim"),
+        [(build_momentum, 1.5j, 32), (build_momentum, -16j, 256), (build_position, 0.5, 96), (build_position, 7j, 64)],
+        ids=["P-1.5", "P-minus-16", "X-real-z", "X-7"],
+    )
+    def test_an_empty_diagonal_takes_the_unshifted_path_bit_for_bit(self, build, z, dim):
+        op = build(dim)
+        v = np.random.default_rng(dim).standard_normal(dim) + 0j
+        res = oracle.expm_apply(op, z, v)
+        want, terms = unshifted_action(op, z, v)
+        assert np.array_equal(res.vector, want)
+        assert res.series_terms == terms
+
+    @pytest.mark.parametrize(
+        ("op", "z", "most"),
+        [(build_number_function(48, lambda n: n), 0.9j, 0.6), (build_momentum(256) @ build_momentum(256), 8j, 0.6)],
+        ids=["number-48", "P2-256"],
+    )
+    def test_the_trace_shift_saves_terms_and_meets_tol(self, op, z, most):
+        # the number operator: 319 -> 168 terms; P^2 at t = 8: 240 -> 130
+        dim = op.shape[0]
+        v = basis(0, dim) + basis(dim // 3, dim)
+        res = oracle.expm_apply(op, z, v)
+        _, unshifted_terms = unshifted_action(op, z, v)
+        assert res.series_terms <= most * unshifted_terms
+        mat, _, mat_bound = oracle.expm_matrix(op, z)
+        vnorm = np.linalg.norm(v)
+        assert np.linalg.norm(res.vector - mat @ v) <= 1e-12 * vnorm + mat_bound * vnorm
+        assert res.residual_bound <= 1e-12 * vnorm
+
     def test_never_forms_the_exponential(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("expm_apply formed a dense exponential")
@@ -161,6 +277,18 @@ class TestTruncationLevel:
         big = oracle.expm_apply(build_momentum(2 * n), 4j, basis(8, 2 * n)).vector
         assert np.linalg.norm(big[:n] - small) + np.linalg.norm(big[n:]) < 1e-8
 
+    @pytest.mark.parametrize(
+        ("generator", "t", "k", "tol", "dim"),
+        [("P", 1.0, 0, 1e-10, 32), ("P", 0.3, 8, 1e-10, 48), ("P", 4.0, 8, 1e-8, 76), ("P", 16.0, 12, 1e-10, 168),
+         ("P", -16.0, 8, 1e-12, 160), ("P", 30.0, 4, 1e-10, 212), ("X", 2.0, 1, 1e-10, 72),
+         ("X", -16.0, 12, 1e-10, 168), ("P2", 0.25, 8, 1e-10, 96), ("P2", 1.0, 0, 1e-8, 64),
+         ("P2", 8.0, 0, 1e-10, 288), ("P2", -8.0, 8, 1e-6, 184)],
+    )
+    def test_accepted_dimensions_are_pinned(self, generator, t, k, tol, dim):
+        # the dimension the doubling accepts, 2N for the first N whose evolution agrees with 2N's;
+        # the criteria's reference blocks are truncated there
+        assert oracle.truncation_level(t, k, tol, generator) == dim
+
     def test_kinetic_generator_spreads_faster(self):
         assert oracle.truncation_level(1.0, 0, 1e-8, generator="P2") >= oracle.truncation_level(
             1.0, 0, 1e-8, generator="P"
@@ -175,6 +303,29 @@ class TestTruncationLevel:
         assert np.linalg.norm(big[:n] - small) + np.linalg.norm(big[n:]) < 1e-10
         with pytest.raises(ConvergenceError):
             oracle.truncation_level(100.0, 4, 1e-10)
+
+
+class TestCertifiedColumns:
+    @pytest.mark.parametrize(
+        ("generator", "t", "ks"),
+        [("P", 1.5, (0, 4)), ("P", 16.0, range(13)), ("X", -16.0, range(13)), ("P2", 8.0, (0,)),
+         ("P2", -0.25, range(9)), ("X", 0.9, (8, 2, 5))],
+    )
+    def test_equals_the_level_and_one_action(self, generator, t, ks):
+        # one doubling on the block gives the dimension of `truncation_level` for the highest
+        # level and, per column, the action on that basis vector there
+        tol = 1e-10
+        block = oracle._certified_columns(generator, t, ks, tol)
+        dim = oracle.truncation_level(t, max(ks), tol, generator)
+        assert block.shape == (dim, len(ks))
+        op = oracle._generator(generator, dim)
+        for column, k in zip(block.T, ks):
+            want = oracle.expm_apply(op, 1j * t, basis(k, dim), 1e-13).vector
+            assert np.linalg.norm(column - want) <= tol
+
+    def test_zero_time_is_the_identity(self):
+        block = oracle._certified_columns("P", 0.0, (3, 1), 1e-10)
+        assert np.array_equal(block, np.eye(5)[:, [3, 1]])
 
 
 class TestReferenceIntegrals:
