@@ -214,9 +214,16 @@ def coeff_I(m: int, n: int, t: float) -> complex:
 
 
 def matrix_element_P(l: int, k: int, t: float) -> complex:
-    """<level l | translation group | level k> = sum_m I[l-m, k-m](t), m <= min(l, k)."""
+    """<level l | translation group | level k> = sum_m I[l-m, k-m](t), m <= min(l, k).
+
+    Term m is (-1)^(k+m) <l+k-2m|e^{itP}|0>: every term is read from one
+    engine vacuum column through level l + k (absolute accuracy, as for
+    `coeff_I`).  Raises DomainError for |t| > 16.
+    """
     check_index("l, k", l, k)
-    return sum(coeff_I(l - m, k - m, t) for m in range(min(l, k) + 1))
+    s = l + k
+    column = _coeff_column(Generator.P, t, s)  # one column for every m
+    return complex(sum((-1.0) ** (k + m) * float(column[s - 2 * m].real) for m in range(min(l, k) + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,20 @@ then costs about half the Taylor terms.
 `expm_matrix` forms the whole matrix by scaling and squaring; the
 criteria in `checks` read columns of `expm_apply` only.  Both take the
 operator as a square array, the output of the `fock` builders.
-`truncation_level` certifies a truncation dimension by doubling.  Also
-provides quadrature reference integrals against the semicircle measure.
+`truncation_level` certifies a truncation dimension by doubling: the
+evolutions at N and 2N must agree, and that comparison is the
+certificate.  The doubling starts at N = max(8, k + s n + 1), with n the
+package's tail index at |t| and tol / 10 and s the levels one power of
+the generator moves, where the first comparison accepts, so a certified
+block of columns costs two Taylor actions.  Also provides quadrature
+reference integrals against the semicircle measure.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import ceil, exp, log, log2
+from math import ceil, exp, log, log2, sqrt
 
 import numpy as np
 
@@ -51,26 +56,33 @@ class ExpmResult:
     residual_bound: float
 
 
+def _magnitude_bound(mag: np.ndarray) -> float:
+    """sqrt(norm1 * norm_inf) of a matrix from its entrywise magnitudes; finite where both norms are."""
+    return sqrt(float(mag.sum(axis=0).max())) * sqrt(float(mag.sum(axis=1).max()))
+
+
 def _norm2_upper(mat: np.ndarray) -> float:
     """Cheap upper bound for the spectral norm: sqrt(norm1 * norm_inf)."""
-    mag = np.abs(mat)
-    n1 = float(mag.sum(axis=0).max())
-    ninf = float(mag.sum(axis=1).max())
-    return float(np.sqrt(n1 * ninf))
+    return _magnitude_bound(np.abs(mat))
 
 
 def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool]:
-    """z A as an array, an upper bound on its norm, and whether it is skew-Hermitian."""
+    """z A as an array, an upper bound on its norm, and whether it is skew-Hermitian.
+
+    |zA| = |z| |A| entrywise, so the bound is |z| times that of A, from
+    the one magnitude pass that the overflow guard also reads.
+    """
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"operator must be a square matrix, got shape {mat.shape}")
     if mat.shape[0] > _MAX_DIM:
         raise DimensionError(f"dimension {mat.shape[0]} exceeds the dense cap {_MAX_DIM}")
     check_finite("z", z)
+    mag = np.abs(mat)
     # every sum over |zA| and |zA + (zA)*| is at most 2 |z| sum |A|, so none can overflow past this guard
-    check_finite("|z| ||A||", 2.0 * abs(z) * float(np.sum(np.abs(mat))))
+    check_finite("|z| ||A||", 2.0 * abs(z) * float(mag.sum()))
     za = z * mat
-    nrm = _norm2_upper(za)
+    nrm = abs(z) * _magnitude_bound(mag)
     check_finite("||zA||", nrm)
     return za, nrm, _norm2_upper(za + za.conj().T) <= 1e-12 * max(1.0, nrm)
 
@@ -191,6 +203,10 @@ def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) ->
     return ExpmResult(vector=w, series_terms=total_terms, residual_bound=err)
 
 
+# levels one power of each generator moves: P^2 moves two
+_LEVEL_STEP = {"P": 1, "X": 1, "P2": 2}
+
+
 def _generator(kind: str, dim: int) -> np.ndarray:
     if kind == "P":
         return build_momentum(dim)
@@ -205,15 +221,26 @@ def _generator(kind: str, dim: int) -> np.ndarray:
 def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
     """Columns ks of e^(itG), with G truncated where doubling certifies them to tol.
 
-    Doubling procedure: starting from a tail-bound-informed dimension
-    for the highest level, evolve the block of basis vectors ks at N and
-    2N, one `expm_apply` each, and accept once every column agrees below
-    tol (the generator is banded, so amplitude reaches level N only at
-    series order ~N and the comparison certifies the tail).  Returns the
-    accepted 2N x len(ks) block.  The actions run to min(tol / 10,
-    1e-16), so that the block is a reference to rounding.  For t = 0 the
-    evolution is the identity and dimension max(ks) + 2 suffices.
+    Doubling procedure: evolve the block of basis vectors ks at N and 2N,
+    one `expm_apply` each, and accept once every column agrees below tol
+    (the generator is banded, so amplitude reaches level N only at
+    series order ~N and the comparison certifies the tail); otherwise
+    double N and compare again.  That comparison is the only
+    certificate; the start only decides how soon it passes.  With
+    top = max(ks), n = `_tail_index(0, |t|, tol / 10)` and s the levels
+    one power of G moves (2 for P^2, 1 for P and X), the doubling starts
+    at N = max(8, top + s n + 1).  Every level that N drops is n + 1
+    powers of G from every column, past the orders whose tail is below
+    tol / 10, so the first comparison accepts and a block takes two
+    actions (for P, X and P^2 at |t| up to their caps, k <= 12 and tol
+    in [1e-12, 1e-6]).  Returns the accepted 2N x len(ks) block.  The
+    actions run to min(tol / 10, 1e-16), so that the block is a
+    reference to rounding.  For t = 0 the evolution is the identity and
+    dimension max(ks) + 2 suffices.  An unknown generator raises
+    DomainError at every t.
     """
+    if generator not in _LEVEL_STEP:
+        raise DomainError(f"unknown generator kind {generator!r}")
     check_positive("tol", tol)
     ks = list(ks)
     check_index("k", *ks)
@@ -226,7 +253,7 @@ def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
     def evolved(dim: int) -> np.ndarray:
         return expm_apply(_generator(generator, dim), 1j * t, np.eye(dim, dtype=complex)[:, ks], action_tol).vector
 
-    n = max(top + 2, 8, top + _tail_index(0.0, abs(t), tol) // 2)
+    n = max(8, top + _LEVEL_STEP[generator] * _tail_index(0.0, abs(t), tol / 10) + 1)
     small = None
     while 2 * n <= _MAX_DIM:
         small = evolved(n) if small is None else small
@@ -241,9 +268,14 @@ def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
 def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
     """Truncation dimension adequate for evolving basis level k to accuracy tol.
 
-    The dimension at which the doubling of `_certified_columns` accepts
-    column k: the evolutions at N and 2N agree below tol.  For t = 0 the
-    evolution is the identity and k + 2 suffices.
+    The dimension 2N at which the doubling of `_certified_columns`
+    accepts column k: the evolutions at N and 2N agree below tol.  The
+    doubling starts at N = max(8, k + s `_tail_index(0, |t|, tol / 10)` + 1),
+    s = 2 for P^2 and 1 for P and X, where its first comparison, the
+    certificate, accepts.  For t = 0 the evolution is the identity and
+    k + 2 suffices.  Raises DomainError for a generator other than P, X
+    or P2, and ConvergenceError where no 2N <= 512 certifies: t = 64
+    from level 4 at tol 1e-10 certifies at 398, t = 100 raises.
     """
     return _certified_columns(generator, t, (k,), tol).shape[0]
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semicircleqm import oracle
+from semicircleqm import evolution, oracle
 from semicircleqm.combinatorics import catalan
-from semicircleqm.exceptions import ConvergenceError, DimensionError
+from semicircleqm.exceptions import ConvergenceError, DimensionError, DomainError
 from semicircleqm.fock import (
     basis,
     build_momentum,
@@ -279,14 +279,15 @@ class TestTruncationLevel:
 
     @pytest.mark.parametrize(
         ("generator", "t", "k", "tol", "dim"),
-        [("P", 1.0, 0, 1e-10, 32), ("P", 0.3, 8, 1e-10, 48), ("P", 4.0, 8, 1e-8, 76), ("P", 16.0, 12, 1e-10, 168),
-         ("P", -16.0, 8, 1e-12, 160), ("P", 30.0, 4, 1e-10, 212), ("X", 2.0, 1, 1e-10, 72),
-         ("X", -16.0, 12, 1e-10, 168), ("P2", 0.25, 8, 1e-10, 96), ("P2", 1.0, 0, 1e-8, 64),
-         ("P2", 8.0, 0, 1e-10, 288), ("P2", -8.0, 8, 1e-6, 184)],
+        [("P", 1.0, 0, 1e-10, 30), ("P", 0.3, 8, 1e-10, 36), ("P", 4.0, 8, 1e-8, 64), ("P", 16.0, 12, 1e-10, 150),
+         ("P", -16.0, 8, 1e-12, 148), ("P", 30.0, 4, 1e-10, 212), ("X", 2.0, 1, 1e-10, 40),
+         ("X", -16.0, 12, 1e-10, 150), ("P2", 0.25, 8, 1e-10, 54), ("P2", 1.0, 0, 1e-8, 50),
+         ("P2", 8.0, 0, 1e-10, 158), ("P2", -8.0, 8, 1e-6, 146)],
     )
     def test_accepted_dimensions_are_pinned(self, generator, t, k, tol, dim):
         # the dimension the doubling accepts, 2N for the first N whose evolution agrees with 2N's;
-        # the criteria's reference blocks are truncated there
+        # the criteria's reference blocks are truncated there.  Each is the first comparison's
+        # 2 max(8, k + s tail index + 1)
         assert oracle.truncation_level(t, k, tol, generator) == dim
 
     def test_kinetic_generator_spreads_faster(self):
@@ -295,14 +296,23 @@ class TestTruncationLevel:
         )
 
     def test_dimension_cap_past_the_translation_cap(self):
-        # t = 30 still fits: the doubling certifies a dimension of at most 512
-        n = oracle.truncation_level(30.0, 4, 1e-10)
-        assert n <= 512
-        small = oracle.expm_apply(build_momentum(n), 30j, basis(4, n)).vector
-        big = oracle.expm_apply(build_momentum(2 * n), 30j, basis(4, 2 * n)).vector
-        assert np.linalg.norm(big[:n] - small) + np.linalg.norm(big[n:]) < 1e-10
+        # t = 30 and t = 64 still fit: the doubling certifies a dimension of at most 512, and a
+        # larger one, up to the dense cap, agrees with it
+        for t in (30.0, 64.0):
+            n = oracle.truncation_level(t, 4, 1e-10)
+            assert n <= 512
+            m = min(2 * n, 512)
+            small = oracle.expm_apply(build_momentum(n), 1j * t, basis(4, n)).vector
+            big = oracle.expm_apply(build_momentum(m), 1j * t, basis(4, m)).vector
+            assert np.linalg.norm(big[:n] - small) + np.linalg.norm(big[n:]) < 1e-10
         with pytest.raises(ConvergenceError):
             oracle.truncation_level(100.0, 4, 1e-10)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_an_unknown_generator_raises_at_every_time(self, t):
+        # the identity shortcut at t = 0 does not let an unknown kind through
+        with pytest.raises(DomainError):
+            oracle.truncation_level(t, 3, 1e-10, generator="H1")
 
 
 class TestCertifiedColumns:
@@ -326,6 +336,30 @@ class TestCertifiedColumns:
     def test_zero_time_is_the_identity(self):
         block = oracle._certified_columns("P", 0.0, (3, 1), 1e-10)
         assert np.array_equal(block, np.eye(5)[:, [3, 1]])
+
+
+CAPS = {gen.value: cap for gen, cap in evolution._MAX_T.items()}  # the domain of each generator's evolution
+
+
+@settings(deadline=None)
+@given(
+    generator_and_t=st.sampled_from(sorted(CAPS)).flatmap(
+        lambda gen: st.tuples(st.just(gen), st.floats(-CAPS[gen], CAPS[gen]).filter(bool))
+    ),
+    ks=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    log_tol=st.floats(-12.0, -6.0),
+)
+def test_certified_columns_take_two_actions(generator_and_t, ks, log_tol):
+    # the doubling starts where its first comparison, N against 2N, certifies the block: one action
+    # at N and one at 2N
+    generator, t = generator_and_t
+    dims = []
+    with pytest.MonkeyPatch.context() as patch:
+        action = oracle.expm_apply
+        patch.setattr(oracle, "expm_apply", lambda op, *args: dims.append(op.shape[0]) or action(op, *args))
+        block = oracle._certified_columns(generator, t, ks, 10.0**log_tol)
+    assert dims == [dims[0], 2 * dims[0]]
+    assert block.shape == (2 * dims[0], len(ks))
 
 
 class TestReferenceIntegrals:
