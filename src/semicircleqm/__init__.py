@@ -7,121 +7,50 @@ closed-form expressions for the unitary groups generated by the
 momentum, the position, and the squared momentum, all validated against
 independent brute-force oracles (exhaustive word enumeration, Gauss
 quadrature, and a certified dense matrix exponential).
-"""
 
-from . import checks, combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun
-from .combinatorics import (
-    NormalForm,
-    brute_force_theta,
-    catalan,
-    normal_order,
-    nu_plus_on_theta,
-    theta_count,
-)
-from .evolution import (
-    CoeffTable,
-    EvolvedState,
-    Generator,
-    build_coeff_table,
-    char_function,
-    coeff_I,
-    coeff_I2,
-    evolve_P,
-    evolve_P2_vacuum,
-    evolve_X,
-    evolve_X_vacuum_pointwise,
-    heisenberg_aplus_P,
-    heisenberg_aplus_P2,
-    matrix_element_P,
-    state_char_function,
-)
-from .fock import (
-    basis,
-    build_annihilation,
-    build_creation,
-    build_momentum,
-    build_number_function,
-    build_position,
-    coherent_kernel,
-    commutator,
-    harmonic_char,
-    vacuum_moment,
-)
-from .hilbert import (
-    ChebSeries,
-    evolved_phi1_closed_form,
-    evolved_vacuum_closed_form,
-    hilbert_mu_pv,
-    hilbert_mu_spectral,
-    kapteyn_sum_cos,
-    kapteyn_sum_sin,
-    kinetic_apply,
-    momentum_apply,
-    rho_weight,
-)
-from .oracle import ExpmResult, expm_apply, truncation_level
-from .orthopoly import phi, quadrature_rule, t_cheb
-from .specfun import SeriesResult, bessel_j, hyp1f1
+`import semicircleqm` loads no submodule: each public name, and each
+home module in `__all__`, is imported the first time it is read
+(PEP 562), and is then bound here like any attribute.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChebSeries",
-    "CoeffTable",
-    "EvolvedState",
-    "ExpmResult",
-    "Generator",
-    "NormalForm",
-    "SeriesResult",
-    "basis",
-    "bessel_j",
-    "brute_force_theta",
-    "build_annihilation",
-    "build_coeff_table",
-    "build_creation",
-    "build_momentum",
-    "build_number_function",
-    "build_position",
-    "catalan",
-    "char_function",
-    "checks",
-    "coeff_I",
-    "coeff_I2",
-    "coherent_kernel",
-    "combinatorics",
-    "commutator",
-    "evolution",
-    "evolve_P",
-    "evolve_P2_vacuum",
-    "evolve_X",
-    "evolve_X_vacuum_pointwise",
-    "evolved_phi1_closed_form",
-    "evolved_vacuum_closed_form",
-    "expm_apply",
-    "fock",
-    "harmonic_char",
-    "heisenberg_aplus_P",
-    "heisenberg_aplus_P2",
-    "hilbert",
-    "hilbert_mu_pv",
-    "hilbert_mu_spectral",
-    "hyp1f1",
-    "kapteyn_sum_cos",
-    "kapteyn_sum_sin",
-    "kinetic_apply",
-    "matrix_element_P",
-    "momentum_apply",
-    "normal_order",
-    "nu_plus_on_theta",
-    "oracle",
-    "orthopoly",
-    "phi",
-    "quadrature_rule",
-    "rho_weight",
-    "specfun",
-    "state_char_function",
-    "t_cheb",
-    "theta_count",
-    "truncation_level",
-    "vacuum_moment",
-]
+# home module: the public names it exports
+_EXPORTS = {
+    "checks": (),
+    "combinatorics": ("NormalForm", "brute_force_theta", "catalan", "normal_order", "nu_plus_on_theta", "theta_count"),
+    "evolution": (
+        "CoeffTable", "EvolvedState", "Generator", "build_coeff_table", "char_function", "coeff_I", "coeff_I2",
+        "evolve_P", "evolve_P2_vacuum", "evolve_X", "evolve_X_vacuum_pointwise", "heisenberg_aplus_P",
+        "heisenberg_aplus_P2", "matrix_element_P", "state_char_function",
+    ),
+    "fock": (
+        "basis", "build_annihilation", "build_creation", "build_momentum", "build_number_function",
+        "build_position", "coherent_kernel", "commutator", "harmonic_char", "vacuum_moment",
+    ),
+    "hilbert": (
+        "ChebSeries", "evolved_phi1_closed_form", "evolved_vacuum_closed_form", "hilbert_mu_pv",
+        "hilbert_mu_spectral", "kapteyn_sum_cos", "kapteyn_sum_sin", "kinetic_apply", "momentum_apply", "rho_weight",
+    ),
+    "oracle": ("ExpmResult", "expm_apply", "truncation_level"),
+    "orthopoly": ("phi", "quadrature_rule", "t_cheb"),
+    "specfun": ("SeriesResult", "bessel_j", "hyp1f1"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    module = name if name in _EXPORTS else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the builtin __import__, which -X importtime reports (importlib.import_module is not reported)
+    home = __import__(f"{__name__}.{module}", fromlist=[name])
+    value = home if module == name else getattr(home, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

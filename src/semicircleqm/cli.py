@@ -22,6 +22,11 @@ function that reads it or by `RunConfig.validate` where none does.
 For CSV output the per-run residuals (e.g. the norm defect) go to
 stderr as `#`-prefixed comments so stdout stays a clean table; JSON
 carries them inline.
+
+Only `evolution` is imported at module level; each runner imports the
+other modules it reads, so a process loads only what its subcommand
+runs: `evolve`, `heisenberg` and `char` (but for H1, which reads
+`fock`) load none of `checks`, `combinatorics`, `fock` or `oracle`.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checks, evolution, fock, hilbert, oracle
-from .combinatorics import _CATALAN_MAX_P, catalan
+from . import evolution
 from .exceptions import DomainError, QuadratureError, TruncationError, check_finite, check_index, check_positive
 from .report import CheckReport
 
@@ -75,8 +79,11 @@ class RunConfig:
             raise ConfigError(f"{self.command} takes exactly one t value")
         if self.command == "heisenberg":
             check_index("block", self.block, least=1)  # read as m_max = block - 1
-        if self.command == "table" and self.max_order > _CATALAN_MAX_P:
-            raise ConfigError(f"table max_order must be <= {_CATALAN_MAX_P}, the exact Catalan range")
+        if self.command == "table":
+            from .combinatorics import _CATALAN_MAX_P
+
+            if self.max_order > _CATALAN_MAX_P:
+                raise ConfigError(f"table max_order must be <= {_CATALAN_MAX_P}, the exact Catalan range")
         if self.command == "char" and self.generator == "X" and self.k != 0:
             raise ConfigError("the position characteristic function is available for k = 0 only")
         # evolve and char take --omega for every generator but read it for H1 alone; H1 reads
@@ -125,6 +132,8 @@ def _emit(config: RunConfig, header: list[str], rows: list[list], residuals: dic
 
 
 def _run_coeffs(config: RunConfig) -> int:
+    from . import checks
+
     gaps = checks.coefficient_routes({config.generator: config.t_values}, config.max_order)
     rows: list[list] = []
     for t, table_gaps in zip(config.t_values, gaps):
@@ -158,7 +167,9 @@ def _run_char(config: RunConfig) -> int:
     rows: list[list] = []
     for t in config.t_values:
         if config.generator == "H1":
-            value = fock.harmonic_char(t, 1.0 if config.k == 0 else 0.0, config.omega)
+            from .fock import harmonic_char
+
+            value = harmonic_char(t, 1.0 if config.k == 0 else 0.0, config.omega)
         elif config.generator == "P":
             value = evolution.state_char_function(config.k, t)
         elif config.generator == "X":
@@ -181,6 +192,8 @@ def _run_heisenberg(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
+    from . import checks
+
     suites = checks.run_all(tol=config.tol, seed=config.seed)
     rows: list[list] = []
     failed: list[CheckReport] = []
@@ -202,6 +215,9 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def _run_table(config: RunConfig) -> int:
+    from . import fock, hilbert, oracle
+    from .combinatorics import catalan
+
     rows: list[list] = []
     x = 0.5
     for n, pv_value, target in hilbert.spectral_identity_table(config.max_order, x):

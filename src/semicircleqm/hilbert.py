@@ -37,8 +37,9 @@ _MAX_T_BESSEL = _MAX_ABS_ARGUMENT / 2  # the Bessel argument is 2t
 _ANGLE_PANELS = 24  # Gauss-Legendre panels of `pv_integral_angle`, half on each side of theta
 _ANGLE_ORDER = 16  # nodes per panel
 _KAPTEYN_TOL = 1e-12  # truncation of the Kapteyn series
-# least gap from a point to the nearest PV node: the rounding of f(y) - f(x) over the gap grows
-# like |f| w / gap, and with the 2048-node rule Phi_0..Phi_12 err by up to 1.6e-6 at 1.01e-12
+# least gap from a point to the nearest PV node: that node's terms f(y) w / gap and f(x) w / gap
+# cancel only to their rounding, and with the 2048-node rule Phi_0..Phi_12 err by up to 7.0e-6
+# at 1.01e-12
 _SINGULAR_GAP = 1e-10
 
 
@@ -111,23 +112,20 @@ def hilbert_mu_pv(f, x, m: int = 2048):
     shape); f is evaluated once on the nodes and once on all points, so
     it must be evaluable on arrays over [-2, 2].  With the point-node
     kernel w(y) / (x - y), the sum 2 sum (f(y) - f(x)) kernel + f(x) x
-    is taken as one contraction of the node values with the kernel,
-    less f(x) times the kernel's row sum, over every node but the one
-    nearest each point; that node's term keeps the subtracted form
-    (f(y) - f(x)) kernel, which stays bounded where the kernel does not.
-    An f that returns k functions stacked on a new first axis (such as
-    `phi_all(n, y)`) is transformed in the same contraction, and the
-    result has shape (k,) + shape(x); each row equals the call with that
-    row's function alone, and each point the call at that point alone,
-    bit for bit.
+    is taken as one contraction of the node values with the kernel, less
+    f(x) times the kernel's row sum, over every node.  An f that returns
+    k functions stacked on a new first axis (such as `phi_all(n, y)`) is
+    transformed in the same contraction, and the result has shape
+    (k,) + shape(x); each row equals the call with that row's function
+    alone, and each point the call at that point alone, bit for bit.
 
-    A point closer than 1e-10 to a node is refused: next to a node the
-    rounding of f(y) - f(x) is amplified by w / (x - y).  With the
-    default m = 2048, every point the guard accepts meets 1e-6 for
-    Phi_0..Phi_12 against T_1..T_13: at 1.0001e-10 on either side of
-    every node the largest error is 2.0e-8, where at 1.01e-12 it would
-    be 1.6e-6.  A coarser rule has larger weights and proportionally
-    larger errors.
+    A point closer than 1e-10 to a node is refused: there the node's two
+    terms, f(y) kernel and f(x) kernel, grow like w / (x - y) and cancel
+    only to their rounding.  With the default m = 2048, every point the
+    guard accepts meets 1e-6 for Phi_0..Phi_12 against T_1..T_13: at
+    1.0001e-10 on either side of every node the largest error is 8.6e-8,
+    where at 1.01e-12 it would be 7.0e-6.  A coarser rule has larger
+    weights and proportionally larger errors.
 
     Raises:
         DomainError: if any point is not interior to [-2, 2].
@@ -137,21 +135,16 @@ def hilbert_mu_pv(f, x, m: int = 2048):
     xs = check_support(x, 2.0**-52).reshape(-1)  # 2 - 2^-52 is the largest double below 2
     nodes, weights = quadrature_rule(m)
     dist = xs[:, None] - nodes
-    points = np.arange(xs.size)
-    near = np.argmin(np.abs(dist), axis=1)
-    gap = np.abs(dist[points, near])
+    gap = np.min(np.abs(dist), axis=1)
     if np.min(gap) < _SINGULAR_GAP:
         raise SingularNodeError(f"x={xs[np.argmin(gap)]} coincides with a quadrature node for m={m}")
     kernel = weights / dist
-    near_kernel = kernel[points, near]
-    kernel[points, near] = 0.0
     vals = np.asarray(f(nodes))
     stacked = vals.ndim > 1
     vals = vals.reshape(-1, m)
     fx = np.asarray(f(xs)).reshape(len(vals), -1)
     # einsum sums each entry over the nodes in one order, whatever the number of rows and points
-    far = np.einsum("rj,pj->rp", vals, kernel) - fx * np.sum(kernel, axis=1)
-    out = 2.0 * (far + (vals[:, near] - fx) * near_kernel) + fx * xs
+    out = 2.0 * (np.einsum("rj,pj->rp", vals, kernel) - fx * np.sum(kernel, axis=1)) + fx * xs
     if stacked:
         return out.reshape((len(vals),) + np.shape(x))
     return out[0].reshape(np.shape(x)) if np.ndim(x) else float(out[0, 0])

@@ -212,9 +212,12 @@ def _generator(kind: str, dim: int) -> np.ndarray:
         return build_momentum(dim)
     if kind == "X":
         return build_position(dim)
-    if kind == "P2":
-        p = build_momentum(dim)
-        return p @ p
+    if kind == "P2":  # a*a + a a* - a*^2 - a^2 on the truncation, built from its three nonzero diagonals
+        check_index("dim", dim, least=2)  # as build_momentum refuses it for P
+        diagonal = np.full(dim, 2.0 + 0.0j)
+        diagonal[0] -= 1.0  # a*a is 0 on level 0
+        diagonal[-1] -= 1.0  # a a* is 0 on the top level
+        return np.diag(diagonal) - np.eye(dim, k=2) - np.eye(dim, k=-2)
     raise DomainError(f"unknown generator kind {kind!r}")
 
 

@@ -22,6 +22,19 @@ UNREAD_FLAGS = [
     *(("table", flag) for flag in ("--generator", "--t", "--k", "--l-max", "--tol", "--omega", "--seed")),
 ]
 
+# the semicircleqm modules a `char`, `evolve` or `heisenberg` process loads
+LIGHT_MODULES = {"cli", "evolution", "exceptions", "hilbert", "orthopoly", "report", "specfun"}
+# each subcommand but verify run as `python -m semicircleqm`: argv, header line, the modules it loads
+MODULE_RUNS = [
+    (["coeffs", "--t", "0.5", "--max-order", "2"], "m,n,t,re,im,method_agreement",
+     LIGHT_MODULES | {"checks", "combinatorics", "fock", "oracle"}),
+    (["evolve", "--t", "0.5"], "l,re,im", LIGHT_MODULES),
+    (["char", "--generator", "P", "--t", "0"], "t,re,im", LIGHT_MODULES),
+    (["heisenberg", "--t", "0.5", "--block", "2"], "m,n,re,im", LIGHT_MODULES),
+    (["table", "--max-order", "2"], "kind,n,computed,expected,defect",
+     LIGHT_MODULES | {"combinatorics", "fock", "oracle"}),
+]
+
 
 def run_capture(capsys, **kwargs):
     status = run(RunConfig(**kwargs))
@@ -465,14 +478,20 @@ class TestEntryPoint:
         assert target.read_text().splitlines()[0] == "t,re,im"
 
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "semicircleqm", "char", "--generator", "P", "--t", "0"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip().splitlines()[1] == "0,1,0"
+        # -X importtime lists on stderr each module the process imports, the lazily loaded ones too
+        for argv, header, modules in MODULE_RUNS:
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "semicircleqm", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, argv
+            assert proc.stdout.splitlines()[0] == header
+            loaded = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+            assert {name.split(".", 1)[1] for name in loaded if name.startswith("semicircleqm.")} == modules, argv
+            if argv[0] == "char":
+                assert proc.stdout.splitlines()[1] == "0,1,0"
 
 
 @pytest.mark.slow

@@ -136,8 +136,8 @@ class TestPrincipalValue:
     @pytest.mark.parametrize("offset", [-2e-10, -1.01e-10, 1.01e-10, 2e-10])
     def test_points_next_to_a_node(self, offset):
         # just outside the 1e-10 singular guard the nearest node's kernel entry is about w/offset and
-        # amplifies the rounding of f(y) - f(x); next to node 154 (x = 1.9438) the error against
-        # T_{n+1} is 1.2e-6 at 1.01e-12, inside the guard
+        # amplifies the rounding of its f(y) and f(x) terms; at 1.01e-12, inside the guard, the error
+        # against T_{n+1} reaches 7.0e-6
         nodes, _ = quadrature_rule(2048)
         xs = nodes[[154, 300, 1024, 1900]] + offset
         got = hilbert_mu_pv(lambda y: phi_all(12, y), xs, 2048)

@@ -333,6 +333,19 @@ class TestCertifiedColumns:
             want = oracle.expm_apply(op, 1j * t, basis(k, dim), 1e-13).vector
             assert np.linalg.norm(column - want) <= tol
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 158, 316])
+    def test_kinetic_generator_equals_the_squared_momentum(self, dim):
+        # built from its three nonzero diagonals, entry for entry the dense product P P
+        p = build_momentum(dim)
+        p2 = oracle._generator("P2", dim)
+        assert p2.dtype == np.complex128
+        assert np.array_equal(p2, p @ p)
+
+    def test_kinetic_generator_refuses_one_level_as_the_momentum_does(self):
+        for build in (build_momentum, lambda dim: oracle._generator("P2", dim)):
+            with pytest.raises(DomainError, match="dim"):
+                build(1)
+
     def test_zero_time_is_the_identity(self):
         block = oracle._certified_columns("P", 0.0, (3, 1), 1e-10)
         assert np.array_equal(block, np.eye(5)[:, [3, 1]])
