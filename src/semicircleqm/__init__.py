@@ -6,7 +6,7 @@ finite-interval Hilbert transform realizing the momentum operator, and
 closed-form expressions for the unitary groups generated by the
 momentum, the position, and the squared momentum, all validated against
 independent brute-force oracles (exhaustive word enumeration, Gauss
-quadrature, and a certified dense matrix exponential).
+quadrature, and a certified Taylor action of the matrix exponential).
 
 `import semicircleqm` loads no submodule: each public name, and each
 home module in `__all__`, is imported the first time it is read

@@ -509,8 +509,8 @@ def evolution_suite(tol: float = 1e-8) -> list[CheckReport]:
     unit = unit_norm((0.5, 1.0, 2.0), (0, 3), (0.25, 0.5, 1.0), 1e-12)
     group = group_law({"P": ((0.3, 0.7),), "X": ((0.3, 0.7),)})
     amplitudes, reassembly = evolutions_vs_oracle("P", (0.5, 1.5), (0, 4), 1e-11)
-    caps = {"P": (16.0,), "X": (-16.0,), "P2": (-8.0, 8.0)}  # the caps of each group
-    routes = float(np.max(coefficient_routes(caps, 8)))
+    p, x, p2 = (evolution._GENERATORS[evolution.Generator(g)].cap for g in ("P", "X", "P2"))  # each group's cap
+    routes = float(np.max(coefficient_routes({"P": (p,), "X": (-x,), "P2": (-p2, p2)}, 8)))
     return [
         CheckReport("evolved states are unit norm", unit, 1e-8),
         CheckReport("group law U(t)U(s) = U(t+s) on the 8x8 block", group, 1e-8),

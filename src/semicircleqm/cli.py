@@ -261,11 +261,12 @@ _FLAGS = {  # add_argument keywords of each flag in the table below
     "--block": dict(type=int, default=8, help="square block size to emit"),
 }
 _H1_FREQUENCY = "frequency omega_1 of the quadratic well H1 (> 0); read for H1 only"
+_EVOLVED = tuple(gen.value for gen in evolution._GENERATORS)  # P, X and P2: the sine-transform evolutions
 
 # subcommand: (help, the generators it takes, the flags it reads, what --omega means to it)
 _SUBCOMMANDS = {
-    "coeffs": ("normally-ordered coefficient tables", ("P", "X", "P2"), ("--t", "--max-order"), None),
-    "evolve": ("amplitudes of one evolved basis level", ("P", "X", "P2", "H1"), ("--t", "--k", "--l-max", "--tol"),
+    "coeffs": ("normally-ordered coefficient tables", _EVOLVED, ("--t", "--max-order"), None),
+    "evolve": ("amplitudes of one evolved basis level", (*_EVOLVED, "H1"), ("--t", "--k", "--l-max", "--tol"),
                _H1_FREQUENCY),
     "char": ("characteristic-function values", ("P", "X", "H1"), ("--t", "--k"), _H1_FREQUENCY),
     "heisenberg": ("raising-operator correction blocks", ("P", "P2"), ("--t", "--block", "--tol"),

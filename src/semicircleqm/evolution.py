@@ -31,6 +31,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,23 @@ class Generator(enum.Enum):
     P2 = "P2"
     H1 = "H1"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown generator {value!r}; the generators are P, X, P2 and H1")
+
+
+class _Facts(NamedTuple):
+    cap: float  # the largest |t| evolved
+    step: int  # the levels one power of the generator moves
+    walk: float  # c of the walk-bound prefactor e^(c|t|) of `_tail_span`
+
+
+_GENERATORS = {  # what the engine, the oracle's doubling, `checks` and the CLI read of a generator
+    Generator.P: _Facts(16.0, 1, 1.0),
+    Generator.X: _Facts(16.0, 1, 1.0),
+    Generator.P2: _Facts(8.0, 2, 3.0),
+}
+
 
 @dataclass(frozen=True)
 class CoeffTable:
@@ -69,10 +87,8 @@ class CoeffTable:
 class EvolvedState:
     """Amplitudes <level l | group element | level k> for l = 0..l_max.
 
-    tail_index is the tail level of `_tail_span`: by default the
-    amplitudes run to level k + tail_index, and for P^2, which moves
-    two levels at a time, tail_index counts pairs of levels, so they run
-    to k + 2 tail_index.
+    tail_index is the tail level of `_tail_span`: the amplitudes run by
+    default to level k + s tail_index, s the generator's level step.
     """
 
     t: float
@@ -230,7 +246,6 @@ def matrix_element_P(l: int, k: int, t: float) -> complex:
 # Schroedinger evolutions level by level
 
 _DIM_CAP = 4095
-_MAX_T = {Generator.P: 16.0, Generator.X: 16.0, Generator.P2: 8.0}
 
 
 def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
@@ -248,21 +263,18 @@ def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
         |<k+-2h|e^{itP^2}|k>| <= e^(2|t|) I_h(2|t|) <= e^(2|t| + t^2/(h+1)) |t|^h/h!.
 
     `_tail_index` searches only n + 2 > |t|, where every later j + 1
-    exceeds |t|, so the prefactors are at most e^|t| and e^(3|t|): the
-    levels past the tail carry at most tol in total, from every source
-    level k.  For P^2 the tail counts pairs of levels and spans twice
-    as many.  The bound grows with |t|, so the span at |t| covers every
-    time in [-|t|, |t|].
+    exceeds |t|, so the prefactors are at most e^(c|t|), c = 1 and 3 the
+    walk constants of the rows in `_GENERATORS`: the levels past the tail
+    carry at most tol in total, from every source level k.  The tail
+    counts steps of the row's level step, pairs of levels for P^2.  The
+    bound grows with |t|, so the span at |t| covers [-|t|, |t|].
     """
-    if gen not in _MAX_T:
-        raise DomainError(f"sine-transform evolutions cover generators P, X, P2, got {gen.value}")
-    check_finite("t", t, _MAX_T[gen])
-    at = abs(t)
-    if gen is Generator.P2:
-        tail = _tail_index(3.0 * at, at, tol)
-        return tail, 2 * tail
-    tail = _tail_index(at, at, tol)
-    return tail, tail
+    if gen not in _GENERATORS:
+        raise DomainError(f"sine-transform evolutions cover generator P, X or P2, got generator {gen.value}")
+    facts = _GENERATORS[gen]
+    check_finite("t", t, facts.cap)
+    tail = _tail_index(facts.walk * abs(t), abs(t), tol)
+    return tail, facts.step * tail
 
 
 def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: int, tol: float) -> np.ndarray:
@@ -279,11 +291,11 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: in
     if t == 0.0:
         return (d == 0).astype(complex)
     m = rows + span
-    prev = None
+    prev, step = None, _GENERATORS[gen].step
     while m <= _DIM_CAP:
         theta = np.arange(1, m + 1) * (np.pi / (m + 1))
         x = 2.0 * np.cos(theta)
-        phase = np.exp(1j * t * (x * x if gen is Generator.P2 else x))
+        phase = np.exp(1j * t * (x if step == 1 else x ** step))  # G is X^step on the nodes; x ** 1 is a pow per node
         c = (2.0 / (m + 1)) * np.sin(np.outer(theta, cols + 1)) * phase[:, None]
         zero = np.zeros((1, cols.size))
         # DST-I of each column as the FFT of its odd extension (0, c, 0, -reversed c)
@@ -367,7 +379,7 @@ def evolve_P_pointwise(k: int, t: float, x: float, tol: float = 1e-10) -> comple
     oracle).  Raises DomainError for |t| > 16, like `evolve_P`.
     """
     check_index("k", k)
-    check_finite("t", t, _MAX_T[Generator.P])
+    check_finite("t", t, _GENERATORS[Generator.P].cap)
     m_top = _tail_index(0.0, abs(t), tol / 100.0) + k + 4
     jv = bessel_j_all(m_top, 2.0 * t).values
     pv = phi_all(m_top + k + 2, x)
@@ -409,7 +421,7 @@ def char_function(generator: Generator | str, t: float) -> complex:
     """
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.X):
-        raise DomainError("characteristic function defined for generators P and X")
+        raise DomainError(f"characteristic function defined for generator P or X, got generator {gen.value}")
     return coeff_I(0, 0, t)
 
 
@@ -514,9 +526,9 @@ def heisenberg_block(
     """
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.P2):
-        raise DomainError(f"Heisenberg corrections cover generators P and P2, got {gen.value}")
+        raise DomainError(f"Heisenberg corrections cover generator P or P2, got generator {gen.value}")
     check_index("m_max, n_max", m_max, n_max)
-    check_finite("t", t, _MAX_T[gen])
+    check_finite("t", t, _GENERATORS[gen].cap)
     check_finite("omega", omega)
     check_positive("tol", tol)
     if t == 0.0:

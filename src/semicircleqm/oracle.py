@@ -1,35 +1,35 @@
 """Independent ground-truth engines for the closed-form evolutions.
 
-Two plain Taylor evaluations of the matrix exponential, each with an
-explicit remainder bound ||B||^(k+1)/(k+1)! e^(||B||), share no code
-with the Bessel or hypergeometric coefficient paths they are used to
-check.  `expm_apply` applies e^(zA) to a vector, or to an n x c block of
-column vectors in one pass, in s Taylor steps of norm at most 4 (the
-action of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011): O(n^2 c
-||zA||) work, and the n x n exponential is never formed.  As in that
-algorithm, zA is first shifted by mu = trace(zA)/n and the result is
-multiplied back by e^mu; the diagonal of the number operator and of P^2
-then costs about half the Taylor terms.
-`expm_matrix` forms the whole matrix by scaling and squaring; the
-criteria in `checks` read columns of `expm_apply` only.  Both take the
-operator as a square array, the output of the `fock` builders.
+`expm_apply` evaluates the matrix exponential by plain Taylor steps,
+each with an explicit remainder bound ||B||^(k+1)/(k+1)! e^(||B||), and
+shares no code with the Bessel or hypergeometric coefficient paths it is
+used to check.  It applies e^(zA), A a square array such as the output
+of the `fock` builders, to a vector, or to an n x c block of column
+vectors in one pass, in s Taylor steps of norm at most 4 (the action of
+Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011): O(n^2 c ||zA||)
+work, and the n x n exponential is never formed.  As in that algorithm,
+zA is first shifted by mu = trace(zA)/n and the result is multiplied
+back by e^mu; the diagonal of the number operator and of P^2 then costs
+about half the Taylor terms.
 `truncation_level` certifies a truncation dimension by doubling: the
 evolutions at N and 2N must agree, and that comparison is the
 certificate.  The doubling starts at N = max(8, k + s n + 1), with n the
 package's tail index at |t| and tol / 10 and s the levels one power of
-the generator moves, where the first comparison accepts, so a certified
-block of columns costs two Taylor actions.  Also provides quadrature
-reference integrals against the semicircle measure.
+the generator moves, the one fact read from `evolution._GENERATORS`,
+where the first comparison accepts, so a certified block of columns
+costs two Taylor actions.  Also provides quadrature reference integrals
+against the semicircle measure.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import ceil, exp, log, log2, sqrt
+from math import ceil, exp, log, sqrt
 
 import numpy as np
 
+from .evolution import _GENERATORS, Generator
 from .exceptions import ConvergenceError, DimensionError, DomainError, check_finite, check_index, check_positive
 from .fock import build_momentum, build_position
 from .orthopoly import quadrature_rule
@@ -98,40 +98,6 @@ def _taylor_terms(nrm: float, scale: float, tol: float) -> tuple[int, float]:
         if bound <= tol:
             return k, bound
     raise ConvergenceError(f"Taylor tolerance {tol} unreachable at {_MAX_TAYLOR_TERMS} terms")
-
-
-def _taylor_expm(mat: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
-    """Taylor sum of e^mat for small-norm mat, with remainder bound."""
-    terms, bound = _taylor_terms(_norm2_upper(mat), 1.0, tol)
-    total = np.eye(mat.shape[0], dtype=complex)
-    term = np.eye(mat.shape[0], dtype=complex)
-    for k in range(1, terms + 1):
-        term = term @ mat / k
-        total += term
-    return total, terms, bound
-
-
-def expm_matrix(op: np.ndarray, z: complex, tol: float = 1e-13) -> tuple[np.ndarray, int, float]:
-    """e^(z A) as a dense matrix, by scaling and squaring with a Taylor core.
-
-    Returns (matrix, taylor_terms, residual_bound); the bound covers the
-    Taylor truncation amplified through the squarings (operator norm,
-    with e^(||B|| 2^j) growth factors; for skew-Hermitian arguments the
-    intermediate exponentials have norm 1 and the bound is tight).
-    """
-    check_positive("tol", tol)
-    za, nrm, skew = _scaled(op, z)
-    squarings = max(0, ceil(log2(nrm / 0.5))) if nrm > 0.5 else 0
-    b = za / (2**squarings)
-    # error through j squarings: E_{j+1} <= 2 ||T_j|| E_j + E_j^2
-    inner_tol = tol / (2.0 ** (squarings + 1)) / max(1.0, exp(0.0 if skew else min(nrm, 50.0)))
-    result, terms, err = _taylor_expm(b, inner_tol)
-    bnorm = _norm2_upper(b)
-    for j in range(squarings):
-        growth = 1.0 if skew else exp(min(bnorm * 2**j, 50.0))
-        err = 2.0 * growth * err + err * err
-        result = result @ result
-    return result, terms, err
 
 
 def _column_norms(w: np.ndarray):
@@ -203,10 +169,6 @@ def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) ->
     return ExpmResult(vector=w, series_terms=total_terms, residual_bound=err)
 
 
-# levels one power of each generator moves: P^2 moves two
-_LEVEL_STEP = {"P": 1, "X": 1, "P2": 2}
-
-
 def _generator(kind: str, dim: int) -> np.ndarray:
     if kind == "P":
         return build_momentum(dim)
@@ -221,7 +183,7 @@ def _generator(kind: str, dim: int) -> np.ndarray:
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
-def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
+def _certified_columns(generator: Generator | str, t: float, ks, tol: float) -> np.ndarray:
     """Columns ks of e^(itG), with G truncated where doubling certifies them to tol.
 
     Doubling procedure: evolve the block of basis vectors ks at N and 2N,
@@ -231,7 +193,7 @@ def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
     double N and compare again.  That comparison is the only
     certificate; the start only decides how soon it passes.  With
     top = max(ks), n = `_tail_index(0, |t|, tol / 10)` and s the levels
-    one power of G moves (2 for P^2, 1 for P and X), the doubling starts
+    one power of G moves (its row's step: 2 for P^2), the doubling starts
     at N = max(8, top + s n + 1).  Every level that N drops is n + 1
     powers of G from every column, past the orders whose tail is below
     tol / 10, so the first comparison accepts and a block takes two
@@ -239,11 +201,12 @@ def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
     in [1e-12, 1e-6]).  Returns the accepted 2N x len(ks) block.  The
     actions run to min(tol / 10, 1e-16), so that the block is a
     reference to rounding.  For t = 0 the evolution is the identity and
-    dimension max(ks) + 2 suffices.  An unknown generator raises
-    DomainError at every t.
+    dimension max(ks) + 2 suffices.  A generator other than P, X or P2
+    raises DomainError at every t.
     """
-    if generator not in _LEVEL_STEP:
-        raise DomainError(f"unknown generator kind {generator!r}")
+    gen = Generator(generator)
+    if gen not in _GENERATORS:
+        raise DomainError(f"the oracle evolves generator P, X or P2, got generator {gen.value}")
     check_positive("tol", tol)
     ks = list(ks)
     check_index("k", *ks)
@@ -254,9 +217,9 @@ def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
     action_tol = min(tol / 10, _REFERENCE_TOL)
 
     def evolved(dim: int) -> np.ndarray:
-        return expm_apply(_generator(generator, dim), 1j * t, np.eye(dim, dtype=complex)[:, ks], action_tol).vector
+        return expm_apply(_generator(gen.value, dim), 1j * t, np.eye(dim, dtype=complex)[:, ks], action_tol).vector
 
-    n = max(8, top + _LEVEL_STEP[generator] * _tail_index(0.0, abs(t), tol / 10) + 1)
+    n = max(8, top + _GENERATORS[gen].step * _tail_index(0.0, abs(t), tol / 10) + 1)
     small = None
     while 2 * n <= _MAX_DIM:
         small = evolved(n) if small is None else small
@@ -268,17 +231,17 @@ def _certified_columns(generator: str, t: float, ks, tol: float) -> np.ndarray:
     raise ConvergenceError(f"no adequate truncation below {_MAX_DIM} for t={t}, k={top}")
 
 
-def truncation_level(t: float, k: int, tol: float, generator: str = "P") -> int:
+def truncation_level(t: float, k: int, tol: float, generator: Generator | str = "P") -> int:
     """Truncation dimension adequate for evolving basis level k to accuracy tol.
 
     The dimension 2N at which the doubling of `_certified_columns`
-    accepts column k: the evolutions at N and 2N agree below tol.  The
-    doubling starts at N = max(8, k + s `_tail_index(0, |t|, tol / 10)` + 1),
-    s = 2 for P^2 and 1 for P and X, where its first comparison, the
-    certificate, accepts.  For t = 0 the evolution is the identity and
-    k + 2 suffices.  Raises DomainError for a generator other than P, X
-    or P2, and ConvergenceError where no 2N <= 512 certifies: t = 64
-    from level 4 at tol 1e-10 certifies at 398, t = 100 raises.
+    accepts column k: the evolutions at N and 2N agree below tol, from
+    the start where that first comparison, the certificate, accepts.
+    For t = 0 the evolution is the identity and k + 2 suffices.
+    generator is a `Generator` or its value.  Raises DomainError for a
+    generator other than P, X or P2, and ConvergenceError where no
+    2N <= 512 certifies: t = 64 from level 4 at tol 1e-10 certifies at
+    398, t = 100 raises.
     """
     return _certified_columns(generator, t, (k,), tol).shape[0]
 

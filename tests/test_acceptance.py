@@ -15,11 +15,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from semicircleqm import checks, orthopoly
+from semicircleqm import checks, evolution, orthopoly
 
+CAPS = {gen.value: facts.cap for gen, facts in evolution._GENERATORS.items()}
 T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
-T_EDGE = (-16.0, 16.0)  # the cap of the translation and position groups
-T2_EDGE = (-8.0, 8.0)  # the cap of the kinetic group
+T_EDGE = (-CAPS["P"], CAPS["P"])  # the cap of the translation and position groups
+T2_EDGE = (-CAPS["P2"], CAPS["P2"])  # the cap of the kinetic group
 PAIRS = ((0.3, 0.3), (0.3, 0.7), (0.7, 0.3), (0.7, 0.7), (8.0, 8.0), (-8.0, -8.0))
 PAIRS2 = ((0.3, 0.3), (0.3, 0.7), (0.7, 0.7), (4.0, 4.0), (-4.0, -4.0))
 CHAR = dict(ts=np.linspace(0.0, 4.0, 21), series_ts=np.linspace(0.1, 4.0, 15))

@@ -277,19 +277,6 @@ def test_mutant_fails_its_rows_and_lines(monkeypatch, mutant):
         assert residual(line._replace(grid={**line.grid, **grid})) > line.tol, line_name
 
 
-def test_no_criterion_forms_a_dense_exponential(monkeypatch):
-    # verify and the gate lines of criteria 6 and 10 read columns of Taylor actions only
-    def refuse(*args, **kwargs):
-        raise AssertionError("a criterion formed a dense exponential")
-
-    monkeypatch.setattr(oracle, "expm_matrix", refuse)
-    monkeypatch.setattr(oracle, "_taylor_expm", refuse)
-    assert all(r.passed for _, r in verify_rows())
-    for line in GATE:
-        if line.num in (6, 10):
-            assert residual(line) <= line.tol, line.name
-
-
 def test_combinatorics_suite_passes_exactly():
     reports = checks.combinatorics_suite()
     assert len(reports) == 3

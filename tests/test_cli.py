@@ -9,7 +9,6 @@ import pytest
 
 from semicircleqm import evolution, oracle
 from semicircleqm.cli import OutputFormat, RunConfig, main, run
-from semicircleqm.fock import build_creation, build_momentum
 
 
 # the (subcommand, flag) pairs of the flags each subcommand takes but does not read
@@ -152,10 +151,9 @@ class TestEvolve:
         assert status == 0
         rows = json.loads(out)["rows"]
         got = np.array([row["re"] + 1j * row["im"] for row in rows])
-        dim = oracle.truncation_level(t, got.size, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        assert np.max(np.abs(got - mat[: got.size, 2])) <= 1e-9
+        # the block also holds the column of the level past the rows, so it reaches past them
+        col = oracle._certified_columns("P2", t, (2, got.size), 1e-10)[:, 0]
+        assert np.max(np.abs(got - col[: got.size])) <= 1e-9
 
 
 class TestJsonSchema:
@@ -323,12 +321,10 @@ class TestHeisenberg:
         )
         assert status == 0
         got = np.array([row["re"] + 1j * row["im"] for row in json.loads(out)["rows"]]).reshape(2, 2)
-        dim = oracle.truncation_level(t, 2, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        u, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        ap = build_creation(dim)
-        conj = u @ ap @ u.conj().T - ap
-        assert np.max(np.abs(got - conj[:2, :2])) <= 1e-8
+        # (U a+ U* - a+)[m, n] = sum_l conj(V[l+1, m]) V[l, n] - delta_{m, n+1}, V = U* = e^{-itP^2}
+        v = oracle._certified_columns("P2", -t, (0, 1), 1e-10)
+        conj = v[1:].conj().T @ v[:-1] - np.eye(2, 2, -1)
+        assert np.max(np.abs(got - conj)) <= 1e-8
 
     def test_momentum_block_at_the_cap(self, capsys):
         status, out, _ = run_capture(capsys, command="heisenberg", generator="P", t_values=[16.0], block=4)

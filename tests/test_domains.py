@@ -8,7 +8,9 @@ are probed at NaN, +-inf and just past +-cap, and inside at +-cap, -0.0
 and the least subnormal; every tol at NaN, +-inf, 0, -0.0 and -1e-8,
 and the H1 frequency omega1 there too and inside at the least subnormal;
 every order, level, node count and dimension at NaN, +-inf, one below
-its least value and a fraction above it.
+its least value and a fraction above it; every generator at an unknown
+name and at each member it does not evolve, and inside at each one it
+does, by name and as a member.
 `test_every_guarded_argument_has_a_row` finds each public function that
 takes such an argument and fails on any argument without a row.
 """
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from semicircleqm import combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun
+from semicircleqm.evolution import Generator
 from semicircleqm.exceptions import DomainError, TruncationError
 
 INF = math.inf
@@ -44,6 +47,15 @@ POSITIVE = Domain(NON_FINITE + (0.0, -0.0, -1e-8), ())
 FREQUENCY = Domain(POSITIVE.refused, (TINY,))  # omega1 of the quadratic well H1
 
 
+def generators(*names: str) -> Domain:
+    """The generators a call evolves, by name and as members: every other member, and an unknown name, are refused."""
+    taken = tuple(map(Generator, names))
+    return Domain(("Q", *(gen.value for gen in Generator if gen not in taken)), names + taken)
+
+
+EVOLVED = generators("P", "X", "P2")
+
+
 def index(least: int) -> Domain:
     """Integers >= least: refused one below and at a fraction above it."""
     return Domain(NON_FINITE + (least - 1, least + 0.5), ())
@@ -59,7 +71,7 @@ UNIT_DISC = Domain(NON_FINITE + (1.0, -1.0), (-0.0, TINY, math.nextafter(1.0, 0.
 
 # argument names that a guard covers: t, x, z, theta, omega, tol, orders, levels and dimensions
 GUARDED = {
-    "t", "x", "z", "theta", "omega", "omega1", "tol", "dim",
+    "t", "x", "z", "theta", "omega", "omega1", "tol", "dim", "generator",
     "n", "m", "k", "l", "p", "n_max", "m_max", "l_max", "max_order", "m_plus", "m_minus", "order",
 }
 MODULES = (combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun)
@@ -109,11 +121,15 @@ ROWS = [
     Row(ev.build_coeff_table, "t", lambda t: list(ev.build_coeff_table("kinetic_I2", t, 4).entries.values()),
         capped(8.0)),
     Row(ev.build_coeff_table, "max_order", lambda n: ev.build_coeff_table("momentum_I", 0.5, n), INDEX),
+    Row(ev.build_coeff_table, "generator", lambda g: list(ev.build_coeff_table(g, 0.5, 4).entries.values()),
+        Domain(EVOLVED.refused, EVOLVED.inside + ("momentum_I", "position_I", "kinetic_I2"))),
+    Row(ev.char_function, "generator", lambda g: ev.char_function(g, 0.5), generators("P", "X")),
     Row(ev.char_function, "t", lambda t: ev.char_function("X", t), capped(16.0)),
     Row(ev.char_function_catalan_series, "t", ev.char_function_catalan_series, FINITE),
     Row(ev.state_char_function, "l", lambda l: ev.state_char_function(l, 0.5), INDEX),
     Row(ev.state_char_function, "t", lambda t: ev.state_char_function(2, t), capped(16.0)),
     # evolution: evolutions and element tables
+    Row(ev.evolve, "generator", lambda g: ev.evolve(g, 1, 0.5).amplitudes, EVOLVED),
     Row(ev.evolve, "k", lambda k: ev.evolve("P", k, 0.5), INDEX),
     Row(ev.evolve, "t", lambda t: ev.evolve("X", 1, t).amplitudes, capped(16.0)),
     Row(ev.evolve, "l_max", lambda l_max: ev.evolve("P", 0, 0.5, l_max), INDEX),
@@ -136,6 +152,7 @@ ROWS = [
     Row(ev.evolve_H1, "t", lambda t: ev.evolve_H1(1, t).amplitudes, FINITE),
     Row(ev.evolve_H1, "omega1", lambda w: ev.evolve_H1(1, 0.5, w).amplitudes, FREQUENCY),
     Row(ev.evolve_H1, "l_max", lambda l_max: ev.evolve_H1(0, 0.5, 1.0, l_max), INDEX),
+    Row(ev.element_table, "generator", lambda g: ev.element_table(g, 0.5, 3), EVOLVED),
     Row(ev.element_table, "t", lambda t: ev.element_table("P2", t, 3), capped(8.0)),
     Row(ev.element_table, "l_max", lambda l_max: ev.element_table("X", 0.5, l_max), INDEX),
     Row(ev.element_table, "tol", lambda tol: ev.element_table("X", 0.5, 3, tol), POSITIVE),
@@ -147,6 +164,7 @@ ROWS = [
     Row(ev.evolve_X_vacuum_pointwise, "t", lambda t: ev.evolve_X_vacuum_pointwise(t, 0.3), capped(32.0)),
     Row(ev.evolve_X_vacuum_pointwise, "x", lambda x: ev.evolve_X_vacuum_pointwise(0.5, x), SUPPORT),
     # evolution: Heisenberg corrections
+    Row(ev.heisenberg_block, "generator", lambda g: ev.heisenberg_block(g, 0.5, 1, 1), generators("P", "P2")),
     Row(ev.heisenberg_block, "t", lambda t: ev.heisenberg_block("P", t, 0, 1), capped(16.0)),
     Row(ev.heisenberg_block, "m_max", lambda m: ev.heisenberg_block("P", 0.5, m, 1), INDEX),
     Row(ev.heisenberg_block, "n_max", lambda n: ev.heisenberg_block("P", 0.5, 1, n), INDEX),
@@ -217,13 +235,12 @@ ROWS = [
     Row(fock.harmonic_char_from_state, "t", lambda t: fock.harmonic_char_from_state(t, XI, 1.0), FINITE),
     Row(fock.harmonic_char_from_state, "omega1", lambda w: fock.harmonic_char_from_state(0.5, XI, w), FREQUENCY),
     # oracle
-    Row(oracle.expm_matrix, "z", lambda z: oracle.expm_matrix(OP, z)[0], SCALAR),
-    Row(oracle.expm_matrix, "tol", lambda tol: oracle.expm_matrix(OP, 0.5j, tol), POSITIVE),
     Row(oracle.expm_apply, "z", lambda z: oracle.expm_apply(OP, z, VEC).vector, SCALAR),
     Row(oracle.expm_apply, "tol", lambda tol: oracle.expm_apply(OP, 0.5j, VEC, tol), POSITIVE),
     Row(oracle.truncation_level, "t", lambda t: oracle.truncation_level(t, 0, 1e-10), FINITE),
     Row(oracle.truncation_level, "k", lambda k: oracle.truncation_level(1.0, k, 1e-10), INDEX),
     Row(oracle.truncation_level, "tol", lambda tol: oracle.truncation_level(1.0, 0, tol), POSITIVE),
+    Row(oracle.truncation_level, "generator", lambda g: oracle.truncation_level(1.0, 0, 1e-10, g), EVOLVED),
     Row(oracle.semicircle_expectation, "m", lambda m: oracle.semicircle_expectation(np.cos, m), COUNT),
     Row(oracle.char_function_quadrature, "t", oracle.char_function_quadrature, FINITE),
     Row(oracle.char_function_quadrature, "m", lambda m: oracle.char_function_quadrature(0.5, m), COUNT),

@@ -32,15 +32,10 @@ from semicircleqm.evolution import (
     state_char_function,
 )
 from semicircleqm.exceptions import DomainError, QuadratureError, TruncationError
-from semicircleqm.fock import basis, build_momentum, build_position
+from semicircleqm.fock import basis
 from semicircleqm.specfun import bessel_j, bessel_j_all
 
 NAN = float("nan")
-
-
-def momentum_oracle_column(t, k, dim):
-    mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
-    return mat[:, k]
 
 
 def count_tail_searches(monkeypatch) -> list:
@@ -71,7 +66,7 @@ def count_exact_series(monkeypatch) -> list:
 
 def times_up_to_the_cap(gen):
     """t anywhere in [-cap, cap], and the two edges themselves."""
-    cap = evolution._MAX_T[gen]
+    cap = evolution._GENERATORS[gen].cap
     return st.floats(-cap, cap) | st.sampled_from((-cap, cap))
 
 
@@ -191,7 +186,7 @@ class TestEvolveP:
     def test_unit_norm_and_oracle_match(self):
         state = evolve_P(0, 1.0, l_max=40, tol=1e-10)
         assert state.norm_defect() <= 1e-8
-        col = momentum_oracle_column(1.0, 0, 64)
+        col = oracle._certified_columns("P", 1.0, (0, 40), 1e-10)[:, 0]  # certified past level 40
         assert np.max(np.abs(state.amplitudes - col[:41])) <= 1e-8
 
     def test_pointwise_closed_form(self):
@@ -244,11 +239,10 @@ class TestEvolveX:
 
     def test_against_matrix_exponential(self):
         t = 0.6
-        dim = oracle.truncation_level(t, 1, 1e-10, generator="X")
-        mat, _, _ = oracle.expm_matrix(build_position(dim), 1j * t)
+        col = oracle._certified_columns("X", t, (1,), 1e-10)[:, 0]
         state = evolve_X(1, t, l_max=40, tol=1e-10)
-        top = min(41, dim)
-        assert np.max(np.abs(state.amplitudes[:top] - mat[:top, 1])) <= 1e-8
+        top = min(41, col.size)
+        assert np.max(np.abs(state.amplitudes[:top] - col[:top])) <= 1e-8
 
     def test_unit_norm(self):
         for t in (0.5, 2.0):
@@ -292,9 +286,8 @@ class TestCharFunctions:
 
     def test_state_char_against_oracle(self):
         t, l = 1.3, 2
-        dim = oracle.truncation_level(t, l, 1e-10)
-        mat, _, _ = oracle.expm_matrix(build_momentum(dim), 1j * t)
-        assert abs(state_char_function(l, t) - mat[l, l]) <= 1e-9
+        col = oracle._certified_columns("P", t, (l,), 1e-10)[:, 0]
+        assert abs(state_char_function(l, t) - col[l]) <= 1e-9
 
     def test_rejects_kinetic_generator(self):
         with pytest.raises(DomainError):
@@ -345,10 +338,8 @@ class TestKineticCoefficients:
 
     def test_against_matrix_exponential(self):
         t = 0.4
-        dim = oracle.truncation_level(t, 0, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        assert abs(coeff_I2(0, 2, t) - mat[2, 0]) <= 1e-9
+        col = oracle._certified_columns("P2", t, (0,), 1e-10)[:, 0]
+        assert abs(coeff_I2(0, 2, t) - col[2]) <= 1e-9
 
 
 class TestEvolveP2:
@@ -372,12 +363,10 @@ class TestEvolveP2:
 
     def test_vacuum_against_oracle(self):
         t = 0.3
-        dim = oracle.truncation_level(t, 0, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
+        col = oracle._certified_columns("P2", t, (0,), 1e-10)[:, 0]
         state = evolve_P2_vacuum(t, l_max=40, tol=1e-10)
-        top = min(41, dim)
-        assert np.max(np.abs(state.amplitudes[:top] - mat[:top, 0])) <= 1e-7
+        top = min(41, col.size)
+        assert np.max(np.abs(state.amplitudes[:top] - col[:top])) <= 1e-7
 
     def test_first_level_against_oracle(self):
         assert checks.evolutions_vs_oracle("P2", (0.35,), (1,), 1e-10)[0] <= 1e-7
@@ -607,7 +596,7 @@ class TestSineTransformEngine:
 
     @settings(deadline=None)
     @given(
-        generator_and_t=st.sampled_from(list(evolution._MAX_T)).flatmap(
+        generator_and_t=st.sampled_from(list(evolution._GENERATORS)).flatmap(
             lambda gen: st.tuples(st.just(gen), times_up_to_the_cap(gen))
         ),
         k=st.integers(0, 12),
@@ -630,10 +619,9 @@ class TestSineTransformEngine:
     def test_kinetic_from_any_level(self):
         t, k = 0.3, 2
         state = evolve("P2", k, t)
-        dim = oracle.truncation_level(t, state.amplitudes.size, 1e-10, generator="P2")
-        p = build_momentum(dim)
-        mat, _, _ = oracle.expm_matrix(p @ p, 1j * t)
-        assert np.max(np.abs(state.amplitudes - mat[: state.amplitudes.size, k])) <= 1e-9
+        # the block also holds the column of the level past the amplitudes, so it reaches past them
+        col = oracle._certified_columns("P2", t, (k, state.amplitudes.size), 1e-10)[:, 0]
+        assert np.max(np.abs(state.amplitudes - col[: state.amplitudes.size])) <= 1e-9
         assert np.all(state.amplitudes[1::2] == 0)
 
     def test_table_matches_columns(self):
@@ -663,6 +651,21 @@ class TestSineTransformEngine:
     def test_out_of_domain_is_refused(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("generator", ["H1", Generator.H1, "Q"])
+    def test_a_generator_with_no_evolution_is_refused_at_every_time(self, generator, t):
+        # the identity shortcuts at t = 0 let no such generator through, and each refusal names the argument
+        calls = [
+            lambda: evolve(generator, 1, t),
+            lambda: element_table(generator, t, 3),
+            lambda: build_coeff_table(generator, t, 4),
+            lambda: heisenberg_block(generator, t, 1, 1),
+            lambda: oracle.truncation_level(t, 1, 1e-10, generator),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"\bgenerator\b"):
+                call()
 
 
 def reference_coefficient(gen, m, n, t):
