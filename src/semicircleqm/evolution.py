@@ -277,6 +277,21 @@ def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
     return tail, facts.step * tail
 
 
+@lru_cache(maxsize=256)
+def _sine_nodes(m: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DST-I nodes of the truncation m: theta_j = j pi/(m+1) and x_j^step, x_j = 2 cos theta_j, j = 1..m.
+
+    G is X^step on the nodes.  Built once per (m, step) and shared, so
+    the arrays are read-only.  At most 256 entries of two m-long float64
+    arrays, m <= `_DIM_CAP`: 256 x 2 x 8 B x 4095, about 16.8 MB at
+    worst; truncations of a few hundred levels, the usual ones, keep it
+    near 1 MB.
+    """
+    theta = np.arange(1, m + 1) * (np.pi / (m + 1))
+    x = 2.0 * np.cos(theta)
+    return orthopoly._read_only(theta), orthopoly._read_only(x if step == 1 else x ** step)  # x ** 1 is a pow per node
+
+
 def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: int, tol: float) -> np.ndarray:
     """<level l | e^{itG} | level k> for l < rows and k in cols, G in {X, P, P2}.
 
@@ -285,7 +300,10 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: in
     `orthopoly.quadrature_rule` nodes, and eigenvectors
     sqrt(2/(m+1)) sin((l+1) j pi/(m+1)); P = D X D* with D = diag(i^l).
     m starts at rows plus span and grows to 2m+1, which keeps every
-    node, until two truncations agree within tol/10.
+    node, until two truncations agree within tol/10.  The nodes depend
+    only on m and the generator's level step, so each round reads them
+    from the `_sine_nodes` table; the phase e^{itG} and the sine weights
+    of the source columns are formed on every round.
     """
     d = np.arange(rows)[:, None] - cols
     if t == 0.0:
@@ -293,9 +311,8 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: in
     m = rows + span
     prev, step = None, _GENERATORS[gen].step
     while m <= _DIM_CAP:
-        theta = np.arange(1, m + 1) * (np.pi / (m + 1))
-        x = 2.0 * np.cos(theta)
-        phase = np.exp(1j * t * (x if step == 1 else x ** step))  # G is X^step on the nodes; x ** 1 is a pow per node
+        theta, eig = _sine_nodes(m, step)  # eig: the eigenvalues of G, x^step
+        phase = np.exp(1j * t * eig)
         c = (2.0 / (m + 1)) * np.sin(np.outer(theta, cols + 1)) * phase[:, None]
         zero = np.zeros((1, cols.size))
         # DST-I of each column as the FFT of its odd extension (0, c, 0, -reversed c)

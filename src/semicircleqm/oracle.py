@@ -56,21 +56,24 @@ class ExpmResult:
     residual_bound: float
 
 
-def _magnitude_bound(mag: np.ndarray) -> float:
-    """sqrt(norm1 * norm_inf) of a matrix from its entrywise magnitudes; finite where both norms are."""
-    return sqrt(float(mag.sum(axis=0).max())) * sqrt(float(mag.sum(axis=1).max()))
+def _sums_bound(col: np.ndarray, row: np.ndarray) -> float:
+    """sqrt(norm1 * norm_inf) of a matrix from the column and row sums of its entrywise magnitudes."""
+    return sqrt(float(col.max())) * sqrt(float(row.max()))
 
 
 def _norm2_upper(mat: np.ndarray) -> float:
     """Cheap upper bound for the spectral norm: sqrt(norm1 * norm_inf)."""
-    return _magnitude_bound(np.abs(mat))
+    mag = np.abs(mat)
+    return _sums_bound(mag.sum(axis=0), mag.sum(axis=1))
 
 
-def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool]:
-    """z A as an array, an upper bound on its norm, and whether it is skew-Hermitian.
+def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool, tuple[np.ndarray, np.ndarray]]:
+    """z A as an array, an upper bound on its norm, whether it is skew-Hermitian, and its magnitude sums.
 
     |zA| = |z| |A| entrywise, so the bound is |z| times that of A, from
-    the one magnitude pass that the overflow guard also reads.
+    the one magnitude pass that the overflow guard also reads.  The
+    magnitude sums are the column and row sums of |zA|, which
+    `_shifted_bound` corrects for a shift of the diagonal.
     """
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -82,9 +85,23 @@ def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool]:
     # every sum over |zA| and |zA + (zA)*| is at most 2 |z| sum |A|, so none can overflow past this guard
     check_finite("|z| ||A||", 2.0 * abs(z) * float(mag.sum()))
     za = z * mat
-    nrm = abs(z) * _magnitude_bound(mag)
+    col, row = mag.sum(axis=0), mag.sum(axis=1)
+    nrm = abs(z) * _sums_bound(col, row)
     check_finite("||zA||", nrm)
-    return za, nrm, _norm2_upper(za + za.conj().T) <= 1e-12 * max(1.0, nrm)
+    skew = _norm2_upper(za + za.conj().T) <= 1e-12 * max(1.0, nrm)
+    return za, nrm, skew, (abs(z) * col, abs(z) * row)
+
+
+def _shifted_bound(za: np.ndarray, mu: complex, sums: tuple[np.ndarray, np.ndarray]) -> float:
+    """sqrt(norm1 * norm_inf) of zA - mu I from the magnitude sums of zA, in O(n).
+
+    The shift moves only the diagonal, so each column and row sum of
+    |zA - mu I| is that of |zA| with |zA_jj| replaced by |zA_jj - mu|.
+    It equals the direct pass over |zA - mu I| up to rounding.
+    """
+    diag = np.diagonal(za)
+    shift = np.abs(diag - mu) - np.abs(diag)
+    return _sums_bound(sums[0] + shift, sums[1] + shift)
 
 
 def _taylor_terms(nrm: float, scale: float, tol: float) -> tuple[int, float]:
@@ -127,27 +144,30 @@ def expm_apply(op: np.ndarray, z: complex, v: np.ndarray, tol: float = 1e-12) ->
     column and is at most tol ||v||.  series_terms is the number of
     Taylor terms over all steps.  For skew-Hermitian z A the norm of
     every result column is asserted to match that of its input column to
-    1e-12 (relative).
+    1e-12 (relative).  A v with a non-finite entry, or a column whose
+    norm overflows, raises DomainError.
     """
     check_positive("tol", tol)
-    za, nrm, skew = _scaled(op, z)
+    za, nrm, skew, sums = _scaled(op, z)
     n = za.shape[0]
     w = np.asarray(v, dtype=complex)
     if w.ndim not in (1, 2) or w.shape[0] != n or w.size == 0:
         raise DimensionError(f"operator dim {n} vs vector shape {w.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry or an overflow makes a norm non-finite
+        vnorms = _column_norms(w)
+    vnorm = float(vnorms.max())
+    check_finite("||v||", vnorm)
     mu = complex(np.trace(za)) / n
     if mu.real > _LOG_FLOAT_MAX:
         raise ConvergenceError(f"e^mu overflows at mu = trace(zA)/n = {mu:.3e}")
     if mu:
+        nrm = _shifted_bound(za, mu, sums)
         za = za - mu * np.eye(n)
-        nrm = _norm2_upper(za)
     lift = exp(max(mu.real, 0.0))  # |e^mu| where it can amplify the error
     steps = max(1, ceil(nrm / _STEP_NORM))
     b = za / steps
     step_norm = nrm / steps
     log_growth = 0.0 if skew else step_norm  # log of a bound on ||e^B||
-    vnorms = _column_norms(w)
-    vnorm = float(vnorms.max())
     err, total_terms = 0.0, 0
     for j in range(steps):
         step_tol = tol * vnorm / steps * exp(-log_growth * (steps - 1 - j)) / lift

@@ -67,11 +67,12 @@ THETA = Domain(NON_FINITE + (0.0, -0.0, math.pi), (1.0,))
 SUPPORT = capped(2.0)
 OPEN_SUPPORT = capped(math.nextafter(2.0, 0.0))
 SCALAR = Domain(NON_FINITE + (1e308j,), FINITE.inside)  # z of the oracle: 1e308j overflows |z| ||A||
+VECTOR = Domain(NON_FINITE + (1e308,), FINITE.inside)  # every entry of v: 1e308 overflows ||v||
 UNIT_DISC = Domain(NON_FINITE + (1.0, -1.0), (-0.0, TINY, math.nextafter(1.0, 0.0)))
 
-# argument names that a guard covers: t, x, z, theta, omega, tol, orders, levels and dimensions
+# argument names that a guard covers: t, x, z, v, theta, omega, tol, orders, levels and dimensions
 GUARDED = {
-    "t", "x", "z", "theta", "omega", "omega1", "tol", "dim", "generator",
+    "t", "x", "z", "v", "theta", "omega", "omega1", "tol", "dim", "generator",
     "n", "m", "k", "l", "p", "n_max", "m_max", "l_max", "max_order", "m_plus", "m_minus", "order",
 }
 MODULES = (combinatorics, evolution, fock, hilbert, oracle, orthopoly, specfun)
@@ -229,6 +230,7 @@ ROWS = [
     Row(fock.coherent_kernel, "u", lambda u: fock.coherent_kernel(u, 0.5), UNIT_DISC),
     Row(fock.coherent_kernel, "v", lambda v: fock.coherent_kernel(0.5, v), UNIT_DISC),
     Row(fock.coherent_kernel_truncated, "u", lambda u: fock.coherent_kernel_truncated(u, 0.5, 8), UNIT_DISC),
+    Row(fock.coherent_kernel_truncated, "v", lambda v: fock.coherent_kernel_truncated(0.5, v, 8), UNIT_DISC),
     Row(fock.coherent_kernel_truncated, "dim", lambda dim: fock.coherent_kernel_truncated(0.5, 0.5, dim), INDEX),
     Row(fock.harmonic_char, "t", lambda t: fock.harmonic_char(t, 0.25, 1.0), FINITE),
     Row(fock.harmonic_char, "omega1", lambda w: fock.harmonic_char(0.5, 0.25, w), FREQUENCY),
@@ -236,6 +238,7 @@ ROWS = [
     Row(fock.harmonic_char_from_state, "omega1", lambda w: fock.harmonic_char_from_state(0.5, XI, w), FREQUENCY),
     # oracle
     Row(oracle.expm_apply, "z", lambda z: oracle.expm_apply(OP, z, VEC).vector, SCALAR),
+    Row(oracle.expm_apply, "v", lambda v: oracle.expm_apply(OP, 0.5j, np.full(8, v)).vector, VECTOR),
     Row(oracle.expm_apply, "tol", lambda tol: oracle.expm_apply(OP, 0.5j, VEC, tol), POSITIVE),
     Row(oracle.truncation_level, "t", lambda t: oracle.truncation_level(t, 0, 1e-10), FINITE),
     Row(oracle.truncation_level, "k", lambda k: oracle.truncation_level(1.0, k, 1e-10), INDEX),

@@ -668,6 +668,80 @@ class TestSineTransformEngine:
                 call()
 
 
+def inline_group_block(gen, t, cols, rows, span, tol):
+    """`evolution._group_block` as it was before its node table: every round builds the nodes inline."""
+    d = np.arange(rows)[:, None] - cols
+    if t == 0.0:
+        return (d == 0).astype(complex)
+    m = rows + span
+    prev, step = None, evolution._GENERATORS[gen].step
+    while m <= evolution._DIM_CAP:
+        theta = np.arange(1, m + 1) * (np.pi / (m + 1))
+        x = 2.0 * np.cos(theta)
+        phase = np.exp(1j * t * (x if step == 1 else x ** step))
+        c = (2.0 / (m + 1)) * np.sin(np.outer(theta, cols + 1)) * phase[:, None]
+        zero = np.zeros((1, cols.size))
+        block = 0.5j * np.fft.fft(np.concatenate([zero, c, zero, -c[::-1]]), axis=0)[1 : rows + 1]
+        if prev is not None and float(np.max(np.abs(block - prev))) <= tol / 10.0:
+            break
+        prev, m = block, 2 * m + 1
+    else:
+        raise TruncationError("no agreement")
+    i_d = np.array([1, 1j, -1, -1j])[d % 4]
+    if gen is Generator.P2:
+        return np.where(d % 2 == 1, 0.0, block * i_d)
+    if gen is Generator.P:
+        return (block * i_d).real.astype(complex)
+    return np.where(d % 2 == 1, 1j * block.imag, block.real)
+
+
+def engine_cases():
+    """(generator, t, cols, rows, span, tol): one and many source columns at +-cap, t = 0 and inside."""
+    for gen, facts in evolution._GENERATORS.items():
+        for t in (facts.cap, -facts.cap, 0.0, 0.7 * facts.cap, -1.3):
+            span = evolution._tail_span(gen, t, 1e-10)[1]
+            yield gen, t, np.array([3]), 4 + span, span, 1e-10
+            yield gen, t, np.arange(9), 9, span, 1e-10
+            yield gen, t, np.array([0, 5]), 6 + span, span, 1e-13
+
+
+class TestSineNodeTable:
+    @pytest.mark.parametrize("gen, t, cols, rows, span, tol", list(engine_cases()))
+    def test_engine_equals_the_inline_nodes_bit_for_bit(self, gen, t, cols, rows, span, tol):
+        want = inline_group_block(gen, t, cols, rows, span, tol)
+        got = evolution._group_block(gen, t, cols, rows, span, tol)
+        assert got.shape == want.shape
+        assert np.all(got == want)
+        assert np.all(evolution._group_block(gen, t, cols, rows, span, tol) == want)  # from the table's entries
+
+    @pytest.mark.parametrize("gen", list(evolution._GENERATORS))
+    def test_a_doubling_chain_equals_the_inline_nodes(self, gen):
+        # no span at the cap: the truncation 8 doubles to 17, 35, 71, ... before two agree
+        t = evolution._GENERATORS[gen].cap
+        evolution._sine_nodes.cache_clear()
+        got = evolution._group_block(gen, t, np.array([0, 2]), 8, 0, 1e-10)
+        assert evolution._sine_nodes.cache_info().misses >= 4
+        assert np.all(got == inline_group_block(gen, t, np.array([0, 2]), 8, 0, 1e-10))
+
+    @pytest.mark.parametrize("m, step", [(1, 1), (53, 1), (150, 2), (4095, 2)])
+    def test_entries_are_the_inline_nodes_and_read_only(self, m, step):
+        theta, eig = evolution._sine_nodes(m, step)
+        want = np.arange(1, m + 1) * (np.pi / (m + 1))
+        assert np.all(theta == want)
+        assert np.all(eig == (2.0 * np.cos(want)) ** step)
+        for arr in (theta, eig):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_the_table_is_bounded(self):
+        info = evolution._sine_nodes.cache_info()
+        # the docstring's worst case: entries x 2 arrays x 8 B x m, m <= _DIM_CAP
+        assert info.maxsize * 2 * 8 * evolution._DIM_CAP <= 16.8e6
+        for m in range(1, info.maxsize + 40):
+            evolution._sine_nodes(m, 1)
+        assert evolution._sine_nodes.cache_info().currsize == info.maxsize
+
+
 def reference_coefficient(gen, m, n, t):
     """I[m, n](t) (I2 for P2) from the Bessel and 1F1 closed forms, at 30 digits."""
     s = m + n

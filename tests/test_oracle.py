@@ -120,7 +120,7 @@ ACTION_CASES = {
 
 def unshifted_action(op, z, v, tol=1e-12):
     """The Taylor steps of `expm_apply` on zA itself, with no trace shift: (vector, series_terms)."""
-    za, nrm, skew = oracle._scaled(op, z)
+    za, nrm, skew, _ = oracle._scaled(op, z)
     steps = max(1, math.ceil(nrm / oracle._STEP_NORM))
     b = za / steps
     step_norm = nrm / steps
@@ -254,6 +254,33 @@ class TestTaylorAction:
         vnorm = np.linalg.norm(v)
         assert np.linalg.norm(res.vector - eigh_exponential(op, z) @ v) <= 1e-12 * vnorm
         assert res.residual_bound <= 1e-12 * vnorm
+
+
+    @pytest.mark.parametrize(
+        ("op", "z"),
+        [(oracle._generator("P2", 158), 8j), (oracle._generator("P2", 316), -3.3j),
+         (build_number_function(48, lambda n: n), 0.9j), (build_number_function(40, lambda n: n), 0.01),
+         (random_hermitian(30), 2.0j), (random_hermitian(17) + 5.0 * np.eye(17), -0.7)],
+        ids=["P2-158", "P2-316", "number-48", "number-real-z", "random-Hermitian", "shifted-random-Hermitian"],
+    )
+    def test_the_shifted_bound_from_the_magnitude_sums(self, op, z):
+        # the O(n) diagonal correction of the sums of |zA| bounds ||zA - mu I|| as the direct pass over it does
+        za, _, _, sums = oracle._scaled(op, z)
+        mu = complex(np.trace(za)) / za.shape[0]
+        shifted = za - mu * np.eye(za.shape[0])
+        bound = oracle._shifted_bound(za, mu, sums)
+        assert np.linalg.norm(shifted, 2) <= bound
+        assert abs(bound - oracle._norm2_upper(shifted)) <= 1e-14 * bound
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.array([np.inf] + [0.0] * 7), np.array([np.nan] + [0.0] * 7), np.full(8, 1e308),
+         np.eye(8)[:, :3] + np.pad([[0.0, -np.inf, 0.0]], ((0, 7), (0, 0))), np.full((8, 2), 1e200 + 1e200j)],
+        ids=["inf-entry", "nan-entry", "overflowing-norm", "inf-column", "overflowing-block-column"],
+    )
+    def test_a_vector_that_is_not_finite_is_refused(self, v):
+        with pytest.raises(DomainError, match=r"\bv\b"):
+            oracle.expm_apply(build_momentum(8), 1j, v)
 
 
 class TestTruncationLevel:
