@@ -115,17 +115,11 @@ _COLUMN_TOL = 1e-13  # engine tolerance of every coefficient column
 def _vacuum_column(gen: Generator, t: float, top: int, span: int) -> np.ndarray:
     """Read-only <level l | e^{itG} | 0> for l <= top, from the engine at _COLUMN_TOL.
 
-    span is `_column_tail` at |t| or at a larger time.
+    span is `_tail_span` at _COLUMN_TOL and at |t| or a larger time.
     """
     column = _group_block(gen, t, np.array([0]), top + 1, span, _COLUMN_TOL)[:, 0]
     column.flags.writeable = False
     return column
-
-
-@lru_cache(maxsize=1024)
-def _column_tail(gen: Generator, t: float) -> int:
-    """Levels the tail of e^{itG}|0> spans at _COLUMN_TOL, searched once per (gen, t)."""
-    return _tail_span(gen, t, _COLUMN_TOL)[1]
 
 
 def _coeff_column(gen: Generator, t: float, s: int) -> np.ndarray:
@@ -136,7 +130,7 @@ def _coeff_column(gen: Generator, t: float, s: int) -> np.ndarray:
     `_tail_span` refuses H1 and a t past the cap.
     """
     gen = Generator.P if gen is Generator.X else gen
-    span = _column_tail(gen, float(t))
+    span = _tail_span(gen, float(t), _COLUMN_TOL)[1]
     return _vacuum_column(gen, float(t), max(s, span), span)
 
 
@@ -248,6 +242,7 @@ def matrix_element_P(l: int, k: int, t: float) -> complex:
 _DIM_CAP = 4095
 
 
+@lru_cache(maxsize=1024)
 def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
     """Tail level of e^{itG}, G in {P, X, P2}, at tol and the levels it spans past any source level.
 
@@ -268,6 +263,11 @@ def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
     carry at most tol in total, from every source level k.  The tail
     counts steps of the row's level step, pairs of levels for P^2.  The
     bound grows with |t|, so the span at |t| covers [-|t|, |t|].
+
+    Searched once per (gen, t, tol) in one bounded cache: every
+    evolution and element table reads its span from it, and every
+    coefficient column and Heisenberg block at _COLUMN_TOL.  A refusal
+    raises and is never cached.
     """
     if gen not in _GENERATORS:
         raise DomainError(f"sine-transform evolutions cover generator P, X or P2, got generator {gen.value}")
@@ -292,6 +292,9 @@ def _sine_nodes(m: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     return orthopoly._read_only(theta), orthopoly._read_only(x if step == 1 else x ** step)  # x ** 1 is a pow per node
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^d, indexed by d mod 4
+
+
 def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: int, tol: float) -> np.ndarray:
     """<level l | e^{itG} | level k> for l < rows and k in cols, G in {X, P, P2}.
 
@@ -303,26 +306,34 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: in
     node, until two truncations agree within tol/10.  The nodes depend
     only on m and the generator's level step, so each round reads them
     from the `_sine_nodes` table; the phase e^{itG} and the sine weights
-    of the source columns are formed on every round.
+    of the source columns are formed on every round, straight into one
+    (2m+2) x len(cols) buffer that holds the odd extension of the
+    columns, which the FFT transforms.
     """
     d = np.arange(rows)[:, None] - cols
     if t == 0.0:
         return (d == 0).astype(complex)
     m = rows + span
     prev, step = None, _GENERATORS[gen].step
+    sources = cols + 1
     while m <= _DIM_CAP:
         theta, eig = _sine_nodes(m, step)  # eig: the eigenvalues of G, x^step
         phase = np.exp(1j * t * eig)
-        c = (2.0 / (m + 1)) * np.sin(np.outer(theta, cols + 1)) * phase[:, None]
-        zero = np.zeros((1, cols.size))
-        # DST-I of each column as the FFT of its odd extension (0, c, 0, -reversed c)
-        block = 0.5j * np.fft.fft(np.concatenate([zero, c, zero, -c[::-1]]), axis=0)[1 : rows + 1]
-        if prev is not None and float(np.max(np.abs(block - prev))) <= tol / 10.0:
+        # DST-I of each column c as the FFT of its odd extension (0, c, 0, -reversed c)
+        odd = np.empty((2 * m + 2, cols.size), dtype=complex)
+        odd[0] = odd[m + 1] = 0.0
+        weights = theta[:, None] * sources
+        np.sin(weights, out=weights)
+        weights *= 2.0 / (m + 1)
+        c = np.multiply(weights, phase[:, None], out=odd[1 : m + 1])
+        np.negative(c[::-1], out=odd[m + 2 :])
+        block = 0.5j * np.fft.fft(odd, axis=0)[1 : rows + 1]
+        if prev is not None and float(np.abs(block - prev).max()) <= tol / 10.0:
             break
         prev, m = block, 2 * m + 1
     else:
         raise TruncationError(f"no agreement within {tol / 10.0:.1e} below dimension {_DIM_CAP}")
-    i_d = np.array([1, 1j, -1, -1j])[d % 4]
+    i_d = _I_POWERS[d % 4]
     if gen is Generator.P2:  # P^2 keeps parity
         return np.where(d % 2 == 1, 0.0, block * i_d)
     if gen is Generator.P:  # e^{itX} is real at even d and imaginary at odd d
@@ -551,7 +562,7 @@ def heisenberg_block(
     if t == 0.0:
         return np.zeros((m_max + 1, n_max + 1), dtype=complex)
     top = max(m_max, n_max)
-    span = _column_tail(gen, float(t))
+    span = _tail_span(gen, float(t), _COLUMN_TOL)[1]
     level = max(top, span) + 1  # u[top + 1] is read; past the tail, blocks of every size share the columns
 
     def integrate(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:

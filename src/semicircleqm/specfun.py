@@ -234,6 +234,7 @@ def bessel_j_all(n_max: int, x: float) -> BesselOrders:
     """
     check_index("n_max", n_max)
     check_finite("x", x, _MAX_ABS_ARGUMENT)
+    x = float(x)  # an np.float64 would run the recurrence in slower NumPy scalar arithmetic, to the same bits
     if abs(x) < _TINY_ARGUMENT:
         values = np.zeros(n_max + 1)
         term = 1.0
@@ -315,7 +316,8 @@ def bessel_j_series_orders(orders, x: float) -> tuple[SeriesResult, ...]:
     orders = tuple(orders)
     check_index("orders", *orders)
     check_finite("x", x, _MAX_ABS_ARGUMENT)
-    a, b = float(x).as_integer_ratio()
+    x = float(x)  # as in `bessel_j_all`: Python float arithmetic in the stop rule, to the same bits
+    a, b = x.as_integer_ratio()
     shift = b.bit_length()  # 2b = 2^shift
     quarter_x2 = 0.25 * x * x
     # log2 |a|; with a = 0 every term after the first is 0 and the test below always passes

@@ -51,6 +51,14 @@ def count_tail_searches(monkeypatch) -> list:
     return searches
 
 
+@pytest.fixture
+def fresh_tail_spans():
+    """Empty the cache of `_tail_span` before and after a test that replaces or counts its search."""
+    evolution._tail_span.cache_clear()
+    yield
+    evolution._tail_span.cache_clear()
+
+
 def count_exact_series(monkeypatch) -> list:
     """Record every series that `specfun._exact_series` sums, through evolution or specfun."""
     true_sum, sums = specfun._exact_series, []
@@ -426,10 +434,9 @@ class TestHeisenbergP:
             heisenberg_block(generator, 0.5, 2, 2)
 
     @pytest.mark.parametrize("generator, t", [("P", 16.0), ("P2", -8.0)])
-    def test_block_searches_one_tail(self, monkeypatch, generator, t):
+    def test_block_searches_one_tail(self, monkeypatch, fresh_tail_spans, generator, t):
         # the tail bound grows with |t|, so the search at t sizes the column at
         # every node; a search per node would make at least 24 + 48
-        evolution._column_tail.cache_clear()
         searches = count_tail_searches(monkeypatch)
         heisenberg_block(generator, t, 3, 3)
         assert len(searches) == 1
@@ -586,7 +593,7 @@ class TestSineTransformEngine:
         # the walk bounds of `_tail_span` fix the default rows; they are part of the output contract
         assert call().amplitudes.size == rows
 
-    def test_truncation_grows_past_a_short_start(self, monkeypatch):
+    def test_truncation_grows_past_a_short_start(self, monkeypatch, fresh_tail_spans):
         # a tail level of 1 starts the truncation far too small; the
         # agreement check must keep growing it
         monkeypatch.setattr(evolution, "_tail_index", lambda log_c, a, tol: 1)
@@ -610,6 +617,35 @@ class TestSineTransformEngine:
         dim = top + 65
         ref = oracle.expm_apply(oracle._generator(generator.value, dim), 1j * t, basis(k, dim), 1e-3 * tol).vector
         assert float(np.sum(np.abs(ref[top + 1 :]))) <= tol
+
+    @settings(deadline=None)
+    @given(
+        generator_and_t=st.sampled_from(list(evolution._GENERATORS)).flatmap(
+            lambda gen: st.tuples(
+                st.just(gen),
+                times_up_to_the_cap(gen) | times_up_to_the_cap(gen).map(np.float64)
+                | st.integers(-int(evolution._GENERATORS[gen].cap), int(evolution._GENERATORS[gen].cap)),
+            )
+        ),
+        tol=st.sampled_from((1e-6, 1e-10, 1e-13)),
+    )
+    def test_cached_tail_span_is_a_fresh_search(self, generator_and_t, tol):
+        # float, np.float64 and int times of equal value share one entry; each reads the fresh search
+        generator, t = generator_and_t
+        facts = evolution._GENERATORS[generator]
+        tail = specfun._tail_index(facts.walk * abs(float(t)), abs(float(t)), tol)
+        assert evolution._tail_span(generator, t, tol) == (tail, facts.step * tail)
+        assert evolution._tail_span(generator, t, tol) == (tail, facts.step * tail)  # from the cache
+        info = evolution._tail_span.cache_info()
+        assert info.maxsize == 1024 and info.currsize <= 1024
+        # a refusal raises on every call and is never cached
+        sign = -1 if t < 0 else 1
+        past = (sign * np.nextafter(facts.cap, np.inf), sign * (int(facts.cap) + 1))
+        for refused in ((Generator.H1, t), (generator, past[0]), (generator, past[1])):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    evolution._tail_span(*refused, tol)
+        assert evolution._tail_span.cache_info().currsize == info.currsize
 
     def test_unreachable_agreement_raises(self):
         # rounding alone separates two truncations by more than 1e-21

@@ -142,6 +142,15 @@ class TestBesselOrders:
         with pytest.raises(DomainError):
             bessel_j_all(-1, 1.0)
 
+    @pytest.mark.parametrize("x", [*np.linspace(0.25, 8.0, 12), 0.955, -12.5, 2.0**-30, 64.0])
+    def test_float_and_numpy_arguments_agree_bit_for_bit(self, x):
+        # an np.float64 argument, as from a linspace grid, runs as the Python float of the same value
+        want, got = bessel_j_all(22, float(x)), bessel_j_all(22, np.float64(x))
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        assert got.start_order == want.start_order
+        assert float(got.tail_bound).hex() == float(want.tail_bound).hex()
+        assert float(got.rounding_bound).hex() == float(want.rounding_bound).hex()
+
 
 class TestBesselSeries:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
@@ -239,6 +248,14 @@ class TestBesselSeriesOrders:
             for n in range(12):
                 series_term_by_term(n, x)
         assert len(tries) <= 1.25 * 144
+
+    @pytest.mark.parametrize("x", [*np.linspace(0.25, 8.0, 12), -5.25, 0.0, 64.0])
+    def test_float_and_numpy_arguments_agree_bit_for_bit(self, x):
+        def bits(r):
+            return float(r.value).hex(), r.terms_used, float(r.tail_bound).hex(), float(r.rounding_bound).hex()
+
+        want, got = bessel_j_series_orders(range(12), float(x)), bessel_j_series_orders(range(12), np.float64(x))
+        assert list(map(bits, got)) == list(map(bits, want))
 
     def test_orders_in_any_order(self):
         orders = (30, 0, 7, 7, 12)
