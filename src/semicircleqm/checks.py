@@ -488,7 +488,7 @@ def char_function_routes(ts, series_ts) -> tuple[float, float, float]:
         closed = max(closed, abs(got - (1.0 if t == 0.0 else specfun.bessel_j(1, 2 * t).value / t)))
         quad = max(quad, abs(got - oracle.char_function_quadrature(t, 512)))
     series = max(
-        abs(evolution.char_function("P", t) - evolution.char_function_catalan_series(t))
+        abs(evolution.char_function("P", t) - evolution.coeff_I_series(0, 0, t))  # sum_p (-t^2)^p C_p/(2p)!
         for t in map(float, series_ts)
     )
     return closed, quad, series

@@ -11,17 +11,20 @@ their ballot ratio N(0, s, p+1)/N(0, s, p), s = m+n, and
 `specfun._exact_series` sums it exactly.  The same coefficients are
 matrix elements of the group, I[m, n](t) = (-1)^n <m+n|e^{itP}|0>,
 which equals the Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t) / t.
-Analogous tables cover the position group (same profile with an i^(m+n)
-phase) and the kinetic group e^{i t P^2}, whose closed form is a
-confluent hypergeometric function; each table is named by its
-generator, P, X or P2.  Evolutions, element tables and coefficients
-come from one sine-transform engine with its own truncation check: each
-coefficient is read from the engine's cached vacuum column, accurate in
-absolute terms.  The defining series, summed exactly in integers, stays
-public as the independent route with relative accuracy
-(`coeff_I_series`, `coeff_I2_series`), and `checks.coefficient_routes`
-compares the two.  Heisenberg-picture corrections of the raising
-operator integrate a low-rank kernel of the same column.
+The tables of the position group, <m+n|e^{itX}|0>, and of the kinetic
+group, I2[m, n](t) = (-1)^m <m+n|e^{itP^2}|0>, whose closed form is a
+confluent hypergeometric function, are signed vacuum amplitudes of
+their own groups too: each table is named by its generator, P, X or P2,
+and entry (m, n) is (-1)^(a m + b n) <m+n|e^{itG}|0>, with (a, b) the
+sign of the generator's row in `_GENERATORS`.  Evolutions, element
+tables and coefficients come from one sine-transform engine with its
+own truncation check: each coefficient is read from its group's cached
+vacuum column, accurate in absolute terms.  The defining series, summed
+exactly in integers, stays public as the independent route with
+relative accuracy (`coeff_I_series`, `coeff_I2_series`), and
+`checks.coefficient_routes` compares the two.  Heisenberg-picture
+corrections of the raising operator integrate a low-rank kernel of the
+same column.
 """
 
 from __future__ import annotations
@@ -65,12 +68,13 @@ class _Facts(NamedTuple):
     cap: float  # the largest |t| evolved
     step: int  # the levels one power of the generator moves
     walk: float  # c of the walk-bound prefactor e^(c|t|) of `_tail_span`
+    sign: tuple[int, int]  # (a, b): coefficient (m, n) is (-1)^(a m + b n) <m+n|e^{itG}|0>
 
 
 _GENERATORS = {  # what the engine, the oracle's doubling, `checks` and the CLI read of a generator
-    Generator.P: _Facts(16.0, 1, 1.0),
-    Generator.X: _Facts(16.0, 1, 1.0),
-    Generator.P2: _Facts(8.0, 2, 3.0),
+    Generator.P: _Facts(16.0, 1, 1.0, (0, 1)),
+    Generator.X: _Facts(16.0, 1, 1.0, (0, 0)),
+    Generator.P2: _Facts(8.0, 2, 3.0, (1, 0)),
 }
 
 
@@ -123,13 +127,11 @@ def _vacuum_column(gen: Generator, t: float, top: int, span: int) -> np.ndarray:
 
 
 def _coeff_column(gen: Generator, t: float, s: int) -> np.ndarray:
-    """Vacuum column behind the coefficients of gen at t, through level max(s, tail level).
+    """Vacuum column of gen's own group at t, behind its coefficients, through level max(s, tail level).
 
-    The position group reads the momentum column.  Sized past the tail
-    level, so one cache entry per t serves every s up to it.
-    `_tail_span` refuses H1 and a t past the cap.
+    Sized past the tail level, so one cache entry per (gen, t) serves
+    every s up to it.  `_tail_span` refuses H1 and a t past the cap.
     """
-    gen = Generator.P if gen is Generator.X else gen
     span = _tail_span(gen, float(t), _COLUMN_TOL)[1]
     return _vacuum_column(gen, float(t), max(s, span), span)
 
@@ -175,31 +177,18 @@ def _series_cached(kinetic: bool, s: int, t: float) -> float | complex:
     )[0].real
 
 
-def _engine_value(gen: Generator, s: int, column: np.ndarray) -> float | complex:
-    """The [0, s] coefficient read from the vacuum column: I[0, s] = (-1)^s <s|e^{itP}|0>, I2[0, s] = <s|e^{itP^2}|0>.
+def _signed(gen: Generator, column: np.ndarray, m: int, n: int) -> complex:
+    """Coefficient (m, n) of gen from its vacuum column: (-1)^(a m + b n) <m+n|e^{itG}|0>, (a, b) its sign.
 
-    Every (m, s-m) coefficient is this value times (-1)^m, or i^s for
-    the position group.
+    The + 0j clears every -0.0 part, so an exact zero reads 0j.
     """
-    if gen is Generator.P2:
-        return complex(column[s])
-    return (-1.0) ** s * float(column[s].real)
-
-
-def _entry(gen: Generator, value: float | complex, m: int, s: int) -> complex:
-    """Coefficient (m, s-m) from the [0, s] coefficient; an exact zero gives 0j, with no -0.0 part."""
-    if gen is Generator.X:
-        part = (1.0 if s % 4 < 2 else -1.0) * value + 0.0  # i^s is 1, i, -1 or -i
-        return complex(part, 0.0) if s % 2 == 0 else complex(0.0, part)
-    if gen is Generator.P2 and s % 2 == 1:
-        return 0j
-    return complex((-1.0) ** m * value + 0.0)  # + 0.0 clears the sign put on an exact 0.0
+    a, b = _GENERATORS[gen].sign
+    return (-1.0) ** (a * m + b * n) * complex(column[m + n]) + 0j
 
 
 def _coefficient(gen: Generator, m: int, n: int, t: float) -> complex:
     check_index("m, n", m, n)
-    s = m + n
-    return _entry(gen, _engine_value(gen, s, _coeff_column(gen, t, s)), m, s)
+    return _signed(gen, _coeff_column(gen, t, m + n), m, n)
 
 
 def coeff_I_series(m: int, n: int, t: float) -> complex:
@@ -212,8 +201,8 @@ def coeff_I(m: int, n: int, t: float) -> complex:
     """Translation-group coefficient I[m, n](t) = (-1)^n <m+n|e^{itP}|0>, from the engine's vacuum column.
 
     Entry (m, n) of `build_coeff_table("P", t, ...)`; the table of
-    generator X holds i^(m+n) I[0, m+n](t).  Equals the Bessel closed
-    form (-1)^m (m+n+1) J_{m+n+1}(2t)/t.  The
+    generator X holds <m+n|e^{itX}|0> = i^(m+n) I[0, m+n](t).  Equals the
+    Bessel closed form (-1)^m (m+n+1) J_{m+n+1}(2t)/t.  The
     accuracy is absolute (the column is evolved to tol 1e-13 and meets
     the defining series within about 1e-15 up to the cap), so a coefficient
     far below 1 keeps no relative digits: I[0, 12](0.01) ~ 2.1e-33 reads
@@ -226,14 +215,14 @@ def coeff_I(m: int, n: int, t: float) -> complex:
 def matrix_element_P(l: int, k: int, t: float) -> complex:
     """<level l | translation group | level k> = sum_m I[l-m, k-m](t), m <= min(l, k).
 
-    Term m is (-1)^(k+m) <l+k-2m|e^{itP}|0>: every term is read from one
-    engine vacuum column through level l + k (absolute accuracy, as for
-    `coeff_I`).  Raises DomainError for |t| > 16.
+    Term m is I[l-m, k-m] = (-1)^(k+m) <l+k-2m|e^{itP}|0>: every term is
+    read by the sign rule from one engine vacuum column through level
+    l + k (absolute accuracy, as for `coeff_I`).  Raises DomainError for
+    |t| > 16.
     """
     check_index("l, k", l, k)
-    s = l + k
-    column = _coeff_column(Generator.P, t, s)  # one column for every m
-    return complex(sum((-1.0) ** (k + m) * float(column[s - 2 * m].real) for m in range(min(l, k) + 1)))
+    column = _coeff_column(Generator.P, t, l + k)  # one column for every m
+    return complex(sum(_signed(Generator.P, column, l - m, k - m).real for m in range(min(l, k) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,34 +434,15 @@ def char_function(generator: Generator | str, t: float) -> complex:
 
     Both equal I[0, 0](t) = J_1(2t)/t, read from the engine like every
     coefficient (absolute accuracy): the vacuum distribution of either
-    operator is the semicircle law.  Raises DomainError for |t| > 16.
+    operator is the semicircle law.  N(0, 0, p) is the Catalan number
+    C_p, so the defining series of I[0, 0], sum_p (-t^2)^p C_p/(2p)!, is
+    `coeff_I_series(0, 0, t)`, the route with relative accuracy.  Raises
+    DomainError for |t| > 16.
     """
     gen = Generator(generator)
     if gen not in (Generator.P, Generator.X):
         raise DomainError(f"characteristic function defined for generator P or X, got generator {gen.value}")
     return coeff_I(0, 0, t)
-
-
-def char_function_catalan_series(t: float) -> complex:
-    """Independent route: sum_p (-t^2)^p C_p / (2p)! with exact Catalan numbers.
-
-    Term p+1 is term p times -t^2 C_{p+1} / (C_p (2p+1)(2p+2)), with
-    C_{p+1}/C_p = 2(2p+1)/(p+2); `specfun._exact_series` sums the terms
-    in exact integers (the binary float t is a rational number), so the
-    alternating cancellation costs no precision; only the final
-    division rounds.  Any finite t.
-    """
-    check_finite("t", t)
-    a, b = float(t).as_integer_ratio()
-    a2, b2 = -a * a, b * b
-    tt = t * t
-    return complex(
-        _exact_series(
-            (1, 0, 1),
-            lambda p: (2 * (2 * p + 1) * a2, 0, (p + 2) * (2 * p + 1) * (2 * p + 2) * b2),
-            lambda p: tt / ((p + 2) * (p + 3)),
-        )[0].real
-    )
 
 
 def state_char_function(l: int, t: float) -> complex:
@@ -483,8 +453,7 @@ def state_char_function(l: int, t: float) -> complex:
     """
     check_index("l", l)
     column = _coeff_column(Generator.P, t, 2 * l)  # one column for every m
-    values = [_engine_value(Generator.P, 2 * m, column) for m in range(l + 1)]
-    return complex(sum((-1.0) ** m * value for m, value in enumerate(values)))
+    return complex(sum(_signed(Generator.P, column, m, m).real for m in range(l + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +581,18 @@ def build_coeff_table(generator: Generator | str, t: float, max_order: int) -> C
     """Coefficient table of the group of generator P, X or P2 over all (m, n) with m + n <= max_order.
 
     The strings "momentum_I", "position_I" and "kinetic_I2" are still
-    accepted for P, X and P2.  The entries (m, s-m) all follow from the
-    [0, s] coefficient, read from one engine vacuum column as by
-    `coeff_I` and `coeff_I2` (absolute accuracy).
+    accepted for P, X and P2.  Entry (m, n) is (-1)^(a m + b n)
+    <m+n|e^{itG}|0>, read from the group's own engine vacuum column as by
+    `coeff_I` and `coeff_I2` (absolute accuracy); the sign depends on m
+    only through its parity, so the entries of one s share a signed pair.
     `checks.coefficient_routes` compares a table with the defining series.
     """
-    gen = Generator(_LEGACY_KINDS.get(generator, generator))
+    gen = Generator(_LEGACY_KINDS.get(generator, generator) if isinstance(generator, str) else generator)
     check_index("max_order", max_order)
     column = _coeff_column(gen, t, max_order)
     entries: dict[tuple[int, int], complex] = {}
     for s in range(max_order + 1):
-        value = _engine_value(gen, s, column)
-        signed = (_entry(gen, value, 0, s), _entry(gen, value, 1, s))  # the entries of even and odd m
+        signed = (_signed(gen, column, 0, s), _signed(gen, column, 1, s - 1))  # the entries of even and odd m
         for m in range(s + 1):
             entries[(m, s - m)] = signed[m % 2]
     return CoeffTable(t=float(t), kind=gen, entries=entries)

@@ -13,7 +13,8 @@ operator of the semicircle space is i times this transform, which the
 module exposes together with the kinetic (half-square) action, the
 Schroedinger weight, Bessel trigonometric sums with their
 principal-value integral forms, and pointwise closed forms for the
-translation group on the two lowest levels.
+translation group on the two lowest levels, each one Bessel term or two
+plus x times one of those integral forms.
 
 The pointwise closed forms are the amplitude-series-verified versions:
 assembling the Bessel trigonometric sums introduces a boundary term
@@ -25,7 +26,7 @@ machine precision against the matrix-exponential oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import pi
 
 import numpy as np
 
@@ -252,75 +253,71 @@ def _kapteyn_series(t: float, theta: float, trig) -> float:
     return float(np.sum(((-1.0) ** ms) * jv[1:] * trig(ms * theta)))
 
 
-def kapteyn_integral_sin(t: float, theta: float) -> float:
-    """Principal-value integral form of the alternating Bessel sine sum.
+def kapteyn_integral_sin(t: float, theta):
+    """Principal-value integral form of the alternating Bessel sine sum, at one angle or an array of them.
 
         -sin(2t sin theta)/2
         - (sin theta / 2 pi) p.v. int_0^pi cos(2t sin phi)/(cos theta - cos phi) dphi
+
+    theta is a scalar (returns a float) or an array (returns an array of
+    its shape), read in one `pv_integral_angle` pass.
     """
     check_finite("t", t, _MAX_T_BESSEL)
     integral = pv_integral_angle(lambda p: np.cos(2.0 * t * np.sin(p)), theta)
-    return -sin(2.0 * t * sin(theta)) / 2.0 - sin(theta) / (2.0 * pi) * integral
+    return _float_like(-np.sin(2.0 * t * np.sin(theta)) / 2.0 - np.sin(theta) / (2.0 * pi) * integral)
 
 
-def kapteyn_integral_cos(t: float, theta: float) -> float:
-    """Principal-value integral form of the alternating Bessel cosine sum.
+def kapteyn_integral_cos(t: float, theta):
+    """Principal-value integral form of the alternating Bessel cosine sum, at one angle or an array of them.
 
         (cos(2t sin theta) - J_0(2t))/2
         - (1/2 pi) p.v. int_0^pi sin(2t sin phi) sin(phi)/(cos theta - cos phi) dphi
+
+    theta is a scalar or an array, as for `kapteyn_integral_sin`.
     """
     check_finite("t", t, _MAX_T_BESSEL)
     integral = pv_integral_angle(lambda p: np.sin(2.0 * t * np.sin(p)) * np.sin(p), theta)
-    return (cos(2.0 * t * sin(theta)) - bessel_j(0, 2.0 * t).value) / 2.0 - integral / (2.0 * pi)
+    return _float_like((np.cos(2.0 * t * np.sin(theta)) - bessel_j(0, 2.0 * t).value) / 2.0 - integral / (2.0 * pi))
 
 
 def evolved_vacuum_closed_form(t: float, x):
     """Translation group applied to the vacuum, evaluated pointwise.
 
-    With theta = arccos(x/2):
+    With theta = arccos(x/2) and the Kapteyn sine integral:
 
-        J_0(2t) - x sin(2t sin theta)/(2 sin theta)
-                - (x/2 pi) p.v. int_0^pi cos(2t sin phi)/(cos theta - cos phi) dphi
+        J_0(2t) + (x / sin theta) kapteyn_integral_sin(t, theta)
 
     Equals the amplitude series sum_l (-1)^l (l+1) J_{l+1}(2t)/t Phi_l(x);
     the value is real for real t.  x is a scalar (returns a complex) or
-    an array (returns a complex array of its shape): J_0(2t) is read
-    once and one `pv_integral_angle` pass covers every angle.
+    an array (returns a complex array of its shape): the Bessel value is
+    read once and one `pv_integral_angle` pass covers every angle.
     """
     check_finite("t", t, _MAX_T_BESSEL)
     xs = check_support(x, _INTERIOR_MARGIN)
-    if t == 0.0:
-        return _complex_like(np.ones_like(xs))
     theta = np.arccos(xs / 2.0)
-    integral = pv_integral_angle(lambda p: np.cos(2.0 * t * np.sin(p)), theta)
-    val = (
-        bessel_j(0, 2.0 * t).value
-        - xs * np.sin(2.0 * t * np.sin(theta)) / (2.0 * np.sin(theta))
-        - xs / (2.0 * pi) * integral
-    )
-    return _complex_like(val)
+    return _complex_like(bessel_j(0, 2.0 * t).value + xs / np.sin(theta) * kapteyn_integral_sin(t, theta))
 
 
 def evolved_phi1_closed_form(t: float, x):
     """Translation group applied to the first excited level, pointwise.
 
-    With theta = arccos(x/2):
+    With theta = arccos(x/2) and the Kapteyn cosine integral:
 
-        2 J_1(2t) + x cos(2t sin theta)
-                  - (x/pi) p.v. int_0^pi sin(2t sin phi) sin(phi)/(cos theta - cos phi) dphi
+        2 J_1(2t) + x J_0(2t) + 2x kapteyn_integral_cos(t, theta)
 
     x is a scalar (returns a complex) or an array (returns a complex
-    array of its shape): J_1(2t) is read once and one
+    array of its shape): the Bessel values are read once and one
     `pv_integral_angle` pass covers every angle.
     """
     check_finite("t", t, _MAX_T_BESSEL)
     xs = check_support(x, _INTERIOR_MARGIN)
-    if t == 0.0:
-        return _complex_like(xs)
-    theta = np.arccos(xs / 2.0)
-    integral = pv_integral_angle(lambda p: np.sin(2.0 * t * np.sin(p)) * np.sin(p), theta)
-    val = 2.0 * bessel_j(1, 2.0 * t).value + xs * np.cos(2.0 * t * np.sin(theta)) - xs / pi * integral
-    return _complex_like(val)
+    j0, j1 = bessel_j(0, 2.0 * t).value, bessel_j(1, 2.0 * t).value
+    return _complex_like(2.0 * j1 + xs * j0 + 2.0 * xs * kapteyn_integral_cos(t, np.arccos(xs / 2.0)))
+
+
+def _float_like(val):
+    """val itself, or a float for a 0-d val."""
+    return val if np.ndim(val) else float(val)
 
 
 def _complex_like(val: np.ndarray):

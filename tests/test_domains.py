@@ -9,8 +9,8 @@ and the least subnormal; every tol at NaN, +-inf, 0, -0.0 and -1e-8,
 and the H1 frequency omega1 there too and inside at the least subnormal;
 every order, level, node count and dimension at NaN, +-inf, one below
 its least value and a fraction above it; every generator at an unknown
-name and at each member it does not evolve, and inside at each one it
-does, by name and as a member.
+name, at an unhashable value and at each member it does not evolve, and
+inside at each one it does, by name and as a member.
 `test_every_guarded_argument_has_a_row` finds each public function that
 takes such an argument and fails on any argument without a row.
 """
@@ -48,9 +48,9 @@ FREQUENCY = Domain(POSITIVE.refused, (TINY,))  # omega1 of the quadratic well H1
 
 
 def generators(*names: str) -> Domain:
-    """The generators a call evolves, by name and as members: every other member, and an unknown name, are refused."""
+    """The generators a call evolves, by name and as members: every other member, an unknown name and a list are refused."""
     taken = tuple(map(Generator, names))
-    return Domain(("Q", *(gen.value for gen in Generator if gen not in taken)), names + taken)
+    return Domain(("Q", ["P"], *(gen.value for gen in Generator if gen not in taken)), names + taken)
 
 
 EVOLVED = generators("P", "X", "P2")
@@ -84,6 +84,7 @@ class Row(NamedTuple):
     call: Callable
     domain: Domain
     named: str = ""  # the name the refusal gives, when it is not arg
+    label: str = ""  # tells a second row of one argument from the first in the test id
 
 
 OP = fock.build_momentum(8)
@@ -126,7 +127,7 @@ ROWS = [
         Domain(EVOLVED.refused, EVOLVED.inside + ("momentum_I", "position_I", "kinetic_I2"))),
     Row(ev.char_function, "generator", lambda g: ev.char_function(g, 0.5), generators("P", "X")),
     Row(ev.char_function, "t", lambda t: ev.char_function("X", t), capped(16.0)),
-    Row(ev.char_function_catalan_series, "t", ev.char_function_catalan_series, FINITE),
+    Row(ev.coeff_I_series, "t", lambda t: ev.coeff_I_series(0, 0, t), FINITE, label="catalan"),
     Row(ev.state_char_function, "l", lambda l: ev.state_char_function(l, 0.5), INDEX),
     Row(ev.state_char_function, "t", lambda t: ev.state_char_function(2, t), capped(16.0)),
     # evolution: evolutions and element tables
@@ -262,7 +263,7 @@ ROWS = [
 
 
 def row_id(row: Row) -> str:
-    return f"{row.fn.__module__.rsplit('.', 1)[1]}.{row.fn.__name__}-{row.arg}"
+    return f"{row.fn.__module__.rsplit('.', 1)[1]}.{row.fn.__name__}-{row.arg}" + (row.label and f"-{row.label}")
 
 
 @pytest.mark.parametrize("row", ROWS, ids=row_id)

@@ -11,7 +11,6 @@ from semicircleqm.evolution import (
     Generator,
     build_coeff_table,
     char_function,
-    char_function_catalan_series,
     coeff_I,
     coeff_I2,
     coeff_I2_series,
@@ -276,13 +275,13 @@ class TestCharFunctions:
 
     def test_catalan_series_route(self):
         for t in np.linspace(0.1, 8.0, 12):
-            assert abs(char_function("P", float(t)) - char_function_catalan_series(float(t))) <= 1e-12
+            assert abs(char_function("P", float(t)) - coeff_I_series(0, 0, float(t))) <= 1e-12
 
     @pytest.mark.parametrize("t", [16.0, -16.0])
     def test_catalan_series_at_the_cap(self, t):
         with mp.workdps(40):
             want = float(mp.besselj(1, 2 * t) / t)
-        assert abs(char_function_catalan_series(t) - want) <= 1e-15
+        assert abs(coeff_I_series(0, 0, t) - want) <= 1e-15
 
     def test_state_char_vacuum(self):
         for t in (0.5, 1.5):
@@ -481,6 +480,18 @@ class TestTablesAndGroupLaw:
                 if gen is Generator.P2 and (m + n) % 2 == 1:
                     assert value == 0
             assert route_gap(gen, 0.8, 6) <= checks.COEFF_ROUTE_TOL
+
+    @pytest.mark.parametrize("gen, sign", [(Generator.P, (0, 1)), (Generator.X, (0, 0)), (Generator.P2, (1, 0))],
+                             ids=["P", "X", "P2"])
+    def test_coeff_table_is_the_signed_vacuum_column_of_its_group(self, gen, sign):
+        # entry (m, n) is (-1)^(a m + b n) <m+n|e^{itG}|0> + 0j, bit for bit, from G's own evolved vacuum
+        a, b = sign
+        cap = evolution._GENERATORS[gen].cap
+        for t in np.linspace(-cap, cap, 41):  # 0 and both edges among them
+            amplitudes = evolve(gen, 0, float(t), tol=1e-13).amplitudes
+            s = min(12, amplitudes.size - 1)
+            for (m, n), value in build_coeff_table(gen, float(t), s).entries.items():
+                assert repr(value) == repr((-1.0) ** (a * m + b * n) * complex(amplitudes[m + n]) + 0j), (t, m, n)
 
     def test_no_public_coefficient_call_sums_a_series(self, monkeypatch):
         # t never met before, so every column and every series would be computed afresh
