@@ -270,11 +270,14 @@ def _tail_span(gen: Generator, t: float, tol: float) -> tuple[int, int]:
 def _sine_nodes(m: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     """The DST-I nodes of the truncation m: theta_j = j pi/(m+1) and x_j^step, x_j = 2 cos theta_j, j = 1..m.
 
-    G is X^step on the nodes.  Built once per (m, step) and shared, so
-    the arrays are read-only.  At most 256 entries of two m-long float64
-    arrays, m <= `_DIM_CAP`: 256 x 2 x 8 B x 4095, about 16.8 MB at
-    worst; truncations of a few hundred levels, the usual ones, keep it
-    near 1 MB.
+    G is X^step on the nodes.  `_group_block` reads only the larger
+    truncation 2m+1 of each doubling pair, so the table holds those:
+    node j of m is node 2j of 2m+1 bit for bit, because
+    fl(pi/(2m+2)) = fl(pi/(m+1))/2.  Built once per (m, step) and
+    shared, so the arrays are read-only.  At most 256 entries of two
+    m-long float64 arrays, m <= `_DIM_CAP`: 256 x 2 x 8 B x 4095, about
+    16.8 MB at worst; truncations of a few hundred levels, the usual
+    ones, keep it near 1 MB.
     """
     theta = np.arange(1, m + 1) * (np.pi / (m + 1))
     x = 2.0 * np.cos(theta)
@@ -282,6 +285,17 @@ def _sine_nodes(m: int, step: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^d, indexed by d mod 4
+
+
+def _sine_transform(odd: np.ndarray, m: int, rows: int) -> np.ndarray:
+    """Rows 1..rows of the DST-I of the m x c columns in rows 1..m of odd, a (2m+2)-row buffer.
+
+    The rest of the buffer is filled with the odd extension
+    (0, c, 0, -reversed c), whose FFT is the transform.
+    """
+    odd[0] = odd[m + 1] = 0.0
+    np.negative(odd[m:0:-1], out=odd[m + 2 :])
+    return 0.5j * np.fft.fft(odd, axis=0)[1 : rows + 1]
 
 
 def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: int, tol: float) -> np.ndarray:
@@ -292,12 +306,14 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: in
     `orthopoly.quadrature_rule` nodes, and eigenvectors
     sqrt(2/(m+1)) sin((l+1) j pi/(m+1)); P = D X D* with D = diag(i^l).
     m starts at rows plus span and grows to 2m+1, which keeps every
-    node, until two truncations agree within tol/10.  The nodes depend
-    only on m and the generator's level step, so each round reads them
-    from the `_sine_nodes` table; the phase e^{itG} and the sine weights
-    of the source columns are formed on every round, straight into one
-    (2m+2) x len(cols) buffer that holds the odd extension of the
-    columns, which the FFT transforms.
+    node, until two truncations agree within tol/10.  Each round forms
+    the phase e^{itG} and the sine weights of the source columns on the
+    grid of 2m+1 only, from the `_sine_nodes` table, straight into the
+    (4m+4)-row buffer of that transform.  The first round's m needs no
+    pass of its own: node j of m is node 2j of 2m+1 bit for bit, since
+    fl(pi/(2m+2)) = fl(pi/(m+1))/2, and its weight 2/(m+1) is exactly
+    twice 2/(2m+2), so its buffer holds twice the even-node entries.
+    Each truncation is still its own FFT.
     """
     d = np.arange(rows)[:, None] - cols
     if t == 0.0:
@@ -305,29 +321,31 @@ def _group_block(gen: Generator, t: float, cols: np.ndarray, rows: int, span: in
     m = rows + span
     prev, step = None, _GENERATORS[gen].step
     sources = cols + 1
-    while m <= _DIM_CAP:
-        theta, eig = _sine_nodes(m, step)  # eig: the eigenvalues of G, x^step
+    while 2 * m + 1 <= _DIM_CAP:
+        big = 2 * m + 1
+        theta, eig = _sine_nodes(big, step)  # eig: the eigenvalues of G, x^step
         phase = np.exp(1j * t * eig)
-        # DST-I of each column c as the FFT of its odd extension (0, c, 0, -reversed c)
-        odd = np.empty((2 * m + 2, cols.size), dtype=complex)
-        odd[0] = odd[m + 1] = 0.0
+        odd = np.empty((2 * big + 2, cols.size), dtype=complex)
         weights = theta[:, None] * sources
         np.sin(weights, out=weights)
-        weights *= 2.0 / (m + 1)
-        c = np.multiply(weights, phase[:, None], out=odd[1 : m + 1])
-        np.negative(c[::-1], out=odd[m + 2 :])
-        block = 0.5j * np.fft.fft(odd, axis=0)[1 : rows + 1]
-        if prev is not None and float(np.abs(block - prev).max()) <= tol / 10.0:
+        weights *= 2.0 / (big + 1)
+        c = np.multiply(weights, phase[:, None], out=odd[1 : big + 1])
+        if prev is None:
+            half = np.empty((2 * m + 2, cols.size), dtype=complex)
+            np.multiply(c[1::2], 2.0, out=half[1 : m + 1])
+            prev = _sine_transform(half, m, rows)
+        block = _sine_transform(odd, big, rows)
+        if float(np.abs(block - prev).max()) <= tol / 10.0:
             break
-        prev, m = block, 2 * m + 1
+        prev, m = block, big
     else:
         raise TruncationError(f"no agreement within {tol / 10.0:.1e} below dimension {_DIM_CAP}")
+    if gen is Generator.X:  # e^{itX} is real at even d and imaginary at odd d
+        return np.where(d % 2 == 1, 1j * block.imag, block.real)
     i_d = _I_POWERS[d % 4]
     if gen is Generator.P2:  # P^2 keeps parity
         return np.where(d % 2 == 1, 0.0, block * i_d)
-    if gen is Generator.P:  # e^{itX} is real at even d and imaginary at odd d
-        return (block * i_d).real.astype(complex)
-    return np.where(d % 2 == 1, 1j * block.imag, block.real)
+    return (block * i_d).real.astype(complex)  # D e^{itX} D*, real by the parity of e^{itX}
 
 
 def evolve(

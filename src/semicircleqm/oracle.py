@@ -45,6 +45,9 @@ _STEP_NORM = 4.0
 # as a reference: at 1e-12 the translation line of gate criterion 6 read its truncation, 1.2e-13
 _REFERENCE_TOL = 1e-16
 _LOG_FLOAT_MAX = log(sys.float_info.max)  # e^x overflows past this x
+# below this norm e^(zA) moves no column norm past the 1e-12 (relative) that expm_apply's check
+# allows, so such a zA counts as skew-Hermitian
+_SKEW_NORM = 5e-13
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,11 @@ def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool, tuple[
     |zA| = |z| |A| entrywise, so the bound is |z| times that of A, from
     the one magnitude pass that the overflow guard also reads.  The
     magnitude sums are the column and row sums of |zA|, which
-    `_shifted_bound` corrects for a shift of the diagonal.
+    `_shifted_bound` corrects for a shift of the diagonal.  zA counts as
+    skew-Hermitian when it is so entry by entry, its real part
+    antisymmetric and its imaginary part symmetric, as at an imaginary z
+    with A Hermitian and at z = 0, or when its norm bound is at most
+    `_SKEW_NORM`.
     """
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -82,13 +89,13 @@ def _scaled(op: np.ndarray, z: complex) -> tuple[np.ndarray, float, bool, tuple[
         raise DimensionError(f"dimension {mat.shape[0]} exceeds the dense cap {_MAX_DIM}")
     check_finite("z", z)
     mag = np.abs(mat)
-    # every sum over |zA| and |zA + (zA)*| is at most 2 |z| sum |A|, so none can overflow past this guard
+    # every sum over |zA| and |zA - mu I| is at most 2 |z| sum |A|, so none can overflow past this guard
     check_finite("|z| ||A||", 2.0 * abs(z) * float(mag.sum()))
     za = z * mat
     col, row = mag.sum(axis=0), mag.sum(axis=1)
     nrm = abs(z) * _sums_bound(col, row)
     check_finite("||zA||", nrm)
-    skew = _norm2_upper(za + za.conj().T) <= 1e-12 * max(1.0, nrm)
+    skew = nrm <= _SKEW_NORM or bool((za.imag == za.imag.T).all() and (za.real == -za.real.T).all())
     return za, nrm, skew, (abs(z) * col, abs(z) * row)
 
 

@@ -742,6 +742,13 @@ def inline_group_block(gen, t, cols, rows, span, tol):
     return np.where(d % 2 == 1, 1j * block.imag, block.real)
 
 
+def record_fft_lengths(monkeypatch) -> list:
+    """Record the length of every FFT the engine runs."""
+    true_fft, lengths = np.fft.fft, []
+    monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kwargs: lengths.append(len(a)) or true_fft(a, *args, **kwargs))
+    return lengths
+
+
 def engine_cases():
     """(generator, t, cols, rows, span, tol): one and many source columns at +-cap, t = 0 and inside."""
     for gen, facts in evolution._GENERATORS.items():
@@ -762,13 +769,62 @@ class TestSineNodeTable:
         assert np.all(evolution._group_block(gen, t, cols, rows, span, tol) == want)  # from the table's entries
 
     @pytest.mark.parametrize("gen", list(evolution._GENERATORS))
-    def test_a_doubling_chain_equals_the_inline_nodes(self, gen):
-        # no span at the cap: the truncation 8 doubles to 17, 35, 71, ... before two agree
+    def test_a_doubling_chain_equals_the_inline_nodes(self, gen, monkeypatch):
+        # no span at the cap: the truncation 8 doubles to 17, 35, 71, ... before two agree; the
+        # table is looked up once for each doubled truncation the chain transforms, never for 8
         t = evolution._GENERATORS[gen].cap
+        lengths = record_fft_lengths(monkeypatch)
         evolution._sine_nodes.cache_clear()
         got = evolution._group_block(gen, t, np.array([0, 2]), 8, 0, 1e-10)
-        assert evolution._sine_nodes.cache_info().misses >= 4
+        engine_lengths = lengths.copy()
+        doubled = [n // 2 - 1 for n in engine_lengths[1:]]
+        assert engine_lengths[0] == 18 and doubled[:3] == [17, 35, 71]
+        assert doubled == [9 * 2 ** (i + 1) - 1 for i in range(len(doubled))]
+        assert evolution._sine_nodes.cache_info().misses == len(doubled)
+        lengths.clear()
         assert np.all(got == inline_group_block(gen, t, np.array([0, 2]), 8, 0, 1e-10))
+        assert lengths == engine_lengths  # one FFT per truncation, of the same lengths
+
+    @pytest.mark.parametrize("gen", list(evolution._GENERATORS))
+    def test_a_first_comparison_that_accepts_forms_one_grid(self, gen, monkeypatch):
+        # the pair m, 2m + 1 takes one table lookup and one phase vector, both on the grid of 2m + 1
+        t = 0.6 * evolution._GENERATORS[gen].cap
+        span = evolution._tail_span(gen, t, 1e-10)[1]
+        lengths = record_fft_lengths(monkeypatch)
+        true_exp, phases = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: phases.append(np.size(x)) or true_exp(x, *args, **kwargs))
+        evolution._sine_nodes.cache_clear()
+        evolution._group_block(gen, t, np.array([2]), 3 + span, span, 1e-10)
+        m = 3 + 2 * span
+        assert lengths == [2 * m + 2, 4 * m + 4]  # the first comparison accepts
+        info = evolution._sine_nodes.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        assert phases == [2 * m + 1]
+
+    @settings(deadline=None)
+    @given(
+        generator_and_t=st.sampled_from(list(evolution._GENERATORS)).flatmap(
+            lambda gen: st.tuples(st.just(gen), times_up_to_the_cap(gen) | st.just(0.0))
+        ),
+        cols=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        rows=st.integers(1, 60),
+        share=st.floats(0.0, 1.0),
+        tol=st.sampled_from((1e-6, 1e-10, 1e-13)),
+    )
+    def test_engine_block_equals_the_inline_block(self, generator_and_t, cols, rows, share, tol):
+        # any share of the tail span, down to 0, which forces doubling chains; bit for bit, or both raise
+        gen, t = generator_and_t
+        span = int(share * evolution._tail_span(gen, t, tol)[1])
+        cols = np.array(cols)
+        try:
+            want = inline_group_block(gen, t, cols, rows, span, tol)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                evolution._group_block(gen, t, cols, rows, span, tol)
+            return
+        got = evolution._group_block(gen, t, cols, rows, span, tol)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("m, step", [(1, 1), (53, 1), (150, 2), (4095, 2)])
     def test_entries_are_the_inline_nodes_and_read_only(self, m, step):

@@ -283,6 +283,43 @@ class TestTaylorAction:
             oracle.expm_apply(build_momentum(8), 1j, v)
 
 
+# the Hermitian operators that the package, the checks and these tests evolve
+HERMITIAN = {
+    "momentum": build_momentum(40),
+    "position": build_position(40),
+    "kinetic": oracle._generator("P2", 40),
+    "number": build_number_function(40, lambda n: n),
+    "random Hermitian": random_hermitian(30),
+    "shifted random Hermitian": random_hermitian(17) + 5.0 * np.eye(17),
+    "momentum squared": build_momentum(64) @ build_momentum(64),
+}
+
+
+class TestSkewHermitianClass:
+    # whether zA counts as skew-Hermitian decides whether expm_apply asserts norm preservation and
+    # whether later Taylor steps tighten their tolerance for the growth of the error
+    @pytest.mark.parametrize("name", sorted(HERMITIAN))
+    @pytest.mark.parametrize(
+        ("z", "skew"),
+        [(1j, True), (-16j, True), (0.7j, True), (8j, True), (0.0, True), (-0.0, True), (0j, True),
+         (0.5, False), (-0.7, False), (0.01, False), (300.0, False), (5e-324, True)],
+        ids=["i", "minus-16i", "0.7i", "8i", "zero", "minus-zero", "complex-zero", "real-0.5", "real-minus-0.7",
+             "real-0.01", "real-300", "least-subnormal"],
+    )
+    def test_hermitian_generators(self, name, z, skew):
+        # imaginary z and z = 0 are skew entry by entry; real z is not, except where ||zA|| <= 5e-13
+        # (the least subnormal z that the domain tests pass), whose exponential moves no norm by more than 1e-12
+        assert oracle._scaled(HERMITIAN[name], z)[2] is skew
+
+    def test_the_class_is_exact_away_from_the_small_norm(self):
+        p = build_momentum(8)
+        assert oracle._scaled(np.triu(p), 0.0)[2]  # z = 0: zA = 0 whatever A is
+        assert oracle._scaled(np.triu(p), 1j)[2] is False  # not Hermitian
+        assert oracle._scaled(1j * build_position(8), 2.0)[2]  # anti-Hermitian A at real z
+        assert oracle._scaled(p, 1e-14 + 1j)[2] is False  # a real part of z, however small
+        assert oracle._scaled(1e-13 * p, 1.0)[2]  # ||zA|| = 2e-13
+
+
 class TestTruncationLevel:
     def test_zero_time(self):
         assert oracle.truncation_level(0.0, 3, 1e-10) == 5
